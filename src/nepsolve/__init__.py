@@ -10,20 +10,18 @@ iteration with structured shift-invert.
 from .basis import BreakdownError, VABasis, build_basis, eval_basis, leading_coeffs
 from .cli import EigenReport, RunConfig, emit, run
 from .eigensolve import (Eigenpair, EigensolverError, extract_nep_eigenpairs,
-                         in_region, normalized_residual, pole_free_check,
-                         residual, solve_dense, solve_pencil_dense)
+                         normalized_residual, pole_free_check, residual,
+                         solve_dense, solve_pencil_dense)
 from .filters import (PoleHitError, QuadratureRule, SIFConfig, SIFResult,
-                      apply_filter, quadrature, scalar_filter, shift_invert,
-                      sif, write_sif_trace_csv)
+                      apply_filter, quadrature, scalar_filter, shift_invert, sif)
 from .lawson import (DegreeSpec, DualResult, PoleEvaluationError,
                      RankDeficiencyError, RationalApproximant, SampleSet,
                      dual_value, evaluate_approximant, lawson, max_error,
                      write_trace_csv)
 from .pencil import (BlockLU, MatrixPolynomial, SingularShiftError,
                      StructuredPencil, assemble, block_lu, build_pencil,
-                     cork_coefficients, error_bound, export_pencil,
-                     gram_matrix, poly_roots, recover_eigenvector,
-                     verify_linearization)
+                     error_bound, export_pencil, gram_matrix, poly_roots,
+                     recover_eigenvector, verify_linearization)
 from .problems import (ManifestError, Region, ScalarFunction, SplitFormNEP,
                        builtin_problem, constant, example1, exp_affine,
                        exp_quadratic, expm1_term, hadeler, load_manifest,

@@ -44,9 +44,6 @@ class VABasis:
     def m(self):
         return len(self.nodes)
 
-    def eval(self, points):
-        return eval_basis(self, points)
-
 
 def build_basis(nodes, degree, weights=None):
     """Run the Arnoldi process on ``diag(nodes)`` starting from the ones vector.

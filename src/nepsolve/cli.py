@@ -21,14 +21,13 @@ import numpy as np
 from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
 from .filters import SIFConfig, sif
 from .lawson import DegreeSpec, SampleSet, lawson
-from .pencil import assemble, build_pencil, error_bound, gram_matrix, poly_roots
+from .pencil import (DENSE_DIM_LIMIT, assemble, build_pencil, error_bound,
+                     gram_matrix, poly_roots)
 from .problems import Region, builtin_problem, load_manifest, sample_boundary
 
 __all__ = ["RunConfig", "EigenReport", "run", "emit", "main"]
 
 log = logging.getLogger(__name__)
-
-DENSE_DIM_LIMIT = 5000
 
 EXIT_OK = 0
 EXIT_FIT_MISS = 2
@@ -64,12 +63,16 @@ class RunConfig:
             raise ValueError("max_degree must be at least 1")
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.filter_order < 1:
+            raise ValueError("filter_order must be at least 1")
+        if self.subspace is not None and self.subspace < 1:
+            raise ValueError("subspace must be at least 1")
 
     def to_json(self):
         out = {}
         for key, val in self.__dict__.items():
             if isinstance(val, complex):
-                val = None if val is None else [val.real, val.imag]
+                val = [val.real, val.imag]
             out[key] = val
         return out
 
@@ -180,7 +183,7 @@ def run(config):
 
     t0 = time.perf_counter()
     poly = assemble(xi, nep)
-    pencil = build_pencil(poly, materialize_threshold=DENSE_DIM_LIMIT)
+    pencil = build_pencil(poly)
     t_pencil = time.perf_counter() - t0
 
     solver = config.solver
@@ -270,6 +273,7 @@ def _parse_complex(text):
 
 
 def build_parser():
+    # defaults are read from RunConfig so that each is stated once
     parser = argparse.ArgumentParser(
         prog="nepsolve",
         description="Solve a nonlinear eigenvalue problem on a disk (or "
@@ -278,31 +282,30 @@ def build_parser():
     src.add_argument("--problem", help="built-in problem name "
                                        "(example1, time_delay2, hadeler)")
     src.add_argument("--manifest", help="path to a problem manifest JSON")
-    parser.add_argument("--center", type=_parse_complex, default=None,
-                        metavar="RE,IM", help="region center override")
-    parser.add_argument("--radius", type=float, default=None,
-                        help="region radius override")
+    parser.add_argument("--center", type=_parse_complex, metavar="RE,IM",
+                        help="region center override")
+    parser.add_argument("--radius", type=float, help="region radius override")
     parser.add_argument("--half-disk", action="store_true",
                         help="restrict the region to the upper half-disk")
-    parser.add_argument("--nodes", type=int, default=100, metavar="M",
-                        help="boundary sample count (default 100)")
-    parser.add_argument("--tol", type=float, default=1e-10, metavar="EPS",
-                        help="fit target for sqrt(e) (default 1e-10)")
-    parser.add_argument("--max-degree", type=int, default=30, metavar="D",
-                        help="degree escalation cap (default 30)")
+    parser.add_argument("--nodes", type=int, default=RunConfig.nodes, metavar="M",
+                        help="boundary sample count (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=RunConfig.tol, metavar="EPS",
+                        help="fit target for sqrt(e) (default %(default)s)")
+    parser.add_argument("--max-degree", type=int, default=RunConfig.max_degree,
+                        metavar="D", help="degree escalation cap (default %(default)s)")
     parser.add_argument("--solver", choices=("auto", "dense", "filter"),
-                        default="auto")
-    parser.add_argument("--filter-order", type=int, default=16, metavar="K",
-                        help="quadrature order of the rational filter")
-    parser.add_argument("--subspace", type=int, default=None, metavar="N",
+                        default=RunConfig.solver)
+    parser.add_argument("--filter-order", type=int, default=RunConfig.filter_order,
+                        metavar="K", help="quadrature order of the rational filter")
+    parser.add_argument("--subspace", type=int, metavar="N",
                         help="subspace columns for the filter solver")
-    parser.add_argument("--shift", type=_parse_complex, default=None,
-                        metavar="RE,IM", help="shift for the filter solver")
-    parser.add_argument("--seed", type=int, default=0, metavar="S")
-    parser.add_argument("--out", default=None, metavar="PATH",
+    parser.add_argument("--shift", type=_parse_complex, metavar="RE,IM",
+                        help="shift for the filter solver")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
+    parser.add_argument("--out", metavar="PATH",
                         help="output file (default: print to stdout)")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default="json")
+                        default=RunConfig.fmt)
     return parser
 
 

@@ -7,11 +7,10 @@ import numpy as np
 import scipy.linalg
 
 from .pencil import poly_roots, recover_eigenvector
-from .problems import Region
 
 __all__ = ["Eigenpair", "EigensolverError", "solve_dense", "solve_pencil_dense",
-           "extract_nep_eigenpairs", "in_region", "residual",
-           "normalized_residual", "pole_free_check"]
+           "extract_nep_eigenpairs", "residual", "normalized_residual",
+           "pole_free_check"]
 
 log = logging.getLogger(__name__)
 
@@ -20,10 +19,6 @@ HUGE_EIGENVALUE_FACTOR = 1e12
 
 class EigensolverError(Exception):
     """Raised when the underlying dense eigensolver fails to converge."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -57,13 +52,13 @@ def solve_dense(C0, C1):
     return lam[finite], V[:, finite]
 
 
-def solve_pencil_dense(pencil, force=True):
+def solve_pencil_dense(pencil):
     """Materialize, equilibrate the bottom block row, and run the dense solve.
 
     The scaling is a left diagonal equivalence, so the returned eigenvalues
     and right eigenvectors belong to the original pencil.
     """
-    C0, C1 = pencil.materialize(force=force)
+    C0, C1 = pencil.materialize(force=True)
     c = pencil.equilibration_scale()
     split = (pencil.gamma - 1) * pencil.n
     C0[split:] *= c
@@ -80,61 +75,65 @@ def _normalize_direction(u):
     return u * phase.conjugate()
 
 
-def in_region(lam, region):
-    """Membership in the closed region (boundary counts as inside)."""
-    return bool(region.contains(lam)) if np.isscalar(lam) else region.contains(lam)
-
-
-def residual(nep, lam, u):
-    """Relative residual ``||T(lam) u|| / ||u||`` with exact scalar terms."""
+def _vector_norm(u):
     u = np.asarray(u, dtype=complex)
     nu = np.linalg.norm(u)
     if nu == 0:
         raise ValueError("zero vector has no residual")
+    return u, nu
+
+
+def _term_scale(nep, lam, norm1):
+    # sum_i |t_i(lam)| * norm(E_i, 1) with the 1-norms precomputed
+    denom = float(np.abs(nep.t_values(lam)[0]) @ norm1)
+    if denom == 0:
+        raise ZeroDivisionError("all scalar terms vanish at this point")
+    return denom
+
+
+def residual(nep, lam, u):
+    """Relative residual ``||T(lam) u|| / ||u||`` with exact scalar terms."""
+    u, nu = _vector_norm(u)
     return float(np.linalg.norm(nep.apply(lam, u)) / nu)
 
 
 def normalized_residual(nep, lam, u):
     """Residual scaled by ``sum_i |t_i(lam)| * norm(E_i, 1)``."""
-    u = np.asarray(u, dtype=complex)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        raise ValueError("zero vector has no residual")
-    tv = np.abs(nep.t_values(lam)[0])
-    denom = float(tv @ nep.norm1_terms())
-    if denom == 0:
-        raise ZeroDivisionError("all scalar terms vanish at this point")
+    u, nu = _vector_norm(u)
+    denom = _term_scale(nep, lam, nep.norm1_terms())
     return float(np.linalg.norm(nep.apply(lam, u)) / (denom * nu))
 
 
 def extract_nep_eigenpairs(pairs, basis, nep, region):
     """Turn pencil eigenpairs into problem eigenpairs with diagnostics.
 
-    ``pairs`` is ``(lam, V)`` from :func:`solve_dense` or an iterable of
-    ``(lam, v)`` tuples. Eigenvalues of absurd magnitude (artifacts of a
-    singular leading coefficient) and bottom-dominated eigenvectors are
-    dropped; everything else is reported with its region flag. Results are
-    sorted by real then imaginary part.
+    ``pairs`` is ``(lam, V)`` as returned by :func:`solve_dense`: eigenvalues
+    in ``lam``, pencil eigenvectors in the columns of ``V``. Eigenvalues of
+    absurd magnitude (artifacts of a singular leading coefficient) and
+    bottom-dominated eigenvectors are dropped; everything else is reported
+    with its region flag. Results are sorted by real then imaginary part.
     """
-    if isinstance(pairs, tuple) and len(pairs) == 2 and hasattr(pairs[1], "ndim"):
-        lam_arr, V = pairs
-        pairs = [(lam_arr[i], V[:, i]) for i in range(len(lam_arr))]
+    lam_arr, V = pairs
     cutoff = HUGE_EIGENVALUE_FACTOR * (1.0 + abs(region.center) + region.radius)
+    norm1 = nep.norm1_terms()
     out = []
-    for lam, v in pairs:
+    for i, lam in enumerate(lam_arr):
         lam = complex(lam)
         if abs(lam) > cutoff:
             continue
-        u, consistency, bottom_dominated = recover_eigenvector(v, lam, basis, nep.n)
+        u, consistency, bottom_dominated = recover_eigenvector(V[:, i], lam, basis,
+                                                               nep.n)
         if bottom_dominated:
             log.info("skipping bottom-dominated eigenvector at lam=%s", lam)
             continue
         u = _normalize_direction(u)
+        nu = np.linalg.norm(u)
+        r = np.linalg.norm(nep.apply(lam, u))
         out.append(Eigenpair(
             lam=lam,
             u=u,
-            residual=residual(nep, lam, u),
-            normalized_residual=normalized_residual(nep, lam, u),
+            residual=float(r / nu),
+            normalized_residual=float(r / (_term_scale(nep, lam, norm1) * nu)),
             in_region=bool(region.contains(lam)),
             consistency=consistency,
         ))
@@ -147,13 +146,6 @@ def pole_free_check(xi, region):
 
     Returns ``(is_pole_free, offending_roots)``.
     """
-    b = np.asarray(xi.denom_coeffs)
-    top = np.max(np.abs(b))
-    deg = b.size - 1
-    while deg > 0 and abs(b[deg]) < 1e-14 * top:
-        deg -= 1
-    if deg == 0:
-        return True, np.empty(0, dtype=complex)
-    roots = poly_roots(b, xi.basis)
+    roots = poly_roots(xi.denom_coeffs, xi.basis)
     inside = roots[region.contains(roots)]
     return inside.size == 0, inside

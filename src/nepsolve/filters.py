@@ -12,7 +12,6 @@ which reduces to forward block recurrences plus a single n x n solve with
 ``P(s_j)`` (factored once per rule).
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .pencil import BlockLU, SingularShiftError
 
 __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError",
            "quadrature", "scalar_filter", "shift_invert", "apply_filter",
-           "default_shift", "sif", "write_sif_trace_csv"]
+           "default_shift", "sif"]
 
 
 class PoleHitError(Exception):
@@ -122,6 +121,8 @@ class SIFConfig:
     def __post_init__(self):
         if self.subspace < 1:
             raise ValueError("subspace must have at least one column")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if not 0 < self.tol_residual < self.tol_ghost:
             raise ValueError("need 0 < tol_residual < tol_ghost")
 
@@ -180,7 +181,6 @@ def sif(pencil, nep, region, config):
     converged = False
     prev_count = None
     prev_max_sigma = None
-    ritz = []
     for it in range(1, config.max_iters + 1):
         U = apply_filter(pencil, rule, Y, lus=lus)
         V = _orth(U)
@@ -195,14 +195,13 @@ def sif(pencil, nep, region, config):
         lam, X = lam[finite], X[:, finite]
         Ritz = V @ X
 
-        ritz = []
+        keep = []  # columns of the in-region, non-ghost Ritz pairs
         ghost_count = 0  # ghosts inside the region
         sigmas_in = []
         for i in range(lam.size):
             if not bool(region.contains(lam[i])):
                 continue
-            v = Ritz[:, i]
-            v1 = v[: pencil.n]
+            v1 = Ritz[: pencil.n, i]
             nv1 = np.linalg.norm(v1)
             sig = (np.inf if nv1 == 0
                    else float(np.linalg.norm(nep.apply(lam[i], v1)) / (scale * nv1)))
@@ -210,7 +209,7 @@ def sif(pencil, nep, region, config):
                 ghost_count += 1
             else:
                 sigmas_in.append(sig)
-                ritz.append((lam[i], v))
+                keep.append(i)
         count = len(sigmas_in)
         max_sigma = max(sigmas_in) if sigmas_in else float("nan")
         min_sigma = min(sigmas_in) if sigmas_in else float("nan")
@@ -231,23 +230,7 @@ def sif(pencil, nep, region, config):
             break
         Y = Ritz
 
-    eigenpairs = extract_nep_eigenpairs(ritz, pencil.poly.basis, nep, region)
+    eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
+                                        pencil.poly.basis, nep, region)
     return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace),
                      converged=converged, iterations=len(trace))
-
-
-def write_sif_trace_csv(trace, path_or_file):
-    """Write iteration records as ``iter,in_region_count,ghost_count,max_sigma,min_sigma``."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "in_region_count", "ghost_count",
-                         "max_sigma", "min_sigma"])
-        for step in trace:
-            writer.writerow([step.iteration, step.in_region_count,
-                             step.ghost_count, repr(step.max_sigma),
-                             repr(step.min_sigma)])
-    finally:
-        if own:
-            fh.close()

@@ -14,7 +14,7 @@ orthogonal basis (see :mod:`nepsolve.basis`) built once on the full node set.
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +25,9 @@ __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
            "LawsonStep", "RankDeficiencyError", "PoleEvaluationError",
            "dual_value", "lawson", "evaluate_approximant", "max_error",
            "write_trace_csv"]
+
+# nodes whose Lawson weight falls below this are dropped for good
+WEIGHT_TOL = 1e-12
 
 
 class RankDeficiencyError(Exception):
@@ -95,12 +98,12 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class DualResult:
-    """Dual objective value with the recovered coefficient vectors."""
+    """Dual objective value, the recovered coefficients, and the fit at the nodes."""
 
     d_value: float
     numer_coeffs: tuple
     denom_coeffs: np.ndarray
-    basis: object
+    node_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def _check_rank(R, what):
             f"{bad.tolist() if top else 'all'}")
 
 
-def dual_value(samples, w, spec, basis, rows=None, _node_values=None):
+def dual_value(samples, w, spec, basis, rows=None):
     """Evaluate the dual objective at weights ``w`` and recover coefficients.
 
     ``sqrt(d(w))`` is the smallest singular value of the projected matrix
@@ -133,9 +136,9 @@ def dual_value(samples, w, spec, basis, rows=None, _node_values=None):
     ``Rq b = bhat`` against the trailing right singular vector and the
     numerator blocks solve ``Rp_i a_i = Qp_i^H F_i Qq bhat``.
 
-    ``rows`` restricts the basis node rows (used after node filtering). When
-    ``_node_values`` is a list it receives the stably evaluated values of the
-    fitted function at the active nodes as an (m, s) array.
+    ``rows`` restricts the basis node rows (used after node filtering). The
+    result's ``node_values`` holds the stably evaluated values of the fitted
+    function at the nodes as an (m, s) array, ``(Qp_i Qp_i^H F_i q) / q``.
     """
     w = np.asarray(w, dtype=float).ravel()
     if np.any(w < 0):
@@ -182,17 +185,14 @@ def dual_value(samples, w, spec, basis, rows=None, _node_values=None):
     b = scipy.linalg.solve_triangular(Rq, bhat)
     qnode = Qq @ bhat
     numer = []
-    node_vals = np.empty((m, s), dtype=complex) if _node_values is not None else None
+    node_vals = np.empty((m, s), dtype=complex)
     for i in range(s):
         Qp, Rp = qr_by_deg[spec.numerator[i]]
         rhs = Qp.conj().T @ (values[:, i] * qnode)
-        if node_vals is not None:
-            node_vals[:, i] = (Qp @ rhs) / qnode
+        node_vals[:, i] = (Qp @ rhs) / qnode
         numer.append(scipy.linalg.solve_triangular(Rp, rhs))
-    if _node_values is not None:
-        _node_values.append(node_vals)
     return DualResult(d_value=float(smin ** 2), numer_coeffs=tuple(numer),
-                      denom_coeffs=b, basis=basis)
+                      denom_coeffs=b, node_values=node_vals)
 
 
 @dataclass(frozen=True)
@@ -218,19 +218,18 @@ class RationalApproximant:
         return evaluate_approximant(self, points)
 
 
-def lawson(samples, spec, tol=1e-10, max_iters=500, beta=1.0, weight_tol=1e-12,
-           basis=None):
+def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.
 
-    Per sweep: drop nodes whose weight fell below ``weight_tol`` (permanently;
+    Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently;
     the basis is not rebuilt), evaluate the dual objective and current fit,
     stop once the relative duality gap is below ``tol``, else reweight nodes
-    by ``||t(x_l) - xi(x_l)||^beta`` and renormalize onto the simplex.
+    by ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex.
     Exhausting ``max_iters`` is reported as ``converged=False`` on the result,
     not as an error.
     """
-    if tol <= 0 or max_iters < 1 or beta <= 0:
-        raise ValueError("tol and beta must be positive, max_iters at least 1")
+    if tol <= 0 or max_iters < 1:
+        raise ValueError("tol must be positive, max_iters at least 1")
     m = samples.m
     if m < spec.min_nodes():
         raise ValueError(
@@ -249,14 +248,13 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, beta=1.0, weight_tol=1e-12,
     best = None
     it = 0
     while True:
-        keep = w >= weight_tol
+        keep = w >= WEIGHT_TOL
         if not np.all(keep):
             active, w = active[keep], w[keep]
             w = w / w.sum()
         sub = SampleSet(samples.nodes[active], samples.values[active])
-        got_vals = []
-        dres = dual_value(sub, w, spec, basis, rows=active, _node_values=got_vals)
-        err = sub.values - got_vals[0]
+        dres = dual_value(sub, w, spec, basis, rows=active)
+        err = sub.values - dres.node_values
         err_norms = np.linalg.norm(err, axis=1)
         e_xi = float(np.max(err_norms) ** 2)
         gap = abs(e_xi - dres.d_value) / e_xi if e_xi > 0 else 0.0
@@ -266,7 +264,7 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, beta=1.0, weight_tol=1e-12,
         converged = bool(gap < tol or e_xi <= interp_floor)
         if converged or it >= max_iters:
             break
-        upd = w * err_norms ** beta
+        upd = w * err_norms
         w = upd / upd.sum()
         it += 1
 
@@ -277,15 +275,14 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, beta=1.0, weight_tol=1e-12,
     _, w_best, active_best = best
     sub = SampleSet(samples.nodes[active_best], samples.values[active_best])
     basis_w = build_basis(sub.nodes, spec.max_degree, weights=w_best)
-    got_vals = []
-    dres = dual_value(sub, w_best, spec, basis_w, _node_values=got_vals)
-    err_norms = np.linalg.norm(sub.values - got_vals[0], axis=1)
+    dres = dual_value(sub, w_best, spec, basis_w)
+    err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)
     e_max = float(np.max(err_norms) ** 2)
     gap = abs(e_max - dres.d_value) / e_max if e_max > 0 else 0.0
 
     if converged and e_max > interp_floor:
         slack = e_max - err_norms ** 2
-        loose = (slack > 0.1 * e_max) & (w_best >= 10 * weight_tol)
+        loose = (slack > 0.1 * e_max) & (w_best >= 10 * WEIGHT_TOL)
         if np.any(loose):
             warnings.warn(
                 f"{int(loose.sum())} node(s) keep weight despite slack errors; "
@@ -315,15 +312,20 @@ def max_error(samples, xi):
 
 
 def write_trace_csv(trace, path_or_file):
-    """Write iteration records as ``iter,d_w,e_xi,gap,active_nodes`` rows."""
+    """Write a non-empty trace of :class:`LawsonStep` or ``SIFStep`` records as CSV.
+
+    The header is the record's field names with ``iteration`` as ``iter``;
+    floats are written with ``repr`` so they read back exactly.
+    """
+    names = [f.name for f in fields(trace[0])]
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file, "w", newline="") if own else path_or_file
     try:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "d_w", "e_xi", "gap", "active_nodes"])
+        writer.writerow(["iter" if n == "iteration" else n for n in names])
         for step in trace:
-            writer.writerow([step.iteration, repr(step.d_w), repr(step.e_xi),
-                             repr(step.gap), step.active_nodes])
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in astuple(step)])
     finally:
         if own:
             fh.close()

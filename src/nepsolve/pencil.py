@@ -27,26 +27,24 @@ from .basis import eval_basis
 __all__ = ["MatrixPolynomial", "StructuredPencil", "BlockLU",
            "SingularShiftError", "assemble", "build_pencil",
            "verify_linearization", "recover_eigenvector", "block_lu",
-           "gram_matrix", "error_bound", "cork_coefficients", "poly_roots",
-           "export_pencil"]
+           "gram_matrix", "error_bound", "poly_roots", "export_pencil"]
 
 TRIM_RTOL = 1e-14
+# largest pencil dimension that is materialized densely without ``force``;
+# the CLI's ``--solver auto`` switches to the filter path above it
+DENSE_DIM_LIMIT = 5000
 
 
 class SingularShiftError(Exception):
     """Raised when a shift makes the polynomial numerically singular."""
 
 
-def _is_sparse(A):
-    return sp.issparse(A)
-
-
 def _dense(A):
-    return A.toarray() if _is_sparse(A) else np.asarray(A)
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
 
 
 def _fro(A):
-    if _is_sparse(A):
+    if sp.issparse(A):
         return float(np.sqrt((np.abs(A.data) ** 2).sum())) if A.nnz else 0.0
     return float(np.linalg.norm(A, "fro"))
 
@@ -114,7 +112,7 @@ def assemble(xi, nep):
             acc = a[j] * E if acc is None else acc + a[j] * E
         if acc is None:
             acc = (sp.csr_matrix((n, n), dtype=complex)
-                   if _is_sparse(nep.matrices[0]) else np.zeros((n, n), dtype=complex))
+                   if sp.issparse(nep.matrices[0]) else np.zeros((n, n), dtype=complex))
         coeffs.append(acc)
     return MatrixPolynomial(coeffs, xi.basis)
 
@@ -122,7 +120,7 @@ def assemble(xi, nep):
 class StructuredPencil:
     """Implicit block form of ``(C0, C1)`` with on-demand dense materialization."""
 
-    def __init__(self, poly, materialize_threshold=5000):
+    def __init__(self, poly):
         gamma = poly.degree
         if gamma < 1:
             raise ValueError("constant polynomial has no pencil")
@@ -131,7 +129,6 @@ class StructuredPencil:
         self.gamma = gamma
         self.H = poly.basis.H
         self.k = poly.basis.k
-        self.materialize_threshold = materialize_threshold
         A = poly.coeffs
         kg, kg1 = self.k[gamma], self.k[gamma - 1]
         # bottom block row of C0 and the trailing block of C1
@@ -184,11 +181,11 @@ class StructuredPencil:
         return float(np.sqrt((self.gamma - 1) * self.n + _fro(self.c1_corner) ** 2))
 
     def materialize(self, force=False):
-        """Dense ``(C0, C1)``; refuses above the size threshold unless forced."""
-        if not force and self.dim > self.materialize_threshold:
+        """Dense ``(C0, C1)``; refuses above ``DENSE_DIM_LIMIT`` unless forced."""
+        if not force and self.dim > DENSE_DIM_LIMIT:
             raise ValueError(
                 f"pencil dimension {self.dim} exceeds materialization threshold "
-                f"{self.materialize_threshold}; pass force=True to override")
+                f"{DENSE_DIM_LIMIT}; pass force=True to override")
         gamma, n = self.gamma, self.n
         Ht = self.H[:gamma, : gamma - 1].T
         C0 = np.vstack([
@@ -222,18 +219,18 @@ class StructuredPencil:
         top = float(np.abs(self.H[: self.gamma, : self.gamma - 1]).max())
         bot = 0.0
         for B in self.bottom:
-            if _is_sparse(B):
+            if sp.issparse(B):
                 bot = max(bot, float(np.abs(B.data).max()) if B.nnz else 0.0)
             else:
                 bot = max(bot, float(np.abs(B).max()))
         return top / bot if bot > 0 and top > 0 else 1.0
 
 
-def build_pencil(P, materialize_threshold=5000, trim=True):
+def build_pencil(P, trim=True):
     """Linearize a matrix polynomial; trailing negligible coefficients are dropped."""
     if trim:
         P = P.trimmed()
-    return StructuredPencil(P, materialize_threshold=materialize_threshold)
+    return StructuredPencil(P)
 
 
 def verify_linearization(pencil, x0):
@@ -298,8 +295,7 @@ class BlockLU:
             self.l_blocks.append(blk)
         self.prefactor = complex(np.prod([H[i, i - 1] for i in range(1, gamma)]))
         Pm = pencil.poly(mu)
-        self._sparse = _is_sparse(Pm)
-        if self._sparse:
+        if sp.issparse(Pm):
             solver = spla.splu(Pm.tocsc())
             diag = np.abs(solver.U.diagonal())
             self._solve_p = solver.solve
@@ -377,7 +373,7 @@ def gram_matrix(nep):
     for i in range(s):
         for j in range(s):
             Ei, Ej = nep.matrices[i], nep.matrices[j]
-            if _is_sparse(Ei) or _is_sparse(Ej):
+            if sp.issparse(Ei) or sp.issparse(Ej):
                 G[i, j] = sp.csr_matrix(Ei).conj().multiply(sp.csr_matrix(Ej)).sum()
             else:
                 G[i, j] = np.vdot(Ei, Ej)
@@ -391,28 +387,6 @@ def error_bound(G, e_max):
     Gh = 0.5 * (G + G.conj().T)
     lam_max = float(np.max(np.abs(np.linalg.eigvalsh(Gh))))
     return float(np.sqrt(lam_max * e_max))
-
-
-def cork_coefficients(P):
-    """Coefficients ``(A~_i, B~_i, M, N)`` of the equivalent CORK-form pencil.
-
-    ``A~_i = A_i - (H[i, gamma-1]/H[gamma, gamma-1]) A_gamma``; every ``B~_i``
-    vanishes except ``B~_{gamma-1} = -A_gamma / H[gamma, gamma-1]``;
-    ``(M - x N) theta(x) = 0`` with ``M = H([gamma],[gamma-1])^T`` and
-    ``N = [I_{gamma-1} 0]``.
-    """
-    gamma = P.degree
-    if gamma < 1:
-        raise ValueError("constant polynomial has no pencil")
-    H = P.basis.H
-    A = P.coeffs
-    hsub = H[gamma, gamma - 1]
-    Atil = [A[i] - (H[i, gamma - 1] / hsub) * A[gamma] for i in range(gamma)]
-    zero = A[0] * 0.0
-    Btil = [zero] * (gamma - 1) + [(-1.0 / hsub) * A[gamma]]
-    M = H[:gamma, : gamma - 1].T.copy()
-    N = np.hstack([np.eye(gamma - 1), np.zeros((gamma - 1, 1))]).astype(complex)
-    return Atil, Btil, M, N
 
 
 def poly_roots(coeffs, basis, rtol=TRIM_RTOL):

@@ -114,6 +114,15 @@ def test_config_validation():
         RunConfig(problem="x", tol=-1.0)
     with pytest.raises(ValueError):
         RunConfig(problem="x", solver="qz")
+    with pytest.raises(ValueError, match="filter_order"):
+        RunConfig(problem="x", filter_order=0)
+    with pytest.raises(ValueError, match="subspace"):
+        RunConfig(problem="x", subspace=0)
+
+
+def test_parser_defaults_are_run_config_defaults():
+    args = build_parser().parse_args(["--problem", "x"])
+    assert RunConfig(**vars(args)) == RunConfig(problem="x")
 
 
 def test_parser_flags():

@@ -8,8 +8,8 @@ import scipy.linalg
 
 from nepsolve import (DegreeSpec, PoleHitError, Region, SampleSet, SIFConfig,
                       apply_filter, build_pencil, lawson, quadrature,
-                      scalar_filter, shift_invert, sif, solve_pencil_dense,
-                      time_delay2, write_sif_trace_csv)
+                      scalar_filter, shift_invert, sif, solve_dense,
+                      solve_pencil_dense, time_delay2, write_trace_csv)
 from nepsolve.filters import default_shift
 from nepsolve.pencil import BlockLU, assemble
 from util import random_poly
@@ -185,6 +185,8 @@ def test_apply_filter_preserves_invariant_subspace_span():
 def test_sif_config_validation():
     with pytest.raises(ValueError):
         SIFConfig(subspace=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SIFConfig(subspace=4, max_iters=0)
     with pytest.raises(ValueError):
         SIFConfig(subspace=4, tol_residual=1e-2, tol_ghost=1e-4)
 
@@ -282,10 +284,20 @@ def test_sif_trace_csv():
     P = random_poly(rng, 2, 3)
     pencil = build_pencil(P, trim=False)
     nep_like = _wrap_poly_as_nep(P)
-    result = sif(pencil, nep_like, Region(100.0 + 0j, 1.0),
-                 SIFConfig(subspace=3, quad_order=8, seed=0, max_iters=3))
-    buf = io.StringIO()
-    write_sif_trace_csv(result.trace, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "iter,in_region_count,ghost_count,max_sigma,min_sigma"
-    assert len(lines) == len(result.trace) + 1
+    lam0 = solve_dense(*pencil.materialize())[0][0]
+    # an empty region gives nan sigmas; one around an eigenvalue finite ones
+    for region in (Region(100.0 + 0j, 1.0), Region(lam0, 0.3)):
+        result = sif(pencil, nep_like, region,
+                     SIFConfig(subspace=3, quad_order=8, seed=0, max_iters=3))
+        buf = io.StringIO()
+        write_trace_csv(result.trace, buf)
+        lines = buf.getvalue().strip().splitlines()
+        assert lines[0] == "iter,in_region_count,ghost_count,max_sigma,min_sigma"
+        assert len(lines) == len(result.trace) + 1
+        for line, step in zip(lines[1:], result.trace):
+            row = line.split(",")
+            assert [int(x) for x in row[:3]] == \
+                [step.iteration, step.in_region_count, step.ghost_count]
+            for got, want in zip(row[3:], (step.max_sigma, step.min_sigma)):
+                assert float(got) == want or (np.isnan(float(got)) and np.isnan(want))
+    assert np.isfinite(result.trace[-1].max_sigma)

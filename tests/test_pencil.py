@@ -1,15 +1,17 @@
-"""Linearization, block LU, Gram bound, CORK form, and scalar rooting tests."""
+"""Linearization, block LU, Gram bound, and scalar rooting tests."""
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse as sp
 
 from nepsolve import (MatrixPolynomial, SingularShiftError, assemble,
-                      block_lu, build_basis, build_pencil, cork_coefficients,
-                      error_bound, example1, export_pencil, gram_matrix,
+                      block_lu, build_basis, build_pencil, error_bound,
+                      eval_basis, example1, export_pencil, gram_matrix,
                       poly_roots, recover_eigenvector, solve_dense,
                       verify_linearization)
+from nepsolve.pencil import DENSE_DIM_LIMIT
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (det_poly_roots, eval_monomial, match_sets, monomial_coeffs,
                   random_nodes, random_poly)
@@ -41,7 +43,7 @@ def test_assemble_ignores_zero_component():
     xi = _fake_fit([a1, np.zeros(3, dtype=complex)], np.array([1.0, 0, 0]), basis)
     P = assemble(xi, nep)
     x = 0.2 - 0.4j
-    theta = basis.eval([x])[0]
+    theta = eval_basis(basis, [x])[0]
     assert np.allclose(np.asarray(P(x)), (theta[:3] @ a1) * E1)
 
 
@@ -57,7 +59,7 @@ def test_assemble_matches_independent_combination():
     xi = _fake_fit(a, np.array([1.0, 0, 0, 0]), basis)
     P = assemble(xi, nep)
     x0 = 0.7 + 0.2j
-    theta = basis.eval([x0])[0]
+    theta = eval_basis(basis, [x0])[0]
     want = (theta[:3] @ a[0]) * mats[0] + (theta[:4] @ a[1]) * mats[1]
     got = np.asarray(P(x0))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -132,7 +134,7 @@ def test_identity_annihilates_polynomial_null_vector():
     # null vector of P at its own eigenvalue, from the SVD
     _, _, Vh = np.linalg.svd(np.asarray(P(lam0)))
     u = Vh[-1].conj()
-    theta = P.basis.eval([lam0])[0][:3]
+    theta = eval_basis(P.basis, [lam0])[0][:3]
     vec = np.kron(theta, u)
     resid = np.linalg.norm((C0 - lam0 * C1) @ vec)
     assert resid <= 1e-10 * (np.linalg.norm(C0) + abs(lam0) * np.linalg.norm(C1))
@@ -151,13 +153,14 @@ def test_materialized_matches_implicit_apply():
 
 
 def test_materialize_threshold_guard():
-    rng = np.random.default_rng(27)
-    P = random_poly(rng, 4, 4)
-    pencil = build_pencil(P, materialize_threshold=8)
+    # a linear polynomial with sparse identity coefficients: its pencil is
+    # cheap to build but one row above the dense limit
+    basis = build_basis(random_nodes(None, 8, on_circle=True), 1)
+    eye = sp.identity(DENSE_DIM_LIMIT + 1, dtype=complex, format="csr")
+    pencil = build_pencil(MatrixPolynomial([eye, eye], basis))
+    assert pencil.dim == DENSE_DIM_LIMIT + 1
     with pytest.raises(ValueError, match="threshold"):
         pencil.materialize()
-    C0, _ = pencil.materialize(force=True)
-    assert C0.shape == (16, 16)
 
 
 def test_eigenvalue_containment_against_det_scan():
@@ -181,7 +184,7 @@ def test_recover_exact_structured_vector():
     P = random_poly(rng, 3, 4)
     lam = 0.3 + 0.2j
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    theta = P.basis.eval([lam])[0][:4]
+    theta = eval_basis(P.basis, [lam])[0][:4]
     v = np.kron(theta, u)
     got_u, consistency, flagged = recover_eigenvector(v, lam, P.basis, 3)
     assert np.allclose(got_u, theta[0] * u)
@@ -195,7 +198,7 @@ def test_recover_consistency_matches_bruteforce():
     lam = -0.4 + 0.9j
     v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     _, consistency, _ = recover_eigenvector(v, lam, P.basis, 2)
-    theta = P.basis.eval([lam])[0]
+    theta = eval_basis(P.basis, [lam])[0]
     brute = max(np.linalg.norm(v[2 * i: 2 * i + 2] - theta[i] * v[:2])
                 for i in range(1, 5)) / np.linalg.norm(v)
     assert consistency == pytest.approx(brute, rel=1e-12)
@@ -280,34 +283,6 @@ def test_error_bound_values():
                                               rel=1e-12)
     with pytest.raises(ValueError):
         error_bound(G, -1.0)
-
-
-# ---------------------------------------------------------------- CORK form
-
-def test_cork_zero_leading_coefficient():
-    rng = np.random.default_rng(35)
-    P = random_poly(rng, 2, 3)
-    P.coeffs[3] = np.zeros((2, 2), dtype=complex)
-    Atil, Btil, M, N = cork_coefficients(P)
-    for i in range(3):
-        assert np.allclose(Atil[i], P.coeffs[i])
-        assert np.allclose(np.asarray(Btil[i]), 0.0)
-
-
-def test_cork_reconstructs_polynomial_and_annihilates_theta():
-    rng = np.random.default_rng(36)
-    for gamma in (1, 2, 4, 6):
-        P = random_poly(rng, 3, gamma)
-        Atil, Btil, M, N = cork_coefficients(P)
-        x0 = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        theta = P.basis.eval([x0])[0][: gamma]
-        acc = sum((Atil[i] - x0 * Btil[i]) * theta[i] for i in range(gamma))
-        want = np.asarray(P(x0))
-        assert np.abs(acc - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        if gamma > 1:
-            assert np.abs((M - x0 * N) @ theta).max() <= \
-                1e-12 * max(1.0, np.abs(M).max() * np.abs(theta).max())
-            assert np.linalg.matrix_rank(M - x0 * N) == gamma - 1
 
 
 # ---------------------------------------------------------------- scalar roots
