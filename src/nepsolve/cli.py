@@ -1,8 +1,9 @@
 """Pipeline driver and command-line interface.
 
 ``run`` executes the full solve: sample the region boundary, escalate the
-rational type (k, k) until the fit error target is met, check the denominator
-for in-region poles, linearize, and extract eigenpairs either by a dense QZ
+rational type (k, k) until the fit error target is met (giving up early on a
+degree whose dual bound shows it cannot meet it), check the denominator for
+in-region poles, linearize, and extract eigenpairs either by a dense QZ
 solve or by filtered subspace iteration. ``emit`` serializes the resulting
 report as JSON or CSV.
 """
@@ -89,7 +90,9 @@ class EigenReport:
     gap: float
     fit_iterations: int
     fit_converged: bool
+    fit_stop_reason: str
     fit_met_target: bool
+    escalation: list
     bound: float
     pole_free: bool
     poles: np.ndarray
@@ -115,7 +118,9 @@ class EigenReport:
             "approx": {"degree": self.degree, "sqrt_e": self.sqrt_e,
                        "gap": self.gap, "iterations": self.fit_iterations,
                        "converged": self.fit_converged,
-                       "met_target": self.fit_met_target},
+                       "met_target": self.fit_met_target,
+                       "stop_reason": self.fit_stop_reason,
+                       "escalation": self.escalation},
             "bound": self.bound,
             "pole_free": self.pole_free,
             "poles": [[z.real, z.imag] for z in np.asarray(self.poles)],
@@ -155,19 +160,23 @@ def run(config):
     samples = SampleSet.from_nep(nep, nodes)
     pole_guard = 1e-6 * (1.0 + abs(region.center) + region.radius)
 
+    # a (k, k) fit needs 2k + 2 nodes, which can cap the degree below max_degree
+    last = min(config.max_degree, (samples.m - 2) // 2)
+    if last < 1:
+        raise ValueError("not enough boundary nodes for even a degree-1 fit")
     t0 = time.perf_counter()
-    xi = None
-    fit_met = False
-    for k in range(1, config.max_degree + 1):
-        if samples.m < 2 * k + 2:
-            break  # node budget exhausted before the degree cap
-        xi = lawson(samples, DegreeSpec((k,) * nep.s, k))
-        if np.sqrt(xi.e_max) < config.tol:
-            fit_met = True
+    escalation = []
+    for k in range(1, last + 1):
+        # every degree but the last may give up once it provably misses tol;
+        # the last one runs in full, so a fit miss still reports its best fit
+        xi = lawson(samples, DegreeSpec((k,) * nep.s, k),
+                    target=None if k == last else config.tol)
+        escalation.append({"degree": k, "sweeps": xi.iterations,
+                           "stop_reason": xi.stop_reason})
+        fit_met = bool(np.sqrt(xi.e_max) < config.tol)
+        if fit_met:
             break
     t_fit = time.perf_counter() - t0
-    if xi is None:
-        raise ValueError("not enough boundary nodes for even a degree-1 fit")
 
     pole_free, in_region_poles = pole_free_check(xi, region)
     try:
@@ -226,7 +235,9 @@ def run(config):
         gap=xi.gap,
         fit_iterations=xi.iterations,
         fit_converged=xi.converged,
+        fit_stop_reason=xi.stop_reason,
         fit_met_target=fit_met,
+        escalation=escalation,
         bound=error_bound(gram_matrix(nep), xi.e_max),
         pole_free=pole_free,
         poles=all_poles,

@@ -4,15 +4,18 @@ Fits ``xi = [p_1, .., p_s]/q`` with common denominator to samples
 ``t(x_l) in C^s`` on boundary nodes, minimizing the maximum squared 2-norm
 error ``e(xi) = max_l ||t(x_l) - xi(x_l)||_2^2``. Each sweep evaluates the
 dual objective ``d(w)`` of the linearized problem at the current node weights
-(a smallest-singular-value computation), recovers the coefficient vectors,
+(a smallest-singular-value computation) and the current fit at the nodes,
 and reweights nodes by their error norms until the relative duality gap
-``|e(xi) - d(w)|/e(xi)`` closes or the iteration budget runs out.
+``|e(xi) - d(w)|/e(xi)`` closes, the iteration budget runs out, or, given an
+error target, the dual value (a lower bound on the attainable error) shows
+that the target is out of reach.
 
 Numerator and denominator polynomials are expressed in a shared discrete
 orthogonal basis (see :mod:`nepsolve.basis`) built once on the full node set.
 """
 
 import csv
+import functools
 import warnings
 from dataclasses import astuple, dataclass, fields
 
@@ -28,6 +31,9 @@ __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
 
 # nodes whose Lawson weight falls below this are dropped for good
 WEIGHT_TOL = 1e-12
+# a fit given a target gives up once its dual bound exceeds the target by this
+# factor (in sqrt(e)); the slack covers the rounding in the measured bound
+UNREACHABLE_MARGIN = 100
 
 
 class RankDeficiencyError(Exception):
@@ -96,14 +102,29 @@ class SampleSet:
         return cls(nodes=nodes, values=nep.t_values(nodes))
 
 
-@dataclass(frozen=True)
 class DualResult:
-    """Dual objective value, the recovered coefficients, and the fit at the nodes."""
+    """Dual objective value and the fit at the nodes; coefficients on demand.
 
-    d_value: float
-    numer_coeffs: tuple
-    denom_coeffs: np.ndarray
-    node_values: np.ndarray
+    ``numer_coeffs`` and ``denom_coeffs`` are recovered by triangular solves
+    the first time they are read, so a caller that needs only ``d_value`` and
+    ``node_values`` (every Lawson sweep) does not pay for them.
+    """
+
+    def __init__(self, d_value, node_values, Rq, bhat, numer_rhs):
+        self.d_value = d_value
+        self.node_values = node_values
+        self._Rq, self._bhat = Rq, bhat
+        # (Rp_i, Qp_i^H F_i Qq bhat) per numerator component
+        self._numer_rhs = numer_rhs
+
+    @functools.cached_property
+    def denom_coeffs(self):
+        return scipy.linalg.solve_triangular(self._Rq, self._bhat)
+
+    @functools.cached_property
+    def numer_coeffs(self):
+        return tuple(scipy.linalg.solve_triangular(Rp, rhs)
+                     for Rp, rhs in self._numer_rhs)
 
 
 @dataclass(frozen=True)
@@ -139,6 +160,10 @@ def dual_value(samples, w, spec, basis, rows=None):
     ``rows`` restricts the basis node rows (used after node filtering). The
     result's ``node_values`` holds the stably evaluated values of the fitted
     function at the nodes as an (m, s) array, ``(Qp_i Qp_i^H F_i q) / q``.
+    The triangular solves for the coefficients run only when the result's
+    ``numer_coeffs`` or ``denom_coeffs`` is first read (see
+    :class:`DualResult`); numerators of the denominator's degree share its
+    QR factors.
     """
     w = np.asarray(w, dtype=float).ravel()
     if np.any(w < 0):
@@ -162,8 +187,10 @@ def dual_value(samples, w, spec, basis, rows=None):
     Qq, Rq = np.linalg.qr(sqw[:, None] * QB[:, : d + 1])
     _check_rank(Rq, "denominator")
 
-    qr_by_deg = {}
-    for ni in set(spec.numerator):
+    # a numerator of the denominator's degree has the same weighted basis
+    # matrix, so its factors are reused
+    qr_by_deg = {d: (Qq, Rq)}
+    for ni in set(spec.numerator) - {d}:
         Qp, Rp = np.linalg.qr(sqw[:, None] * QB[:, : ni + 1])
         _check_rank(Rp, f"numerator (degree {ni})")
         qr_by_deg[ni] = (Qp, Rp)
@@ -182,22 +209,26 @@ def dual_value(samples, w, spec, basis, rows=None):
     smin = sigma[-1]
     bhat = Vh[-1].conj()
 
-    b = scipy.linalg.solve_triangular(Rq, bhat)
     qnode = Qq @ bhat
-    numer = []
+    numer_rhs = []
     node_vals = np.empty((m, s), dtype=complex)
     for i in range(s):
         Qp, Rp = qr_by_deg[spec.numerator[i]]
         rhs = Qp.conj().T @ (values[:, i] * qnode)
         node_vals[:, i] = (Qp @ rhs) / qnode
-        numer.append(scipy.linalg.solve_triangular(Rp, rhs))
-    return DualResult(d_value=float(smin ** 2), numer_coeffs=tuple(numer),
-                      denom_coeffs=b, node_values=node_vals)
+        numer_rhs.append((Rp, rhs))
+    return DualResult(float(smin ** 2), node_vals, Rq, bhat, numer_rhs)
 
 
 @dataclass(frozen=True)
 class RationalApproximant:
-    """Vector-valued rational fit with its error, duality gap, and trace."""
+    """Vector-valued rational fit with its error, duality gap, and trace.
+
+    ``stop_reason`` says why the iteration ended: ``"gap"`` (relative duality
+    gap below ``tol``), ``"interp_floor"`` (error at working precision),
+    ``"unreachable"`` (the dual bound showed the target cannot be met) or
+    ``"budget"`` (``max_iters`` sweeps ran).
+    """
 
     numer_coeffs: tuple
     denom_coeffs: np.ndarray
@@ -205,10 +236,14 @@ class RationalApproximant:
     basis: object
     e_max: float
     gap: float
-    converged: bool
+    stop_reason: str
     trace: tuple
     active_index: np.ndarray
     weights: np.ndarray
+
+    @property
+    def converged(self):
+        return self.stop_reason in ("gap", "interp_floor")
 
     @property
     def iterations(self):
@@ -218,15 +253,26 @@ class RationalApproximant:
         return evaluate_approximant(self, points)
 
 
-def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None):
+def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None, target=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.
 
     Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently;
     the basis is not rebuilt), evaluate the dual objective and current fit,
     stop once the relative duality gap is below ``tol``, else reweight nodes
-    by ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex.
-    Exhausting ``max_iters`` is reported as ``converged=False`` on the result,
-    not as an error.
+    by ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex. At most
+    ``max_iters`` sweeps run, one ``dual_value`` call each; running out is
+    reported as ``stop_reason="budget"`` on the result, not as an error.
+
+    ``target`` is an optional goal for ``sqrt(e)``. By weak duality every
+    later iterate's error is at least its own dual value, and the dual value
+    does not fall from sweep to sweep beyond rounding, which the margin
+    covers. So once ``min(best e_xi, d(w))`` exceeds
+    ``UNREACHABLE_MARGIN**2 * max(target**2, floor)`` (``floor`` being the
+    working-precision error level) this type cannot meet ``target`` and the
+    fit stops with ``stop_reason="unreachable"``. A converged verdict in the
+    same sweep takes precedence. Without ``target`` the rule is off.
+
+    The returned fit is the best-error iterate, whatever the stop reason.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive, max_iters at least 1")
@@ -239,34 +285,41 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None):
         basis = build_basis(samples.nodes, spec.max_degree)
 
     active = np.arange(m)
+    sub = samples
     w = np.full(m, 1.0 / m)
     # below this the fit interpolates the data to working precision and the
     # duality gap is pure rounding noise
     vscale = float(np.max(np.linalg.norm(samples.values, axis=1)))
     interp_floor = float(20 * np.finfo(float).eps * vscale) ** 2
+    give_up = (np.inf if target is None else
+               UNREACHABLE_MARGIN ** 2 * max(target ** 2, interp_floor))
     trace = []
     best = None
-    it = 0
-    while True:
+    stop_reason = "budget"
+    for it in range(max_iters):
         keep = w >= WEIGHT_TOL
         if not np.all(keep):
             active, w = active[keep], w[keep]
             w = w / w.sum()
-        sub = SampleSet(samples.nodes[active], samples.values[active])
+            sub = SampleSet(samples.nodes[active], samples.values[active])
         dres = dual_value(sub, w, spec, basis, rows=active)
-        err = sub.values - dres.node_values
-        err_norms = np.linalg.norm(err, axis=1)
+        err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)
         e_xi = float(np.max(err_norms) ** 2)
         gap = abs(e_xi - dres.d_value) / e_xi if e_xi > 0 else 0.0
         trace.append(LawsonStep(it, dres.d_value, e_xi, gap, active.size))
         if best is None or e_xi < best[0]:
             best = (e_xi, w.copy(), active.copy())
-        converged = bool(gap < tol or e_xi <= interp_floor)
-        if converged or it >= max_iters:
-            break
-        upd = w * err_norms
-        w = upd / upd.sum()
-        it += 1
+        if e_xi <= interp_floor:
+            stop_reason = "interp_floor"
+        elif gap < tol:
+            stop_reason = "gap"
+        elif min(best[0], dres.d_value) > give_up:
+            stop_reason = "unreachable"
+        else:
+            upd = w * err_norms
+            w = upd / upd.sum()
+            continue
+        break
 
     # The iteration can wander once it reaches the noise floor, so keep the
     # best-error iterate and re-extract its coefficients in a basis
@@ -279,18 +332,20 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None):
     err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)
     e_max = float(np.max(err_norms) ** 2)
     gap = abs(e_max - dres.d_value) / e_max if e_max > 0 else 0.0
+    xi = RationalApproximant(
+        numer_coeffs=dres.numer_coeffs, denom_coeffs=dres.denom_coeffs,
+        degrees=spec, basis=basis_w, e_max=e_max, gap=gap,
+        stop_reason=stop_reason, trace=tuple(trace), active_index=active_best,
+        weights=w_best)
 
-    if converged and e_max > interp_floor:
+    if xi.converged and e_max > interp_floor:
         slack = e_max - err_norms ** 2
         loose = (slack > 0.1 * e_max) & (w_best >= 10 * WEIGHT_TOL)
         if np.any(loose):
             warnings.warn(
                 f"{int(loose.sum())} node(s) keep weight despite slack errors; "
                 "the fit may not be at an exact minimax point", stacklevel=2)
-    return RationalApproximant(
-        numer_coeffs=dres.numer_coeffs, denom_coeffs=dres.denom_coeffs,
-        degrees=spec, basis=basis_w, e_max=e_max, gap=gap, converged=converged,
-        trace=tuple(trace), active_index=active_best, weights=w_best)
+    return xi
 
 
 def evaluate_approximant(xi, points):

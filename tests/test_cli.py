@@ -1,11 +1,13 @@
 """Pipeline driver, report emission, and command-line interface tests."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from nepsolve import RunConfig, emit, run
+from nepsolve import (DegreeSpec, RunConfig, SampleSet, builtin_problem, emit,
+                      lawson, run, sample_boundary)
 from nepsolve.cli import EXIT_FIT_MISS, EXIT_OK, build_parser, main
 
 
@@ -32,7 +34,10 @@ def test_report_json_schema(time_delay_report):
     for key in ("problem", "config", "approx", "bound", "pole_free", "poles",
                 "zeros", "eigen", "solver", "timings"):
         assert key in doc
-    assert {"degree", "sqrt_e", "gap"} <= set(doc["approx"])
+    assert {"degree", "sqrt_e", "gap", "stop_reason",
+            "escalation"} <= set(doc["approx"])
+    for step in doc["approx"]["escalation"]:
+        assert set(step) == {"degree", "sweeps", "stop_reason"}
     assert set(doc["zeros"]) == {"t1", "t2", "t3"}
     row = doc["eigen"][0]
     assert {"re", "im", "residual", "normalized_residual", "in_region",
@@ -91,8 +96,11 @@ def test_degree_exhaustion_flagged(tmp_path):
     report = run(config)
     assert not report.fit_met_target
     assert report.exit_status == EXIT_FIT_MISS
-    # report still emitted with the best fit
+    # report still emitted with the best fit, and the last degree ran in full
     assert report.sqrt_e > 0
+    assert [step["degree"] for step in report.escalation] == [1, 2, 3]
+    assert report.escalation[-1]["stop_reason"] == "budget"
+    assert report.fit_iterations == report.escalation[-1]["sweeps"] == 500
     assert emit(report, fmt="json")
 
 
@@ -103,6 +111,28 @@ def test_run_reports_reproducible(time_delay_report):
     b = again.to_json_dict()
     a.pop("timings"), b.pop("timings")
     assert a == b
+
+
+def test_escalation_matches_full_fits_until_target(time_delay_report):
+    # giving up on degrees that cannot meet tol must not change what is
+    # reported: compare with fitting every degree in full
+    config = time_delay_report.config
+    nep = builtin_problem(config.problem)
+    samples = SampleSet.from_nep(nep, sample_boundary(nep.region, config.nodes))
+    for k in range(1, config.max_degree + 1):
+        xi = lawson(samples, DegreeSpec((k,) * nep.s, k))
+        if np.sqrt(xi.e_max) < config.tol:
+            break
+    assert time_delay_report.degree == k
+    assert time_delay_report.sqrt_e == float(np.sqrt(xi.e_max))
+    assert time_delay_report.fit_iterations == xi.iterations
+    assert time_delay_report.fit_stop_reason == xi.stop_reason
+    escalation = time_delay_report.escalation
+    assert [step["degree"] for step in escalation] == list(range(1, k + 1))
+    assert escalation[-1] == {"degree": k, "sweeps": xi.iterations,
+                              "stop_reason": xi.stop_reason}
+    assert all(step["stop_reason"] == "unreachable"
+               for step in escalation[:-2])
 
 
 def test_config_validation():
@@ -157,11 +187,24 @@ def test_main_stdout_json(capsys):
     assert doc["problem"] == "time_delay2"
 
 
-def test_run_example1_recovers_spectrum():
+def test_run_example1_recovers_spectrum(monkeypatch):
     from util import cluster_points
 
+    # count sweeps through the module attribute, as outside tracing does
+    lawson_module = importlib.import_module("nepsolve.lawson")
+    dual_value = lawson_module.dual_value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dual_value(*args, **kwargs)
+
+    monkeypatch.setattr(lawson_module, "dual_value", counted)
     report = run(RunConfig(problem="example1", nodes=100, tol=1e-10,
                            max_degree=30))
+    # degrees that provably miss tol are given up: 28 degrees at about 500
+    # sweeps each would take over 13,000
+    assert len(calls) < 2000
     assert report.fit_met_target and report.pole_free
     assert report.exit_status == EXIT_OK
     refs = np.array([0.0, np.sqrt(2 * np.pi), -np.sqrt(2 * np.pi),

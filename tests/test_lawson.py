@@ -1,6 +1,7 @@
 """Dual objective, reweighting iteration, and approximant evaluation tests."""
 
 import dataclasses
+import importlib
 import io
 
 import numpy as np
@@ -11,6 +12,9 @@ from nepsolve import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
                       eval_basis, evaluate_approximant, lawson, max_error,
                       write_trace_csv)
 from util import dual_oracle, eval_monomial, monomial_coeffs, random_nodes
+
+# the package attribute ``nepsolve.lawson`` is the function, not the module
+lawson_module = importlib.import_module("nepsolve.lawson")
 
 
 def random_problem(rng, m=None, s=None, nmax=4):
@@ -59,8 +63,8 @@ def test_dual_value_weak_duality_against_assembled_fit():
         xi = RationalApproximant(
             numer_coeffs=res.numer_coeffs, denom_coeffs=res.denom_coeffs,
             degrees=spec, basis=basis, e_max=np.nan, gap=np.nan,
-            converged=False, trace=(), active_index=np.arange(samples.m),
-            weights=w)
+            stop_reason="budget", trace=(),
+            active_index=np.arange(samples.m), weights=w)
         e = max_error(samples, xi)
         assert res.d_value <= e + 1e-12 * (1 + e)
 
@@ -150,6 +154,7 @@ def test_max_error_exact_interpolant_is_zero():
     nodes = random_nodes(None, 10, on_circle=True)
     samples = SampleSet(nodes, np.column_stack([np.ones(10), nodes]))
     xi = lawson(samples, DegreeSpec((1, 1), 0), max_iters=5)
+    assert xi.stop_reason == "interp_floor" and xi.converged
     assert xi.e_max <= 1e-24
     assert max_error(samples, xi) <= 1e-24
 
@@ -163,7 +168,7 @@ def test_max_error_of_zero_fit_is_s():
         numer_coeffs=tuple(np.zeros(2, dtype=complex) for _ in range(s)),
         denom_coeffs=np.array([1.0, 0.0], dtype=complex),
         degrees=DegreeSpec((1,) * s, 1), basis=basis, e_max=np.nan,
-        gap=np.nan, converged=False, trace=(),
+        gap=np.nan, stop_reason="budget", trace=(),
         active_index=np.arange(8), weights=np.full(8, 1 / 8))
     assert max_error(samples, xi) == pytest.approx(s, rel=1e-12)
 
@@ -195,7 +200,37 @@ def test_nonconvergence_is_flagged_not_raised():
     samples, spec = random_problem(rng)
     xi = lawson(samples, spec, tol=1e-300, max_iters=3)
     assert not xi.converged
+    assert xi.stop_reason == "budget"
+    assert xi.iterations == 3
     assert xi.gap > 0
+
+
+@pytest.mark.parametrize("margin", [1, lawson_module.UNREACHABLE_MARGIN])
+def test_give_up_only_when_target_is_out_of_reach(monkeypatch, margin):
+    # weak duality makes the rule sound even without the rounding margin: a
+    # fit given up as unreachable could not have met its target in full, and
+    # up to the give-up it ran the same sweeps as the full fit
+    monkeypatch.setattr(lawson_module, "UNREACHABLE_MARGIN", margin)
+    rng = np.random.default_rng(21)
+    gave_up = kept = 0
+    for _ in range(6):
+        samples, spec = random_problem(rng)
+        full = lawson(samples, spec)
+        assert full.stop_reason != "unreachable"
+        best = np.sqrt(full.e_max)
+        for t in best * np.array([1e-8, 1e-3, 0.5, 0.99, 1.0001, 3.0]):
+            xi = lawson(samples, spec, target=t)
+            assert xi.trace == full.trace[:xi.iterations]
+            if xi.stop_reason == "unreachable":
+                gave_up += 1
+                assert best >= t
+            if best < t:
+                # a fit that meets the target in full is never given up
+                kept += 1
+                assert xi.stop_reason == full.stop_reason
+                assert xi.trace == full.trace
+                assert xi.e_max == full.e_max
+    assert gave_up > 0 and kept > 0
 
 
 def test_too_few_nodes_rejected():
