@@ -21,7 +21,7 @@ import numpy as np
 
 from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
 from .filters import SIFConfig, sif
-from .lawson import DegreeSpec, SampleSet, lawson
+from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
 from .pencil import (DENSE_DIM_LIMIT, assemble, build_pencil, error_bound,
                      gram_matrix, poly_roots)
 from .problems import Region, builtin_problem, load_manifest, sample_boundary
@@ -48,9 +48,7 @@ class RunConfig:
     tol: float = 1e-10
     max_degree: int = 30
     solver: str = "auto"
-    filter_order: int = 16
     subspace: int = None
-    shift: complex = None
     seed: int = 0
     out: str = None
     fmt: str = "json"
@@ -58,16 +56,17 @@ class RunConfig:
     def __post_init__(self):
         if (self.problem is None) == (self.manifest is None):
             raise ValueError("exactly one of problem or manifest must be given")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # written so that nan fails too
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be at least 1")
         if self.subspace is not None and self.subspace < 1:
             raise ValueError("subspace must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def to_json(self):
         out = {}
@@ -80,17 +79,12 @@ class RunConfig:
 
 @dataclass
 class EigenReport:
-    """Full pipeline output: eigenpairs, fit summary, bound, pole data, timings."""
+    """Pipeline output: eigenpairs, the fit they come from, bound, pole data, timings."""
 
     problem: str
     config: RunConfig
     eigenpairs: list
-    degree: int
-    sqrt_e: float
-    gap: float
-    fit_iterations: int
-    fit_converged: bool
-    fit_stop_reason: str
+    fit: RationalApproximant
     fit_met_target: bool
     escalation: list
     bound: float
@@ -115,11 +109,12 @@ class EigenReport:
         return {
             "problem": self.problem,
             "config": self.config.to_json(),
-            "approx": {"degree": self.degree, "sqrt_e": self.sqrt_e,
-                       "gap": self.gap, "iterations": self.fit_iterations,
-                       "converged": self.fit_converged,
+            "approx": {"degree": self.fit.degrees.denominator,
+                       "sqrt_e": float(np.sqrt(self.fit.e_max)),
+                       "gap": self.fit.gap, "iterations": self.fit.iterations,
+                       "converged": self.fit.converged,
                        "met_target": self.fit_met_target,
-                       "stop_reason": self.fit_stop_reason,
+                       "stop_reason": self.fit.stop_reason,
                        "escalation": self.escalation},
             "bound": self.bound,
             "pole_free": self.pole_free,
@@ -178,16 +173,14 @@ def run(config):
             break
     t_fit = time.perf_counter() - t0
 
+    # pole_free_check has already found the roots of this nonzero denominator
     pole_free, in_region_poles = pole_free_check(xi, region)
-    try:
-        all_poles = poly_roots(xi.denom_coeffs, xi.basis)
-    except ValueError:
-        all_poles = np.empty(0, dtype=complex)
+    all_poles = poly_roots(xi.denom_coeffs, xi.basis)
     zeros = {}
     for i, a in enumerate(xi.numer_coeffs):
         try:
             zeros[f"t{i + 1}"] = poly_roots(a, xi.basis)
-        except ValueError:
+        except ValueError:  # a term that vanishes on every node
             zeros[f"t{i + 1}"] = np.empty(0, dtype=complex)
 
     t0 = time.perf_counter()
@@ -206,9 +199,8 @@ def run(config):
         solver_converged = True
     else:
         subspace = config.subspace if config.subspace is not None else 60
-        sif_config = SIFConfig(subspace=subspace, shift=config.shift,
-                               quad_order=config.filter_order, seed=config.seed)
-        result = sif(pencil, nep, region, sif_config)
+        result = sif(pencil, nep, region,
+                     SIFConfig(subspace=subspace, seed=config.seed))
         eigenpairs = result.eigenpairs
         solver_converged = result.converged
     t_solve = time.perf_counter() - t0
@@ -230,12 +222,7 @@ def run(config):
         problem=nep.name,
         config=config,
         eigenpairs=eigenpairs,
-        degree=xi.degrees.denominator,
-        sqrt_e=float(np.sqrt(xi.e_max)),
-        gap=xi.gap,
-        fit_iterations=xi.iterations,
-        fit_converged=xi.converged,
-        fit_stop_reason=xi.stop_reason,
+        fit=xi,
         fit_met_target=fit_met,
         escalation=escalation,
         bound=error_bound(gram_matrix(nep), xi.e_max),
@@ -306,12 +293,8 @@ def build_parser():
                         metavar="D", help="degree escalation cap (default %(default)s)")
     parser.add_argument("--solver", choices=("auto", "dense", "filter"),
                         default=RunConfig.solver)
-    parser.add_argument("--filter-order", type=int, default=RunConfig.filter_order,
-                        metavar="K", help="quadrature order of the rational filter")
     parser.add_argument("--subspace", type=int, metavar="N",
                         help="subspace columns for the filter solver")
-    parser.add_argument("--shift", type=_parse_complex, metavar="RE,IM",
-                        help="shift for the filter solver")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: print to stdout)")
@@ -329,8 +312,9 @@ def main(argv=None):
     else:
         emit(report, path=config.out)
         n_in = len(report.in_region)
-        print(f"{report.problem}: degree {report.degree}, "
-              f"sqrt_e={report.sqrt_e:.3e}, {n_in} in-region eigenvalue(s), "
+        print(f"{report.problem}: degree {report.fit.degrees.denominator}, "
+              f"sqrt_e={np.sqrt(report.fit.e_max):.3e}, "
+              f"{n_in} in-region eigenvalue(s), "
               f"report written to {config.out}", file=sys.stderr)
     return report.exit_status
 

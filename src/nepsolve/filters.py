@@ -108,10 +108,9 @@ def default_shift(region):
 
 @dataclass(frozen=True)
 class SIFConfig:
-    """Subspace-iteration parameters: block width, shift, quadrature, thresholds."""
+    """Subspace-iteration parameters: block width, quadrature, thresholds."""
 
     subspace: int
-    shift: complex = None
     quad_order: int = 16
     tol_residual: float = 1e-4
     tol_ghost: float = 1e-2
@@ -169,7 +168,7 @@ def sif(pencil, nep, region, config):
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
     lus = _factor_poles(pencil, rule)
-    sigma_shift = config.shift if config.shift is not None else default_shift(region)
+    sigma_shift = default_shift(region)
     scale = abs(region.center) + region.radius
     row_scale = pencil.equilibration_scale()
     split = (pencil.gamma - 1) * pencil.n

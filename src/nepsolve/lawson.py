@@ -253,7 +253,7 @@ class RationalApproximant:
         return evaluate_approximant(self, points)
 
 
-def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None, target=None):
+def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.
 
     Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently;
@@ -281,8 +281,7 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, basis=None, target=None):
         raise ValueError(
             f"need at least {spec.min_nodes()} nodes for type "
             f"{spec.numerator}/{spec.denominator}, got {m}")
-    if basis is None:
-        basis = build_basis(samples.nodes, spec.max_degree)
+    basis = build_basis(samples.nodes, spec.max_degree)
 
     active = np.arange(m)
     sub = samples

@@ -29,6 +29,7 @@ __all__ = ["MatrixPolynomial", "StructuredPencil", "BlockLU",
            "verify_linearization", "recover_eigenvector", "block_lu",
            "gram_matrix", "error_bound", "poly_roots", "export_pencil"]
 
+# trailing polynomial coefficients below this fraction of the largest are dropped
 TRIM_RTOL = 1e-14
 # largest pencil dimension that is materialized densely without ``force``;
 # the CLI's ``--solver auto`` switches to the filter path above it
@@ -80,14 +81,14 @@ class MatrixPolynomial:
             acc = acc + theta[j] * self.coeffs[j]
         return acc
 
-    def trimmed(self, rtol=TRIM_RTOL):
+    def trimmed(self):
         """Drop trailing coefficients that are negligible in Frobenius norm."""
         norms = [_fro(A) for A in self.coeffs]
         top = max(norms)
         if top == 0.0:
             raise ValueError("all coefficients vanish")
         deg = self.degree
-        while deg > 0 and norms[deg] < rtol * top:
+        while deg > 0 and norms[deg] < TRIM_RTOL * top:
             deg -= 1
         return MatrixPolynomial(self.coeffs[: deg + 1], self.basis)
 
@@ -317,9 +318,7 @@ class BlockLU:
         X = [None] * gamma
         if gamma >= 2:
             X[0] = -Yb[0] / H[1, 0]
-        if gamma >= 3:
-            X[1] = -(Yb[1] - (mu - H[1, 1]) * X[0]) / H[2, 1]
-        for i in range(2, gamma - 1):
+        for i in range(1, gamma - 1):
             acc = Yb[i] - (mu - H[i, i]) * X[i - 1]
             for j in range(i - 1):
                 acc += H[j + 1, i] * X[j]
@@ -389,14 +388,14 @@ def error_bound(G, e_max):
     return float(np.sqrt(lam_max * e_max))
 
 
-def poly_roots(coeffs, basis, rtol=TRIM_RTOL):
+def poly_roots(coeffs, basis):
     """Roots of the scalar polynomial ``sum_j c_j theta_j`` via its 1x1-block pencil."""
     c = np.asarray(coeffs, dtype=complex).ravel()
     top = np.max(np.abs(c)) if c.size else 0.0
     if top == 0.0:
         raise ValueError("all-zero coefficient vector has no root set")
     deg = c.size - 1
-    while deg > 0 and abs(c[deg]) < rtol * top:
+    while deg > 0 and abs(c[deg]) < TRIM_RTOL * top:
         deg -= 1
     if deg == 0:
         return np.empty(0, dtype=complex)

@@ -1,7 +1,10 @@
 """Pipeline driver, report emission, and command-line interface tests."""
 
 import importlib
+import importlib.util
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -97,10 +100,10 @@ def test_degree_exhaustion_flagged(tmp_path):
     assert not report.fit_met_target
     assert report.exit_status == EXIT_FIT_MISS
     # report still emitted with the best fit, and the last degree ran in full
-    assert report.sqrt_e > 0
+    assert report.fit.e_max > 0
     assert [step["degree"] for step in report.escalation] == [1, 2, 3]
     assert report.escalation[-1]["stop_reason"] == "budget"
-    assert report.fit_iterations == report.escalation[-1]["sweeps"] == 500
+    assert report.fit.iterations == report.escalation[-1]["sweeps"] == 500
     assert emit(report, fmt="json")
 
 
@@ -123,10 +126,11 @@ def test_escalation_matches_full_fits_until_target(time_delay_report):
         xi = lawson(samples, DegreeSpec((k,) * nep.s, k))
         if np.sqrt(xi.e_max) < config.tol:
             break
-    assert time_delay_report.degree == k
-    assert time_delay_report.sqrt_e == float(np.sqrt(xi.e_max))
-    assert time_delay_report.fit_iterations == xi.iterations
-    assert time_delay_report.fit_stop_reason == xi.stop_reason
+    fit = time_delay_report.fit
+    assert fit.degrees.denominator == k
+    assert fit.e_max == xi.e_max
+    assert fit.iterations == xi.iterations
+    assert fit.stop_reason == xi.stop_reason
     escalation = time_delay_report.escalation
     assert [step["degree"] for step in escalation] == list(range(1, k + 1))
     assert escalation[-1] == {"degree": k, "sweeps": xi.iterations,
@@ -140,12 +144,13 @@ def test_config_validation():
         RunConfig()  # neither problem nor manifest
     with pytest.raises(ValueError):
         RunConfig(problem="x", manifest="y")
-    with pytest.raises(ValueError):
-        RunConfig(problem="x", tol=-1.0)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            RunConfig(problem="x", tol=tol)
     with pytest.raises(ValueError):
         RunConfig(problem="x", solver="qz")
-    with pytest.raises(ValueError, match="filter_order"):
-        RunConfig(problem="x", filter_order=0)
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(problem="x", seed=-1)
     with pytest.raises(ValueError, match="subspace"):
         RunConfig(problem="x", subspace=0)
 
@@ -160,13 +165,17 @@ def test_parser_flags():
     args = parser.parse_args([
         "--problem", "hadeler", "--center=-30,0", "--radius", "11.5",
         "--nodes", "50", "--tol", "1e-10", "--max-degree", "8",
-        "--solver", "filter", "--filter-order", "16", "--subspace", "60",
-        "--shift", "1.5,2.5", "--seed", "3", "--format", "csv"])
+        "--solver", "filter", "--subspace", "60", "--seed", "3",
+        "--format", "csv"])
     assert args.problem == "hadeler"
     assert args.center == complex(-30, 0)
-    assert args.shift == complex(1.5, 2.5)
+    assert args.subspace == 60
     assert args.fmt == "csv"
     assert args.half_disk is False
+    # the filter's quadrature order and shift are not command-line options
+    for flag in (["--filter-order", "8"], ["--shift", "1.5,2.5"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--problem", "hadeler"] + flag)
 
 
 def test_main_writes_report(tmp_path, capsys):
@@ -177,6 +186,11 @@ def test_main_writes_report(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["problem"] == "time_delay2"
     assert sum(r["in_region"] for r in doc["eigen"]) == 5
+    # the stderr summary names the fit the report carries
+    approx = doc["approx"]
+    summary = capsys.readouterr().err
+    assert f"degree {approx['degree']}," in summary
+    assert f"sqrt_e={approx['sqrt_e']:.3e}," in summary
 
 
 def test_main_stdout_json(capsys):
@@ -185,6 +199,21 @@ def test_main_stdout_json(capsys):
     assert status == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["problem"] == "time_delay2"
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # the benchmark's tracer patches these attributes from outside; a
+    # renamed or removed one would only show up in a traced benchmark run
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert targets
+    for owner, attr, _name, _note in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
 def test_run_example1_recovers_spectrum(monkeypatch):
