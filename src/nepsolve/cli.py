@@ -3,9 +3,9 @@
 ``run`` executes the full solve: sample the region boundary, escalate the
 rational type (k, k) until the fit error target is met (giving up early on a
 degree whose dual bound shows it cannot meet it), check the denominator for
-in-region poles, linearize, and extract eigenpairs either by a dense QZ
-solve or by filtered subspace iteration. ``emit`` serializes the resulting
-report as JSON or CSV.
+in-region poles, linearize, and extract eigenpairs either by a dense solve
+(geev on the standard form, QZ when that is ill conditioned) or by filtered
+subspace iteration. ``emit`` serializes the resulting report as JSON or CSV.
 """
 
 import argparse
@@ -173,9 +173,8 @@ def run(config):
             break
     t_fit = time.perf_counter() - t0
 
-    # pole_free_check has already found the roots of this nonzero denominator
-    pole_free, in_region_poles = pole_free_check(xi, region)
     all_poles = poly_roots(xi.denom_coeffs, xi.basis)
+    pole_free, in_region_poles = pole_free_check(all_poles, region)
     zeros = {}
     for i, a in enumerate(xi.numer_coeffs):
         try:

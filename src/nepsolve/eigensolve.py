@@ -5,8 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+# LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
-from .pencil import poly_roots, recover_eigenvector
+from .basis import eval_basis
+from .pencil import _dense, recover_eigenvector
 
 __all__ = ["Eigenpair", "EigensolverError", "solve_dense", "solve_pencil_dense",
            "extract_nep_eigenpairs", "residual", "normalized_residual",
@@ -15,10 +18,14 @@ __all__ = ["Eigenpair", "EigensolverError", "solve_dense", "solve_pencil_dense",
 log = logging.getLogger(__name__)
 
 HUGE_EIGENVALUE_FACTOR = 1e12
+# the corner K of C1 is inverted to give a standard eigenproblem when its
+# reciprocal condition number (LAPACK gecon, 1-norm) is at least this; a
+# worse-conditioned or singular corner sends the pencil to QZ
+STANDARD_FORM_RCOND = 1e-4
 
 
 class EigensolverError(Exception):
-    """Raised when the underlying dense eigensolver fails to converge."""
+    """Raised when the dense eigensolver (geev or QZ) fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -33,37 +40,72 @@ class Eigenpair:
     consistency: float
 
 
-def solve_dense(C0, C1):
-    """All finite eigenpairs of the pencil ``C0 v = lam C1 v`` via the platform QZ.
+def solve_dense(C0, C1=None):
+    """All finite eigenpairs of ``C0 v = lam C1 v``, or of ``C0 v = lam v``.
 
-    Returns ``(lam, V)`` with eigenvalues in ``lam`` and right eigenvectors in
-    the columns of ``V``; infinite eigenvalues (singular ``C1`` directions)
-    are dropped.
+    With ``C1`` the generalized problem goes to the platform QZ (LAPACK
+    ggev); without it the standard problem goes to LAPACK geev. Returns
+    ``(lam, V)`` with eigenvalues in ``lam`` and right eigenvectors in the
+    columns of ``V``; infinite eigenvalues (singular ``C1`` directions) are
+    dropped.
     """
     C0 = np.asarray(C0)
-    C1 = np.asarray(C1)
-    if C0.shape != C1.shape or C0.shape[0] != C0.shape[1]:
+    if (C0.ndim != 2 or C0.shape[0] != C0.shape[1]
+            or (C1 is not None and np.shape(C1) != C0.shape)):
         raise ValueError("pencil matrices must be square and of equal shape")
     try:
         lam, V = scipy.linalg.eig(C0, C1, right=True)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense QZ failed to converge: {exc}") from exc
+        raise EigensolverError(f"dense eigensolver failed to converge: {exc}") from exc
     finite = np.isfinite(lam)
     return lam[finite], V[:, finite]
 
 
 def solve_pencil_dense(pencil):
-    """Materialize, equilibrate the bottom block row, and run the dense solve.
+    """Materialize the pencil and solve it densely; returns ``(lam, V)``.
 
-    The scaling is a left diagonal equivalence, so the returned eigenvalues
-    and right eigenvectors belong to the original pencil.
+    ``C1 = diag(I, K)`` differs from the identity only in its corner
+    ``K = k_gamma A_gamma``. When ``K`` is well conditioned
+    (``rcond(K) >= STANDARD_FORM_RCOND``) the bottom block row of ``C0`` is
+    multiplied by ``K^{-1}`` and the standard problem ``C1^{-1} C0`` goes to
+    geev, and each eigenvector is then replaced by one inverse-iteration step
+    on ``P(lam)`` (see :func:`_refine_eigenvectors`). Otherwise the bottom
+    block row is equilibrated and the pencil goes to QZ. Either way the
+    eigenvalues and right eigenvectors are those of the original pencil.
     """
     C0, C1 = pencil.materialize(force=True)
-    c = pencil.equilibration_scale()
     split = (pencil.gamma - 1) * pencil.n
-    C0[split:] *= c
-    C1[split:] *= c
-    return solve_dense(C0, C1)
+    K = C1[split:, split:]
+    lu, piv, info = zgetrf(K)
+    rcond = zgecon(lu, np.linalg.norm(K, 1))[0] if info == 0 else 0.0
+    if rcond < STANDARD_FORM_RCOND:
+        c = pencil.equilibration_scale()
+        C0[split:] *= c
+        C1[split:] *= c
+        return solve_dense(C0, C1)
+    C0[split:] = zgetrs(lu, piv, C0[split:])[0]
+    lam, V = solve_dense(C0)
+    return lam, _refine_eigenvectors(pencil, lam, V)
+
+
+def _refine_eigenvectors(pencil, lam, V):
+    # geev's eigenvalues are as accurate as QZ's, but the leading block of
+    # its eigenvectors, which is the reported u, is not. One step of inverse
+    # iteration x = P(lam)^{-1} v[:n] fixes that, and the column becomes
+    # theta(lam)[:gamma] (x) x, the eigenvector the linearization prescribes
+    # (refining only the leading block leaves the pencil backward error
+    # large). A column whose step is not finite is kept as geev gave it.
+    n, gamma = pencil.n, pencil.gamma
+    A = np.array([_dense(a) for a in pencil.poly.coeffs], dtype=complex)
+    theta = eval_basis(pencil.poly.basis, lam)[:, : gamma + 1]
+    for i in range(lam.size):
+        lu, piv, _ = zgetrf(np.tensordot(theta[i], A, axes=1), overwrite_a=True)
+        x = zgetrs(lu, piv, V[:n, i, None])[0][:, 0]
+        v = np.kron(theta[i, :gamma], x)
+        nv = np.linalg.norm(v)
+        if np.isfinite(nv) and nv > 0:
+            V[:, i] = v / nv
+    return V
 
 
 def _normalize_direction(u):
@@ -141,11 +183,12 @@ def extract_nep_eigenpairs(pairs, basis, nep, region):
     return out
 
 
-def pole_free_check(xi, region):
-    """Check the fitted denominator for roots inside the closed region.
+def pole_free_check(poles, region):
+    """Check the fitted denominator's roots ``poles`` against the closed region.
 
-    Returns ``(is_pole_free, offending_roots)``.
+    ``poles`` is ``poly_roots(xi.denom_coeffs, xi.basis)``. Returns
+    ``(is_pole_free, offending_roots)``.
     """
-    roots = poly_roots(xi.denom_coeffs, xi.basis)
-    inside = roots[region.contains(roots)]
+    poles = np.asarray(poles, dtype=complex)
+    inside = poles[region.contains(poles)]
     return inside.size == 0, inside

@@ -273,6 +273,9 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
     same sweep takes precedence. Without ``target`` the rule is off.
 
     The returned fit is the best-error iterate, whatever the stop reason.
+    Its coefficients are re-extracted in a basis orthogonalized under that
+    iterate's weights, except after ``"unreachable"``, where they are the
+    best sweep's own, in the basis the sweeps use.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive, max_iters at least 1")
@@ -307,7 +310,7 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
         gap = abs(e_xi - dres.d_value) / e_xi if e_xi > 0 else 0.0
         trace.append(LawsonStep(it, dres.d_value, e_xi, gap, active.size))
         if best is None or e_xi < best[0]:
-            best = (e_xi, w.copy(), active.copy())
+            best = (e_xi, w.copy(), active.copy(), dres)
         if e_xi <= interp_floor:
             stop_reason = "interp_floor"
         elif gap < tol:
@@ -323,11 +326,15 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
     # The iteration can wander once it reaches the noise floor, so keep the
     # best-error iterate and re-extract its coefficients in a basis
     # orthogonalized under those weights: the weighted QR factors are then
-    # near-identity and coefficient recovery loses no accuracy.
-    _, w_best, active_best = best
+    # near-identity and coefficient recovery loses no accuracy. A fit given
+    # up as unreachable is only a step of a degree escalation, so it keeps
+    # the best sweep's own result in the sweep basis instead.
+    _, w_best, active_best, dres = best
     sub = SampleSet(samples.nodes[active_best], samples.values[active_best])
-    basis_w = build_basis(sub.nodes, spec.max_degree, weights=w_best)
-    dres = dual_value(sub, w_best, spec, basis_w)
+    basis_w = basis
+    if stop_reason != "unreachable":
+        basis_w = build_basis(sub.nodes, spec.max_degree, weights=w_best)
+        dres = dual_value(sub, w_best, spec, basis_w)
     err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)
     e_max = float(np.max(err_norms) ** 2)
     gap = abs(e_max - dres.d_value) / e_max if e_max > 0 else 0.0

@@ -4,14 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nepsolve import (Region, build_basis, build_pencil, eval_basis, example1,
                       extract_nep_eigenpairs, lawson, normalized_residual,
-                      pole_free_check, residual, solve_dense)
+                      pole_free_check, poly_roots, residual, solve_dense,
+                      solve_pencil_dense)
+from nepsolve import eigensolve
 from nepsolve.lawson import DegreeSpec, RationalApproximant, SampleSet
 from nepsolve.pencil import MatrixPolynomial
 from nepsolve.problems import SplitFormNEP, constant, monomial
-from util import random_nodes, random_poly
+from util import det_poly_roots, random_nodes, random_poly
 
 
 def test_solve_dense_diagonal():
@@ -58,6 +61,76 @@ def test_backward_error_gate_on_benchmarks(example1_bundle, time_delay_bundle,
         for i in range(lam.size):
             r = np.linalg.norm(R0[:, i])
             assert r <= 1e-8 * (n0 + abs(lam[i]) * n1) * np.linalg.norm(V[:, i])
+
+
+def _record_solve_dense(monkeypatch):
+    # solve_pencil_dense's calls to solve_dense, as (took QZ, lam, V) with
+    # copies of what solve_dense returned
+    calls = []
+    original = eigensolve.solve_dense
+
+    def recording(C0, C1=None):
+        lam, V = original(C0, C1)
+        calls.append((C1 is not None, lam.copy(), V.copy()))
+        return lam, V
+
+    monkeypatch.setattr(eigensolve, "solve_dense", recording)
+    return calls
+
+
+def test_singular_leading_coefficient_takes_qz(monkeypatch):
+    rng = np.random.default_rng(45)
+    P = random_poly(rng, 3, 3)
+    # a rank-one leading coefficient makes the corner of C1 singular
+    a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    P.coeffs[-1] = np.outer(a, b)
+    calls = _record_solve_dense(monkeypatch)
+    lam, _ = solve_pencil_dense(build_pencil(P, trim=False))
+    assert [qz for qz, _, _ in calls] == [True]
+    roots = det_poly_roots(P)
+    finite = lam[np.abs(lam) < 1e6]
+    assert finite.size == roots.size == 7  # n*gamma = 9 less the rank deficit
+    for r in roots:
+        assert np.abs(finite - r).min() <= 1e-8 * max(1.0, abs(r))
+
+
+def test_well_conditioned_corner_takes_geev(monkeypatch):
+    rng = np.random.default_rng(46)
+    P = random_poly(rng, 3, 4)
+    pencil = build_pencil(P, trim=False)
+    calls = _record_solve_dense(monkeypatch)
+    lam, V = solve_pencil_dense(pencil)
+    assert [qz for qz, _, _ in calls] == [False]
+    ref = scipy.linalg.eigvals(*pencil.materialize())
+    assert lam.size == ref.size == pencil.dim
+    dist = np.abs(lam[:, None] - ref[None, :])
+    assert np.all(dist.min(axis=0) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(dist.min(axis=1) <= 1e-10 * np.maximum(1.0, np.abs(lam)))
+    # every column is theta(lam) (x) u, as the linearization prescribes
+    theta = eval_basis(P.basis, lam)[:, : pencil.gamma]
+    for i in range(lam.size):
+        u = V[: P.n, i] / theta[i, 0]
+        assert np.linalg.norm(V[:, i] - np.kron(theta[i], u)) <= \
+            1e-13 * np.linalg.norm(V[:, i])
+
+
+def test_refined_eigenvectors_stay_near_geev(monkeypatch, time_delay_bundle,
+                                             hadeler_bundle):
+    # the inverse-iteration step corrects geev's in-region directions; it
+    # does not replace them with other ones
+    for bundle in (time_delay_bundle, hadeler_bundle):
+        calls = _record_solve_dense(monkeypatch)
+        lam, V = solve_pencil_dense(bundle.pencil)
+        [(qz, lam_geev, V_geev)] = calls
+        assert not qz
+        np.testing.assert_array_equal(lam, lam_geev)
+        n = bundle.nep.n
+        inside = np.nonzero(bundle.nep.region.contains(lam))[0]
+        assert inside.size > 0
+        for i in inside:
+            u, g = V[:n, i], V_geev[:n, i]
+            cos = abs(np.vdot(u, g)) / (np.linalg.norm(u) * np.linalg.norm(g))
+            assert 1 - cos < 1e-8
 
 
 def test_in_region_predicate():
@@ -175,7 +248,8 @@ def test_pole_free_check_constant_denominator():
     nodes = np.linspace(-1, 1, 12)
     samples = SampleSet(nodes, np.exp(nodes)[:, None])
     xi = lawson(samples, DegreeSpec((3,), 0), max_iters=5)
-    ok, offenders = pole_free_check(xi, Region(0j, 1.0))
+    poles = poly_roots(xi.denom_coeffs, xi.basis)
+    ok, offenders = pole_free_check(poles, Region(0j, 1.0))
     assert ok and offenders.size == 0
 
 
@@ -185,7 +259,8 @@ def test_pole_free_check_flags_synthetic_pole():
     xi = lawson(samples, DegreeSpec((2,), 1), max_iters=5)
     theta = eval_basis(xi.basis, [0.25])[0]
     rigged = dataclasses.replace(xi, denom_coeffs=np.array([-theta[1], theta[0]]))
-    ok, offenders = pole_free_check(rigged, Region(0j, 1.0))
+    ok, offenders = pole_free_check(poly_roots(rigged.denom_coeffs, rigged.basis),
+                                    Region(0j, 1.0))
     assert not ok
     assert offenders.size == 1
     assert abs(offenders[0] - 0.25) < 1e-10

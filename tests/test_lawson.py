@@ -224,6 +224,8 @@ def test_give_up_only_when_target_is_out_of_reach(monkeypatch, margin):
             if xi.stop_reason == "unreachable":
                 gave_up += 1
                 assert best >= t
+                # a fit given up keeps its best sweep as it was, unextracted
+                assert xi.e_max == min(step.e_xi for step in xi.trace)
             if best < t:
                 # a fit that meets the target in full is never given up
                 kept += 1
