@@ -48,8 +48,8 @@ class VABasis:
 def build_basis(nodes, degree, weights=None):
     """Run the Arnoldi process on ``diag(nodes)`` starting from the ones vector.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; raises
-    ``BreakdownError`` if an orthogonalized candidate column collapses.
+    Block classical Gram-Schmidt with one reorthogonalization pass (CGS2);
+    raises ``BreakdownError`` if an orthogonalized candidate column collapses.
 
     ``weights`` switches the inner product to ``sum_l w_l conj(f_l) g_l``
     (default: uniform ``1/m``); positive weights are required. A weighted
@@ -78,12 +78,12 @@ def build_basis(nodes, degree, weights=None):
     Q[:, 0] = 1.0 / np.sqrt(w.sum())
     for j in range(degree):
         v = nodes * Q[:, j]
+        Qj = Q[:, : j + 1]
         h = np.zeros(j + 1, dtype=complex)
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for i in range(j + 1):
-                c = np.vdot(Q[:, i], w * v)
-                h[i] += c
-                v -= c * Q[:, i]
+        for _ in range(2):  # CGS + one reorthogonalization pass
+            c = Qj.conj().T @ (w * v)
+            h += c
+            v -= Qj @ c
         nrm = np.sqrt(np.vdot(v, w * v).real)
         if nrm < 1e-14 * np.sqrt(m):
             raise BreakdownError(

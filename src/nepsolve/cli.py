@@ -163,7 +163,8 @@ def run(config):
     escalation = []
     for k in range(1, last + 1):
         # every degree but the last may give up once it provably misses tol;
-        # the last one runs in full, so a fit miss still reports its best fit
+        # the last one is never given up, so a fit miss still reports its
+        # best fit
         xi = lawson(samples, DegreeSpec((k,) * nep.s, k),
                     target=None if k == last else config.tol)
         escalation.append({"degree": k, "sweeps": xi.iterations,

@@ -11,12 +11,12 @@ error target, the dual value (a lower bound on the attainable error) shows
 that the target is out of reach.
 
 Numerator and denominator polynomials are expressed in a shared discrete
-orthogonal basis (see :mod:`nepsolve.basis`) built once on the full node set.
+orthogonal basis (see :mod:`nepsolve.basis`), orthogonalized under the
+current Lawson weights on the active nodes and rebuilt as those weights move.
 """
 
 import csv
 import functools
-import warnings
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -34,6 +34,9 @@ WEIGHT_TOL = 1e-12
 # a fit given a target gives up once its dual bound exceeds the target by this
 # factor (in sqrt(e)); the slack covers the rounding in the measured bound
 UNREACHABLE_MARGIN = 100
+# sweeps between rebuilds of the basis under the current weights; a node drop
+# rebuilds it at once
+REBASIS_EVERY = 10
 
 
 class RankDeficiencyError(Exception):
@@ -148,7 +151,7 @@ def _check_rank(R, what):
             f"{bad.tolist() if top else 'all'}")
 
 
-def dual_value(samples, w, spec, basis, rows=None):
+def dual_value(samples, w, spec, basis):
     """Evaluate the dual objective at weights ``w`` and recover coefficients.
 
     ``sqrt(d(w))`` is the smallest singular value of the projected matrix
@@ -157,10 +160,11 @@ def dual_value(samples, w, spec, basis, rows=None):
     ``Rq b = bhat`` against the trailing right singular vector and the
     numerator blocks solve ``Rp_i a_i = Qp_i^H F_i Qq bhat``.
 
-    ``rows`` restricts the basis node rows (used after node filtering). The
-    result's ``node_values`` holds the stably evaluated values of the fitted
-    function at the nodes as an (m, s) array, ``(Qp_i Qp_i^H F_i q) / q``.
-    The triangular solves for the coefficients run only when the result's
+    ``basis`` must be built on the sample nodes; the QR factors are nearest
+    the identity when it was built under weights close to ``w``. The result's
+    ``node_values`` holds the stably evaluated values of the fitted function
+    at the nodes as an (m, s) array, ``(Qp_i Qp_i^H F_i q) / q``. The
+    triangular solves for the coefficients run only when the result's
     ``numer_coeffs`` or ``denom_coeffs`` is first read (see
     :class:`DualResult`); numerators of the denominator's degree share its
     QR factors.
@@ -168,10 +172,9 @@ def dual_value(samples, w, spec, basis, rows=None):
     w = np.asarray(w, dtype=float).ravel()
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    QB = basis.Q if rows is None else basis.Q[rows]
     values = samples.values
     m, s = values.shape
-    if QB.shape[0] != m or w.size != m:
+    if basis.Q.shape[0] != m or w.size != m:
         raise ValueError("weights, samples, and basis rows must agree in length")
     if spec.s != s:
         raise ValueError(f"degree spec has {spec.s} components, samples have {s}")
@@ -184,14 +187,14 @@ def dual_value(samples, w, spec, basis, rows=None):
             "coefficients")
 
     sqw = np.sqrt(w)
-    Qq, Rq = np.linalg.qr(sqw[:, None] * QB[:, : d + 1])
+    Qq, Rq = np.linalg.qr(sqw[:, None] * basis.Q[:, : d + 1])
     _check_rank(Rq, "denominator")
 
     # a numerator of the denominator's degree has the same weighted basis
     # matrix, so its factors are reused
     qr_by_deg = {d: (Qq, Rq)}
     for ni in set(spec.numerator) - {d}:
-        Qp, Rp = np.linalg.qr(sqw[:, None] * QB[:, : ni + 1])
+        Qp, Rp = np.linalg.qr(sqw[:, None] * basis.Q[:, : ni + 1])
         _check_rank(Rp, f"numerator (degree {ni})")
         qr_by_deg[ni] = (Qp, Rp)
 
@@ -253,15 +256,23 @@ class RationalApproximant:
         return evaluate_approximant(self, points)
 
 
-def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
+def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.
 
-    Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently;
-    the basis is not rebuilt), evaluate the dual objective and current fit,
-    stop once the relative duality gap is below ``tol``, else reweight nodes
-    by ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex. At most
+    Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently),
+    evaluate the dual objective and current fit, stop once the relative
+    duality gap is below ``tol``, else reweight nodes by
+    ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex. Each sweep runs
+    in a basis orthogonalized under the weights on the active nodes, rebuilt
+    every ``REBASIS_EVERY`` sweeps and on every node drop, so the weighted QR
+    factors stay well conditioned as the weights concentrate. At most
     ``max_iters`` sweeps run, one ``dual_value`` call each; running out is
     reported as ``stop_reason="budget"`` on the result, not as an error.
+
+    By weak duality ``d(w) <= e* <= e(xi)`` for the minimax error ``e*`` of
+    this type, so a gap below ``tol`` certifies ``e(xi) <= e*/(1 - tol)``:
+    with the default ``tol = 1e-2``, ``sqrt(e)`` is within 0.5% of the
+    optimum.
 
     ``target`` is an optional goal for ``sqrt(e)``. By weak duality every
     later iterate's error is at least its own dual value, and the dual value
@@ -272,10 +283,8 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
     fit stops with ``stop_reason="unreachable"``. A converged verdict in the
     same sweep takes precedence. Without ``target`` the rule is off.
 
-    The returned fit is the best-error iterate, whatever the stop reason.
-    Its coefficients are re-extracted in a basis orthogonalized under that
-    iterate's weights, except after ``"unreachable"``, where they are the
-    best sweep's own, in the basis the sweeps use.
+    The returned fit is the best-error sweep, whatever the stop reason: its
+    own coefficients, error and gap, in the basis that sweep ran in.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive, max_iters at least 1")
@@ -284,11 +293,11 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
         raise ValueError(
             f"need at least {spec.min_nodes()} nodes for type "
             f"{spec.numerator}/{spec.denominator}, got {m}")
-    basis = build_basis(samples.nodes, spec.max_degree)
 
     active = np.arange(m)
     sub = samples
     w = np.full(m, 1.0 / m)
+    basis = None
     # below this the fit interpolates the data to working precision and the
     # duality gap is pure rounding noise
     vscale = float(np.max(np.linalg.norm(samples.values, axis=1)))
@@ -304,13 +313,18 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
             active, w = active[keep], w[keep]
             w = w / w.sum()
             sub = SampleSet(samples.nodes[active], samples.values[active])
-        dres = dual_value(sub, w, spec, basis, rows=active)
+            basis = None
+        if basis is None or it % REBASIS_EVERY == 0:
+            basis = build_basis(sub.nodes, spec.max_degree, weights=w)
+        dres = dual_value(sub, w, spec, basis)
         err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)
         e_xi = float(np.max(err_norms) ** 2)
         gap = abs(e_xi - dres.d_value) / e_xi if e_xi > 0 else 0.0
         trace.append(LawsonStep(it, dres.d_value, e_xi, gap, active.size))
+        # the iteration can wander once it reaches the noise floor, so the
+        # best-error sweep is kept, not the last
         if best is None or e_xi < best[0]:
-            best = (e_xi, w.copy(), active.copy(), dres)
+            best = (e_xi, gap, w.copy(), active.copy(), dres, basis)
         if e_xi <= interp_floor:
             stop_reason = "interp_floor"
         elif gap < tol:
@@ -323,35 +337,12 @@ def lawson(samples, spec, tol=1e-10, max_iters=500, target=None):
             continue
         break
 
-    # The iteration can wander once it reaches the noise floor, so keep the
-    # best-error iterate and re-extract its coefficients in a basis
-    # orthogonalized under those weights: the weighted QR factors are then
-    # near-identity and coefficient recovery loses no accuracy. A fit given
-    # up as unreachable is only a step of a degree escalation, so it keeps
-    # the best sweep's own result in the sweep basis instead.
-    _, w_best, active_best, dres = best
-    sub = SampleSet(samples.nodes[active_best], samples.values[active_best])
-    basis_w = basis
-    if stop_reason != "unreachable":
-        basis_w = build_basis(sub.nodes, spec.max_degree, weights=w_best)
-        dres = dual_value(sub, w_best, spec, basis_w)
-    err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)
-    e_max = float(np.max(err_norms) ** 2)
-    gap = abs(e_max - dres.d_value) / e_max if e_max > 0 else 0.0
-    xi = RationalApproximant(
+    e_max, gap, w_best, active_best, dres, basis_best = best
+    return RationalApproximant(
         numer_coeffs=dres.numer_coeffs, denom_coeffs=dres.denom_coeffs,
-        degrees=spec, basis=basis_w, e_max=e_max, gap=gap,
+        degrees=spec, basis=basis_best, e_max=e_max, gap=gap,
         stop_reason=stop_reason, trace=tuple(trace), active_index=active_best,
         weights=w_best)
-
-    if xi.converged and e_max > interp_floor:
-        slack = e_max - err_norms ** 2
-        loose = (slack > 0.1 * e_max) & (w_best >= 10 * WEIGHT_TOL)
-        if np.any(loose):
-            warnings.warn(
-                f"{int(loose.sum())} node(s) keep weight despite slack errors; "
-                "the fit may not be at an exact minimax point", stacklevel=2)
-    return xi
 
 
 def evaluate_approximant(xi, points):

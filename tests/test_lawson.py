@@ -9,7 +9,8 @@ import pytest
 
 from nepsolve import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
                       RationalApproximant, SampleSet, build_basis, dual_value,
-                      eval_basis, evaluate_approximant, lawson, max_error,
+                      eval_basis, evaluate_approximant, example1, hadeler,
+                      lawson, max_error, sample_boundary, time_delay2,
                       write_trace_csv)
 from util import dual_oracle, eval_monomial, monomial_coeffs, random_nodes
 
@@ -121,6 +122,50 @@ def test_node_error_at_retained_nodes_bounded_by_e_max():
                     samples.values[xi.active_index])
     err = np.linalg.norm(sub.values - xi(sub.nodes), axis=1)
     assert err.max() ** 2 <= xi.e_max * (1 + 1e-8) + 1e-15
+
+
+def test_basis_rebuilt_every_rebasis_sweeps_and_on_node_drops(monkeypatch):
+    build = lawson_module.build_basis
+    dual = lawson_module.dual_value
+    built, sweeps = [], []
+
+    def counted_build(nodes, degree, weights=None):
+        built.append(len(sweeps))
+        return build(nodes, degree, weights=weights)
+
+    def counted_dual(samples, w, spec, basis):
+        sweeps.append(basis)
+        assert np.array_equal(basis.nodes, samples.nodes)
+        return dual(samples, w, spec, basis)
+
+    monkeypatch.setattr(lawson_module, "build_basis", counted_build)
+    monkeypatch.setattr(lawson_module, "dual_value", counted_dual)
+    samples, spec = random_problem(np.random.default_rng(22))
+    xi = lawson(samples, spec, tol=1e-300, max_iters=40)
+    drops = {step.iteration for prev, step in zip(xi.trace, xi.trace[1:])
+             if step.active_nodes < prev.active_nodes}
+    assert drops - set(range(0, 40, lawson_module.REBASIS_EVERY))
+    assert built == sorted(
+        drops | set(range(0, 40, lawson_module.REBASIS_EVERY)))
+    best = min(range(40), key=lambda it: xi.trace[it].e_xi)
+    assert xi.basis is sweeps[best]
+
+
+@pytest.mark.parametrize("problem, m, k, target", [
+    (example1, 100, 28, 1e-10),
+    (time_delay2, 50, 10, 1e-7),
+    (lambda: hadeler(100), 50, 6, 1e-10),
+])
+def test_reported_fit_error_holds_off_the_sweep_basis(problem, m, k, target):
+    # the fit is the best sweep's own, not re-extracted: its coefficients,
+    # evaluated through the recurrence on every sample node, still give the
+    # error the sweep measured, and it meets the escalation's target
+    nep = problem()
+    samples = SampleSet.from_nep(nep, sample_boundary(nep.region, m))
+    xi = lawson(samples, DegreeSpec((k,) * nep.s, k))
+    measured = np.sqrt(max_error(samples, xi))
+    assert measured == pytest.approx(np.sqrt(xi.e_max), rel=0.05)
+    assert measured < target
 
 
 def test_constant_denominator_matches_polynomial_oracle():

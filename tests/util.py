@@ -21,23 +21,22 @@ def eval_monomial(coeffs, points):
     return np.polyval(coeffs[::-1], points)
 
 
-def dual_oracle(samples, w, spec, basis, rows=None):
+def dual_oracle(samples, w, spec, basis):
     """Smallest eigenvalue of the dense Hermitian dual matrix S(w).
 
     Builds ``S(w) = S_F - S_qp S_qp^H`` with ``S_F = Qq^H (sum |F_i|^2) Qq``
     and ``S_qp = Qq^H F^H Qp`` from thin QR factorizations and solves the
     dense Hermitian eigenproblem; independent of the SVD route.
     """
-    QB = basis.Q if rows is None else basis.Q[rows]
     values = samples.values
     w = np.asarray(w, dtype=float)
     sqw = np.sqrt(w)
     d = spec.denominator
-    Qq, _ = np.linalg.qr(sqw[:, None] * QB[:, : d + 1])
+    Qq, _ = np.linalg.qr(sqw[:, None] * basis.Q[:, : d + 1])
     SF = Qq.conj().T @ ((np.abs(values) ** 2).sum(axis=1)[:, None] * Qq)
     blocks = []
     for i in range(samples.s):
-        Qp, _ = np.linalg.qr(sqw[:, None] * QB[:, : spec.numerator[i] + 1])
+        Qp, _ = np.linalg.qr(sqw[:, None] * basis.Q[:, : spec.numerator[i] + 1])
         # block i of Qq^H F^H Qp
         blocks.append(Qq.conj().T @ (values[:, i].conj()[:, None] * Qp))
     Sqp = np.hstack(blocks)
