@@ -10,8 +10,7 @@ iteration with structured shift-invert.
 from .basis import BreakdownError, VABasis, build_basis, eval_basis, leading_coeffs
 from .cli import EigenReport, RunConfig, emit, run
 from .eigensolve import (Eigenpair, EigensolverError, extract_nep_eigenpairs,
-                         normalized_residual, pole_free_check, residual,
-                         solve_dense, solve_pencil_dense)
+                         pole_free_check, solve_dense, solve_pencil_dense)
 from .filters import (PoleHitError, QuadratureRule, SIFConfig, SIFResult,
                       apply_filter, quadrature, scalar_filter, shift_invert, sif)
 from .lawson import (DegreeSpec, DualResult, PoleEvaluationError,
@@ -21,7 +20,7 @@ from .lawson import (DegreeSpec, DualResult, PoleEvaluationError,
 from .pencil import (BlockLU, MatrixPolynomial, SingularShiftError,
                      StructuredPencil, assemble, block_lu, build_pencil,
                      error_bound, export_pencil, gram_matrix, poly_roots,
-                     recover_eigenvector, verify_linearization)
+                     verify_linearization)
 from .problems import (ManifestError, Region, ScalarFunction, SplitFormNEP,
                        builtin_problem, constant, example1, exp_affine,
                        exp_quadratic, expm1_term, hadeler, load_manifest,

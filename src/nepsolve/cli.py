@@ -59,6 +59,9 @@ class RunConfig:
         # written so that nan fails too
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        # a (k, k) fit needs 2k + 2 nodes, so the smallest, (1, 1), needs 4
+        if self.nodes < 4:
+            raise ValueError("nodes must be at least 4")
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
         if self.solver not in ("auto", "dense", "filter"):
@@ -111,7 +114,10 @@ class EigenReport:
             "config": self.config.to_json(),
             "approx": {"degree": self.fit.degrees.denominator,
                        "sqrt_e": float(np.sqrt(self.fit.e_max)),
-                       "gap": self.fit.gap, "iterations": self.fit.iterations,
+                       # at the interpolation floor the gap is rounding noise
+                       "gap": (None if self.fit.stop_reason == "interp_floor"
+                               else self.fit.gap),
+                       "iterations": self.fit.iterations,
                        "converged": self.fit.converged,
                        "met_target": self.fit_met_target,
                        "stop_reason": self.fit.stop_reason,
@@ -157,8 +163,6 @@ def run(config):
 
     # a (k, k) fit needs 2k + 2 nodes, which can cap the degree below max_degree
     last = min(config.max_degree, (samples.m - 2) // 2)
-    if last < 1:
-        raise ValueError("not enough boundary nodes for even a degree-1 fit")
     t0 = time.perf_counter()
     escalation = []
     for k in range(1, last + 1):

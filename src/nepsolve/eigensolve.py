@@ -9,11 +9,10 @@ import scipy.linalg
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .basis import eval_basis
-from .pencil import _dense, recover_eigenvector
+from .pencil import _dense
 
 __all__ = ["Eigenpair", "EigensolverError", "solve_dense", "solve_pencil_dense",
-           "extract_nep_eigenpairs", "residual", "normalized_residual",
-           "pole_free_check"]
+           "extract_nep_eigenpairs", "pole_free_check"]
 
 log = logging.getLogger(__name__)
 
@@ -62,27 +61,29 @@ def solve_dense(C0, C1=None):
 
 
 def solve_pencil_dense(pencil):
-    """Materialize the pencil and solve it densely; returns ``(lam, V)``.
+    """Solve the pencil densely; returns ``(lam, V)``.
 
     ``C1 = diag(I, K)`` differs from the identity only in its corner
     ``K = k_gamma A_gamma``. When ``K`` is well conditioned
     (``rcond(K) >= STANDARD_FORM_RCOND``) the bottom block row of ``C0`` is
     multiplied by ``K^{-1}`` and the standard problem ``C1^{-1} C0`` goes to
     geev, and each eigenvector is then replaced by one inverse-iteration step
-    on ``P(lam)`` (see :func:`_refine_eigenvectors`). Otherwise the bottom
-    block row is equilibrated and the pencil goes to QZ. Either way the
+    on ``P(lam)`` (see :func:`_refine_eigenvectors`); only ``C0`` is built
+    densely. Otherwise the pencil is materialized, its bottom block row is
+    equilibrated and it goes to QZ. Either way the
     eigenvalues and right eigenvectors are those of the original pencil.
     """
-    C0, C1 = pencil.materialize(force=True)
     split = (pencil.gamma - 1) * pencil.n
-    K = C1[split:, split:]
+    K = _dense(pencil.c1_corner)
     lu, piv, info = zgetrf(K)
     rcond = zgecon(lu, np.linalg.norm(K, 1))[0] if info == 0 else 0.0
     if rcond < STANDARD_FORM_RCOND:
+        C0, C1 = pencil.materialize(force=True)
         c = pencil.equilibration_scale()
         C0[split:] *= c
         C1[split:] *= c
         return solve_dense(C0, C1)
+    C0 = pencil._dense_C0()
     C0[split:] = zgetrs(lu, piv, C0[split:])[0]
     lam, V = solve_dense(C0)
     return lam, _refine_eigenvectors(pencil, lam, V)
@@ -108,44 +109,6 @@ def _refine_eigenvectors(pencil, lam, V):
     return V
 
 
-def _normalize_direction(u):
-    # unit 2-norm with the first non-negligible component rotated to the
-    # positive real axis, for reproducible eigenvector output
-    u = u / np.linalg.norm(u)
-    idx = np.nonzero(np.abs(u) > 1e-12 * np.abs(u).max())[0][0]
-    phase = u[idx] / abs(u[idx])
-    return u * phase.conjugate()
-
-
-def _vector_norm(u):
-    u = np.asarray(u, dtype=complex)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        raise ValueError("zero vector has no residual")
-    return u, nu
-
-
-def _term_scale(nep, lam, norm1):
-    # sum_i |t_i(lam)| * norm(E_i, 1) with the 1-norms precomputed
-    denom = float(np.abs(nep.t_values(lam)[0]) @ norm1)
-    if denom == 0:
-        raise ZeroDivisionError("all scalar terms vanish at this point")
-    return denom
-
-
-def residual(nep, lam, u):
-    """Relative residual ``||T(lam) u|| / ||u||`` with exact scalar terms."""
-    u, nu = _vector_norm(u)
-    return float(np.linalg.norm(nep.apply(lam, u)) / nu)
-
-
-def normalized_residual(nep, lam, u):
-    """Residual scaled by ``sum_i |t_i(lam)| * norm(E_i, 1)``."""
-    u, nu = _vector_norm(u)
-    denom = _term_scale(nep, lam, nep.norm1_terms())
-    return float(np.linalg.norm(nep.apply(lam, u)) / (denom * nu))
-
-
 def extract_nep_eigenpairs(pairs, basis, nep, region):
     """Turn pencil eigenpairs into problem eigenpairs with diagnostics.
 
@@ -153,34 +116,51 @@ def extract_nep_eigenpairs(pairs, basis, nep, region):
     in ``lam``, pencil eigenvectors in the columns of ``V``. Eigenvalues of
     absurd magnitude (artifacts of a singular leading coefficient) and
     bottom-dominated eigenvectors are dropped; everything else is reported
-    with its region flag. Results are sorted by real then imaginary part.
+    with its region flag and ``consistency``, which is
+    ``max_i ||v_i - theta_i(lam) v_1|| / ||v||`` over the trailing blocks.
+    Results are sorted by real then imaginary part.
     """
-    lam_arr, V = pairs
+    lam, V = pairs
+    n = nep.n
+    gamma, rest = divmod(V.shape[0], n)
+    if rest:
+        raise ValueError("vector length must be a multiple of the block size")
     cutoff = HUGE_EIGENVALUE_FACTOR * (1.0 + abs(region.center) + region.radius)
-    norm1 = nep.norm1_terms()
-    out = []
-    for i, lam in enumerate(lam_arr):
-        lam = complex(lam)
-        if abs(lam) > cutoff:
-            continue
-        u, consistency, bottom_dominated = recover_eigenvector(V[:, i], lam, basis,
-                                                               nep.n)
-        if bottom_dominated:
-            log.info("skipping bottom-dominated eigenvector at lam=%s", lam)
-            continue
-        u = _normalize_direction(u)
-        nu = np.linalg.norm(u)
-        r = np.linalg.norm(nep.apply(lam, u))
-        out.append(Eigenpair(
-            lam=lam,
-            u=u,
-            residual=float(r / nu),
-            normalized_residual=float(r / (_term_scale(nep, lam, norm1) * nu)),
-            in_region=bool(region.contains(lam)),
-            consistency=consistency,
-        ))
-    out.sort(key=lambda p: (p.lam.real, p.lam.imag))
-    return out
+    finite = np.abs(lam) <= cutoff
+    lam, V = np.asarray(lam, dtype=complex)[finite], V[:, finite]
+    vnorm = np.linalg.norm(V, axis=0)
+    if np.any(vnorm == 0):
+        raise ValueError("zero vector")
+    unorm = np.linalg.norm(V[:n], axis=0)
+    bottom = unorm < 1e-10 * vnorm
+    for z in lam[bottom]:
+        log.info("skipping bottom-dominated eigenvector at lam=%s", complex(z))
+    lam, V, vnorm, unorm = lam[~bottom], V[:, ~bottom], vnorm[~bottom], unorm[~bottom]
+    U = V[:n]
+    theta = eval_basis(basis, lam)
+    consistency = np.zeros(lam.size)
+    for i in range(1, gamma):
+        diff = np.linalg.norm(V[i * n: (i + 1) * n] - theta[:, i] * U, axis=0)
+        consistency = np.maximum(consistency, diff / vnorm)
+
+    # unit 2-norm with the first non-negligible component rotated to the
+    # positive real axis, for reproducible eigenvector output
+    U = U / unorm
+    absU = np.abs(U)
+    first = np.argmax(absU > 1e-12 * absU.max(axis=0), axis=0)
+    lead = U[first, np.arange(lam.size)]
+    U = U * (lead.conj() / np.abs(lead))
+
+    nu = np.linalg.norm(U, axis=0)
+    r = np.linalg.norm(nep.apply(lam, U), axis=0)
+    scale = np.abs(nep.t_values(lam)) @ nep.norm1_terms()
+    if np.any(scale == 0):
+        raise ZeroDivisionError("all scalar terms vanish at this point")
+    in_region = region.contains(lam)
+    return [Eigenpair(lam=complex(lam[k]), u=U[:, k], residual=float(r[k] / nu[k]),
+                      normalized_residual=float(r[k] / (scale[k] * nu[k])),
+                      in_region=bool(in_region[k]), consistency=float(consistency[k]))
+            for k in np.lexsort((lam.imag, lam.real))]
 
 
 def pole_free_check(poles, region):

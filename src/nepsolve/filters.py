@@ -194,24 +194,20 @@ def sif(pencil, nep, region, config):
         lam, X = lam[finite], X[:, finite]
         Ritz = V @ X
 
-        keep = []  # columns of the in-region, non-ghost Ritz pairs
-        ghost_count = 0  # ghosts inside the region
-        sigmas_in = []
-        for i in range(lam.size):
-            if not bool(region.contains(lam[i])):
-                continue
-            v1 = Ritz[: pencil.n, i]
-            nv1 = np.linalg.norm(v1)
-            sig = (np.inf if nv1 == 0
-                   else float(np.linalg.norm(nep.apply(lam[i], v1)) / (scale * nv1)))
-            if sig >= config.tol_ghost:
-                ghost_count += 1
-            else:
-                sigmas_in.append(sig)
-                keep.append(i)
-        count = len(sigmas_in)
-        max_sigma = max(sigmas_in) if sigmas_in else float("nan")
-        min_sigma = min(sigmas_in) if sigmas_in else float("nan")
+        inside = np.flatnonzero(region.contains(lam))
+        V1 = Ritz[: pencil.n, inside]
+        nv1 = np.linalg.norm(V1, axis=0)
+        # a zero leading block gets sigma = inf and so counts as a ghost
+        sigma = np.divide(np.linalg.norm(nep.apply(lam[inside], V1), axis=0),
+                          scale * nv1, out=np.full(inside.size, np.inf),
+                          where=nv1 > 0)
+        ghost = sigma >= config.tol_ghost
+        keep = inside[~ghost]  # columns of the in-region, non-ghost Ritz pairs
+        ghost_count = int(ghost.sum())  # ghosts inside the region
+        sigmas_in = sigma[~ghost]
+        count = sigmas_in.size
+        max_sigma = float(sigmas_in.max()) if count else float("nan")
+        min_sigma = float(sigmas_in.min()) if count else float("nan")
         trace.append(SIFStep(it, count, ghost_count, max_sigma, min_sigma))
 
         if it > 2 and prev_max_sigma is not None and np.isfinite(prev_max_sigma) \

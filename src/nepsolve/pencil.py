@@ -26,7 +26,7 @@ from .basis import eval_basis
 
 __all__ = ["MatrixPolynomial", "StructuredPencil", "BlockLU",
            "SingularShiftError", "assemble", "build_pencil",
-           "verify_linearization", "recover_eigenvector", "block_lu",
+           "verify_linearization", "block_lu",
            "gram_matrix", "error_bound", "poly_roots", "export_pencil"]
 
 # trailing polynomial coefficients below this fraction of the largest are dropped
@@ -187,16 +187,17 @@ class StructuredPencil:
             raise ValueError(
                 f"pencil dimension {self.dim} exceeds materialization threshold "
                 f"{DENSE_DIM_LIMIT}; pass force=True to override")
-        gamma, n = self.gamma, self.n
-        Ht = self.H[:gamma, : gamma - 1].T
-        C0 = np.vstack([
-            np.kron(Ht, np.eye(n)),
+        split = (self.gamma - 1) * self.n
+        C1 = np.eye(self.dim, dtype=complex)
+        C1[split:, split:] = _dense(self.c1_corner)
+        return self._dense_C0(), C1
+
+    def _dense_C0(self):
+        Ht = self.H[: self.gamma, : self.gamma - 1].T
+        return np.vstack([
+            np.kron(Ht, np.eye(self.n)),
             np.hstack([_dense(B) for B in self.bottom]),
         ]).astype(complex)
-        C1 = np.zeros((self.dim, self.dim), dtype=complex)
-        C1[: (gamma - 1) * n, : (gamma - 1) * n] = np.eye((gamma - 1) * n)
-        C1[(gamma - 1) * n:, (gamma - 1) * n:] = _dense(self.c1_corner)
-        return C0, C1
 
     def permutation(self):
         """The block column permutation S used by the LU factorization."""
@@ -246,31 +247,6 @@ def verify_linearization(pencil, x0):
     M = pencil.apply_C0(V) - x0 * pencil.apply_C1(V)
     M[(gamma - 1) * n:] += pencil.k[gamma - 1] * _dense(pencil.poly(x0))
     return float(np.linalg.norm(M) / (pencil.fro_C0() + abs(x0) * pencil.fro_C1()))
-
-
-def recover_eigenvector(v, lam, basis, n):
-    """Split a pencil eigenvector into its leading block and a consistency score.
-
-    Returns ``(u, consistency, bottom_dominated)`` where ``u`` is the first
-    ``n`` entries, consistency is ``max_i ||v_i - theta_{i-1}(lam) v_1|| / ||v||``
-    over the trailing blocks, and the flag marks vectors whose leading block
-    is negligible (spurious pairs from singular leading coefficients).
-    """
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size % n:
-        raise ValueError("vector length must be a multiple of the block size")
-    if not np.any(v):
-        raise ValueError("zero vector")
-    gamma = v.size // n
-    u = v[:n]
-    vnorm = np.linalg.norm(v)
-    theta = eval_basis(basis, [lam])[0]
-    consistency = 0.0
-    for i in range(1, gamma):
-        diff = np.linalg.norm(v[i * n: (i + 1) * n] - theta[i] * u)
-        consistency = max(consistency, diff / vnorm)
-    bottom_dominated = np.linalg.norm(u) < 1e-10 * vnorm
-    return u, float(consistency), bottom_dominated
 
 
 class BlockLU:

@@ -201,13 +201,16 @@ class SplitFormNEP:
         x = np.atleast_1d(np.asarray(x, dtype=complex))
         return np.column_stack([t(x) for t in self.terms])
 
-    def apply(self, lam, u):
-        """Matrix-vector product ``T(lam) @ u`` (u may have several columns)."""
-        tv = self.t_values(lam)[0]
-        out = tv[0] * (self.matrices[0] @ u)
-        for ti, E in zip(tv[1:], self.matrices[1:]):
-            out = out + ti * (E @ u)
-        return out
+    def apply(self, lam, U):
+        """``T(lam) @ U``, or ``T(lam[k]) @ U[:, k]`` per column for an array ``lam``.
+
+        The terms are evaluated in one ``t_values`` call and each ``E_i`` is
+        applied once, to all of ``U``.
+        """
+        tv = self.t_values(lam)
+        if np.ndim(lam) == 0:
+            tv = tv[0]
+        return sum(tv[..., i] * (E @ U) for i, E in enumerate(self.matrices))
 
     def matrix(self, lam):
         """Dense ``T(lam)``; intended for small problems and tests."""
@@ -219,13 +222,7 @@ class SplitFormNEP:
 
     def norm1_terms(self):
         """Column-sum norms ``norm(E_i, 1)`` of the coefficient matrices."""
-        out = []
-        for E in self.matrices:
-            if sp.issparse(E):
-                out.append(abs(E).sum(axis=0).max())
-            else:
-                out.append(np.abs(E).sum(axis=0).max())
-        return np.array(out, dtype=float)
+        return np.array([abs(E).sum(axis=0).max() for E in self.matrices], dtype=float)
 
 
 def example1():

@@ -52,8 +52,11 @@ def test_report_json_schema(time_delay_report):
 def test_emit_json_csv_agree_to_17_digits(time_delay_report, tmp_path):
     jpath = emit(time_delay_report, fmt="json", path=str(tmp_path / "r.json"))
     cpath = emit(time_delay_report, fmt="csv", path=str(tmp_path / "r.csv"))
-    doc = json.loads(open(jpath).read())
-    rows = [l for l in open(cpath) if not l.startswith("#")]
+    with open(jpath) as fh:
+        doc = json.load(fh)
+    with open(cpath) as fh:
+        lines = fh.readlines()
+    rows = [l for l in lines if not l.startswith("#")]
     header = rows[0].strip().split(",")
     assert header == ["re", "im", "residual", "normalized_residual",
                       "in_region", "consistency"]
@@ -64,7 +67,7 @@ def test_emit_json_csv_agree_to_17_digits(time_delay_report, tmp_path):
         assert float(parts[1]) == jrow["im"]
         assert float(parts[2]) == jrow["residual"]
     # scalar fields present in the csv metadata
-    meta = [l for l in open(cpath) if l.startswith("#")]
+    meta = [l for l in lines if l.startswith("#")]
     assert any("sqrt_e=" in l for l in meta)
     assert any("gap=" in l for l in meta)
     assert any("bound=" in l for l in meta)
@@ -89,7 +92,8 @@ def test_empty_spectrum_report_is_valid(tmp_path):
 
     bare = dataclasses.replace(report, eigenpairs=[])
     out = emit(bare, fmt="csv", path=str(tmp_path / "empty.csv"))
-    rows = [l for l in open(out) if not l.startswith("#")]
+    with open(out) as fh:
+        rows = [l for l in fh if not l.startswith("#")]
     assert len(rows) == 1  # header only
     assert json.loads(emit(bare, fmt="json"))["eigen"] == []
 
@@ -160,6 +164,11 @@ def test_config_validation():
         RunConfig(problem="x", seed=-1)
     with pytest.raises(ValueError, match="subspace"):
         RunConfig(problem="x", subspace=0)
+    # a (1, 1) fit needs 2k + 2 = 4 boundary nodes
+    for nodes in (0, 1, 3):
+        with pytest.raises(ValueError, match="nodes"):
+            RunConfig(problem="x", nodes=nodes)
+    RunConfig(problem="x", nodes=4)
 
 
 def test_parser_defaults_are_run_config_defaults():
@@ -244,6 +253,11 @@ def test_run_example1_recovers_spectrum(monkeypatch):
     assert len(calls) < 300
     assert report.fit_met_target and report.pole_free
     assert report.exit_status == EXIT_OK
+    # at the interpolation floor the duality gap is rounding noise, so the
+    # report leaves it out
+    approx = json.loads(emit(report, fmt="json"))["approx"]
+    assert approx["stop_reason"] == "interp_floor"
+    assert approx["converged"] is True and approx["gap"] is None
     refs = np.array([0.0, np.sqrt(2 * np.pi), -np.sqrt(2 * np.pi),
                      1j * np.sqrt(2 * np.pi), -1j * np.sqrt(2 * np.pi)])
     lams = [p.lam for p in report.in_region]

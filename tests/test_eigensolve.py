@@ -5,16 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from nepsolve import (Region, build_basis, build_pencil, eval_basis, example1,
-                      extract_nep_eigenpairs, lawson, normalized_residual,
-                      pole_free_check, poly_roots, residual, solve_dense,
-                      solve_pencil_dense)
+                      extract_nep_eigenpairs, lawson, pole_free_check,
+                      poly_roots, solve_dense, solve_pencil_dense)
 from nepsolve import eigensolve
 from nepsolve.lawson import DegreeSpec, RationalApproximant, SampleSet
 from nepsolve.pencil import MatrixPolynomial
-from nepsolve.problems import SplitFormNEP, constant, monomial
-from util import det_poly_roots, random_nodes, random_poly
+from nepsolve.problems import SplitFormNEP, constant, exp_affine, monomial
+from util import (det_poly_roots, eigenpair_oracle, random_nodes,
+                  random_poly)
 
 
 def test_solve_dense_diagonal():
@@ -154,18 +156,35 @@ def test_region_predicate_pure_and_vectorized():
     assert region.contains(pts[perm]).tolist() == [got[i] for i in perm]
 
 
+_BASIS = build_basis(np.linspace(-1.0, 1.0, 8), 2)
+
+
+def _extract_one(nep, lam, v):
+    # the one problem eigenpair extracted from the pencil eigenpair (lam, v)
+    pairs = (np.array([lam], dtype=complex), np.asarray(v, dtype=complex)[:, None])
+    [pair] = extract_nep_eigenpairs(pairs, _BASIS, nep, nep.region)
+    return pair
+
+
 def test_residual_zero_term():
-    nep = SplitFormNEP("z", [constant(0.0)], [np.eye(3, dtype=complex)],
-                       Region(0j, 1.0))
-    u = np.array([1.0, 2.0, -1.0])
-    assert residual(nep, 0.3 + 0.1j, u) == 0.0
+    # a term that vanishes identically adds nothing to the residual or its scale
+    rng = np.random.default_rng(47)
+    E = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    nep = SplitFormNEP("z", [constant(0.0), constant(1.0)],
+                       [E, np.eye(3, dtype=complex)], Region(0j, 1.0))
+    p = _extract_one(nep, 0.3 + 0.1j, np.array([1.0, 2.0, -1.0]))
+    assert p.residual == p.normalized_residual == 1.0
 
 
 def test_residual_exact_eigenpair_example1():
     nep = example1()
     lam = np.sqrt(2 * np.pi)
     u = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert residual(nep, lam, u) < 1e-14
+    theta = eval_basis(_BASIS, [lam])[0]
+    p = _extract_one(nep, lam, np.kron(theta, u))
+    assert p.residual < 1e-14
+    assert p.normalized_residual < 1e-14
+    assert p.consistency < 1e-14
 
 
 def test_residual_matches_bruteforce_and_grows():
@@ -175,28 +194,28 @@ def test_residual_matches_bruteforce_and_grows():
     u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     T = nep.matrix(lam)
     want = np.linalg.norm(T @ u) / np.linalg.norm(u)
-    assert residual(nep, lam, u) == pytest.approx(want, rel=1e-12)
+    assert _extract_one(nep, lam, u).residual == pytest.approx(want, rel=1e-12)
     exact = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert residual(nep, np.sqrt(2 * np.pi), exact + 0.01 * u) > \
-        residual(nep, np.sqrt(2 * np.pi), exact)
+    lam = np.sqrt(2 * np.pi)
+    assert _extract_one(nep, lam, exact + 0.01 * u).residual > \
+        _extract_one(nep, lam, exact).residual
 
 
 def test_residual_rejects_zero_vector():
+    nep = example1()
+    V = np.ones((2, 2), dtype=complex)
+    V[:, 1] = 0.0
     with pytest.raises(ValueError):
-        residual(example1(), 0.0, np.zeros(2))
+        extract_nep_eigenpairs((np.array([0.1, 0.2]), V), _BASIS, nep, nep.region)
 
 
 def test_normalized_residual_values():
-    nep = example1()
-    lam = np.sqrt(2 * np.pi)
-    u = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert normalized_residual(nep, lam, u) < 1e-14
     one = SplitFormNEP("i", [constant(1.0)], [np.eye(2, dtype=complex)],
                        Region(0j, 1.0))
     rng = np.random.default_rng(42)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert normalized_residual(one, 0.5, v) == pytest.approx(
-        residual(one, 0.5, v), rel=1e-12)
+    p = _extract_one(one, 0.5, v)
+    assert p.normalized_residual == pytest.approx(p.residual, rel=1e-12)
     # brute-force formula on a random instance
     nep2 = SplitFormNEP("m", [constant(2.0), monomial(1)],
                         [np.diag([1.0, 3.0]).astype(complex),
@@ -205,14 +224,64 @@ def test_normalized_residual_values():
     tv = np.abs(nep2.t_values(lam2)[0])
     denom = tv[0] * 3.0 + tv[1] * 2.0  # 1-norms: diag -> 3, ones -> 2
     want = np.linalg.norm(nep2.matrix(lam2) @ v) / (denom * np.linalg.norm(v))
-    assert normalized_residual(nep2, lam2, v) == pytest.approx(want, rel=1e-12)
+    assert _extract_one(nep2, lam2, v).normalized_residual == \
+        pytest.approx(want, rel=1e-12)
 
 
 def test_normalized_residual_zero_denominator():
     nep = SplitFormNEP("z", [monomial(1)], [np.eye(2, dtype=complex)],
                        Region(0j, 1.0))
     with pytest.raises(ZeroDivisionError):
-        normalized_residual(nep, 0.0, np.ones(2))
+        _extract_one(nep, 0.0, np.ones(2))
+
+
+@st.composite
+def _extraction_case(draw):
+    # a random dense or sparse split form, basis and set of pencil eigenpairs;
+    # some eigenvalues lie outside the region, one may be huge, some columns
+    # have a negligible leading block and some a leading block that is zero
+    # but for its last entry
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, s, gamma, p = (draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+                      draw(st.integers(1, 4)), draw(st.integers(0, 8)))
+    sparse = draw(st.booleans())
+    kinds = [constant(1.5 - 0.5j), monomial(2), exp_affine(-1.0, 0.5)]
+
+    def matrix():
+        if sparse:  # the identity keeps a 1 x 1 draw from being zero
+            return (scipy.sparse.random(n, n, density=0.5, rng=rng, dtype=complex)
+                    + scipy.sparse.eye(n)).tocsr()
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    nep = SplitFormNEP("random", kinds[:s], [matrix() for _ in range(s)],
+                       Region(0.2 + 0.1j, 1.0))
+    basis = build_basis(random_nodes(rng, 2 * gamma + 4), gamma)
+    lam = 1.5 * (rng.uniform(-1, 1, p) + 1j * rng.uniform(-1, 1, p))
+    if p and draw(st.booleans()):
+        lam[0] = 1e14
+    V = rng.standard_normal((gamma * n, p)) + 1j * rng.standard_normal((gamma * n, p))
+    V[:n, rng.uniform(size=p) < 0.2] *= 1e-12
+    V[: n - 1, rng.uniform(size=p) < 0.2] = 0.0
+    return lam, V, basis, nep
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extraction_case())
+def test_extract_matches_per_pair_oracle(case):
+    lam, V, basis, nep = case
+    region = nep.region
+    out = extract_nep_eigenpairs((lam, V), basis, nep, region)
+    want = [(complex(z), eigenpair_oracle(z, V[:, i], basis, nep, region))
+            for i, z in enumerate(lam)]
+    want = sorted(((z, o) for z, o in want if o is not None),
+                  key=lambda zo: (zo[0].real, zo[0].imag))
+    assert [p.lam for p in out] == [z for z, _ in want]
+    for p, (z, (u, res, nres, consistency)) in zip(out, want):
+        assert p.in_region == bool(region.contains(z))
+        np.testing.assert_allclose(p.u, u, rtol=0, atol=1e-13)
+        assert p.residual == pytest.approx(res, rel=1e-10, abs=1e-14)
+        assert p.normalized_residual == pytest.approx(nres, rel=1e-10, abs=1e-14)
+        assert p.consistency == pytest.approx(consistency, rel=1e-12, abs=1e-15)
 
 
 def test_extract_skips_bottom_dominated_and_huge():

@@ -256,8 +256,12 @@ def _wrap_poly_as_nep(P):
         def s(self):
             return len(self.matrices)
 
-        def apply(self, lam, u):
-            return np.asarray(self.P(lam)) @ u
+        def apply(self, lam, U):
+            # T(lam) @ U, or T(lam[k]) @ U[:, k] per column for an array lam
+            tv = self.t_values(lam)
+            if np.ndim(lam) == 0:
+                tv = tv[0]
+            return sum(tv[..., j] * (A @ U) for j, A in enumerate(mats))
 
         def t_values(self, x):
             from nepsolve.basis import eval_basis

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 
 from nepsolve import (MatrixPolynomial, SingularShiftError, assemble,
                       block_lu, build_basis, build_pencil, error_bound,
-                      eval_basis, example1, export_pencil, gram_matrix,
-                      poly_roots, recover_eigenvector, solve_dense,
-                      verify_linearization)
+                      eval_basis, example1, export_pencil,
+                      extract_nep_eigenpairs, gram_matrix, poly_roots,
+                      solve_dense, verify_linearization)
 from nepsolve.pencil import DENSE_DIM_LIMIT
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (det_poly_roots, eval_monomial, match_sets, monomial_coeffs,
@@ -179,17 +179,26 @@ def test_eigenvalue_containment_against_det_scan():
 
 # ---------------------------------------------------------------- eigenvectors
 
+def _extract(basis, n, lam, v):
+    # extraction of the one pencil eigenpair (lam, v); the split form T = I
+    # enters only the residuals, which these tests do not check
+    nep = SplitFormNEP("eye", [constant(1.0)], [np.eye(n, dtype=complex)],
+                       Region(0j, 10.0))
+    return extract_nep_eigenpairs((np.array([lam], dtype=complex), v[:, None]),
+                                  basis, nep, nep.region)
+
+
 def test_recover_exact_structured_vector():
     rng = np.random.default_rng(29)
     P = random_poly(rng, 3, 4)
     lam = 0.3 + 0.2j
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     theta = eval_basis(P.basis, [lam])[0][:4]
-    v = np.kron(theta, u)
-    got_u, consistency, flagged = recover_eigenvector(v, lam, P.basis, 3)
-    assert np.allclose(got_u, theta[0] * u)
-    assert consistency < 1e-14
-    assert not flagged
+    [pair] = _extract(P.basis, 3, lam, np.kron(theta, u))
+    # the leading block theta_0 u, up to the reported unit norm and phase
+    got = pair.u * (np.vdot(pair.u, u) / abs(np.vdot(pair.u, u)))
+    assert np.allclose(got, u / np.linalg.norm(u))
+    assert pair.consistency < 1e-14
 
 
 def test_recover_consistency_matches_bruteforce():
@@ -197,19 +206,20 @@ def test_recover_consistency_matches_bruteforce():
     P = random_poly(rng, 2, 5)
     lam = -0.4 + 0.9j
     v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    _, consistency, _ = recover_eigenvector(v, lam, P.basis, 2)
+    [pair] = _extract(P.basis, 2, lam, v)
     theta = eval_basis(P.basis, [lam])[0]
     brute = max(np.linalg.norm(v[2 * i: 2 * i + 2] - theta[i] * v[:2])
                 for i in range(1, 5)) / np.linalg.norm(v)
-    assert consistency == pytest.approx(brute, rel=1e-12)
+    assert pair.consistency == pytest.approx(brute, rel=1e-12)
 
 
-def test_recover_flags_bottom_dominated():
+def test_recover_flags_bottom_dominated(caplog):
     basis = build_basis(np.linspace(-1, 1, 8), 2)
     v = np.zeros(4, dtype=complex)
     v[2:] = 1.0
-    _, _, flagged = recover_eigenvector(v, 0.1, basis, 2)
-    assert flagged
+    with caplog.at_level("INFO", logger="nepsolve.eigensolve"):
+        assert _extract(basis, 2, 0.1, v) == []
+    assert "bottom-dominated" in caplog.text
 
 
 def test_end_to_end_consistency_on_time_delay(time_delay_bundle):

@@ -1,8 +1,10 @@
 """Independent oracles and generators shared across the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from nepsolve import MatrixPolynomial, build_basis
+from nepsolve import MatrixPolynomial, build_basis, eval_basis
+from nepsolve.eigensolve import HUGE_EIGENVALUE_FACTOR
 
 
 def monomial_coeffs(basis):
@@ -171,3 +173,34 @@ def cluster_points(points, radius):
         else:
             hit.append(z)
     return [np.array(cl) for cl in clusters]
+
+
+def eigenpair_oracle(lam, v, basis, nep, region):
+    """One pencil eigenpair turned into a problem eigenpair, term by term.
+
+    Returns ``(u, residual, normalized_residual, consistency)`` for the pair,
+    or ``None`` where extraction drops it (huge ``lam`` or negligible leading
+    block). Residuals use the dense ``T(lam)`` and the 1-norms of the dense
+    ``E_i``; consistency is the explicit loop over trailing blocks.
+    """
+    lam = complex(lam)
+    n = nep.n
+    if abs(lam) > HUGE_EIGENVALUE_FACTOR * (1 + abs(region.center) + region.radius):
+        return None
+    v = np.asarray(v, dtype=complex)
+    vnorm = np.linalg.norm(v)
+    u = v[:n]
+    if np.linalg.norm(u) < 1e-10 * vnorm:
+        return None
+    theta = eval_basis(basis, [lam])[0]
+    consistency = 0.0
+    for i in range(1, v.size // n):
+        diff = np.linalg.norm(v[i * n: (i + 1) * n] - theta[i] * u)
+        consistency = max(consistency, diff / vnorm)
+    u = u / np.linalg.norm(u)
+    k = np.nonzero(np.abs(u) > 1e-12 * np.abs(u).max())[0][0]
+    u = u * (abs(u[k]) / u[k])
+    r = np.linalg.norm(nep.matrix(lam) @ u)
+    scale = sum(abs(complex(t(lam))) * np.abs(E.toarray() if sp.issparse(E) else E)
+                .sum(axis=0).max() for t, E in zip(nep.terms, nep.matrices))
+    return u, r, r / scale, consistency
