@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_FIT_MISS = 2
 EXIT_SOLVER_MISS = 3
+EXIT_POLES = 4
 
 
 @dataclass
@@ -96,6 +97,9 @@ class EigenReport:
     zeros: dict
     solver: str
     solver_converged: bool
+    # ``path`` (geev, qz or filter) and, on the filter path, iterations,
+    # subspace and stop_reason
+    solver_info: dict
     timings: dict
 
     @property
@@ -104,9 +108,11 @@ class EigenReport:
 
     @property
     def exit_status(self):
-        ok = self.fit_met_target and self.solver_converged
-        return EXIT_OK if ok else (EXIT_FIT_MISS if not self.fit_met_target
-                                   else EXIT_SOLVER_MISS)
+        if not self.fit_met_target:
+            return EXIT_FIT_MISS
+        if not self.solver_converged:
+            return EXIT_SOLVER_MISS
+        return EXIT_OK if self.pole_free else EXIT_POLES
 
     def to_json_dict(self):
         return {
@@ -134,7 +140,8 @@ class EigenReport:
                 "in_region": p.in_region,
                 "consistency": p.consistency,
             } for p in self.eigenpairs],
-            "solver": {"kind": self.solver, "converged": self.solver_converged},
+            "solver": {"kind": self.solver, "converged": self.solver_converged,
+                       **self.solver_info},
             "timings": self.timings,
         }
 
@@ -201,12 +208,16 @@ def run(config):
         pairs = solve_pencil_dense(pencil)
         eigenpairs = extract_nep_eigenpairs(pairs, xi.basis, nep, region)
         solver_converged = True
+        solver_info = {"path": pairs.path}
     else:
         subspace = config.subspace if config.subspace is not None else 60
         result = sif(pencil, nep, region,
                      SIFConfig(subspace=subspace, seed=config.seed))
         eigenpairs = result.eigenpairs
         solver_converged = result.converged
+        solver_info = {"path": "filter", "iterations": result.iterations,
+                       "subspace": subspace,
+                       "stop_reason": "converged" if result.converged else "budget"}
     t_solve = time.perf_counter() - t0
 
     if not pole_free:
@@ -235,6 +246,7 @@ def run(config):
         zeros=zeros,
         solver=solver,
         solver_converged=solver_converged,
+        solver_info=solver_info,
         timings={"fit": t_fit, "pencil": t_pencil, "solve": t_solve},
     )
 

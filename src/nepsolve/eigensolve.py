@@ -11,8 +11,8 @@ from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 from .basis import eval_basis
 from .pencil import _dense
 
-__all__ = ["Eigenpair", "EigensolverError", "solve_dense", "solve_pencil_dense",
-           "extract_nep_eigenpairs", "pole_free_check"]
+__all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
+           "solve_pencil_dense", "extract_nep_eigenpairs", "pole_free_check"]
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +25,15 @@ STANDARD_FORM_RCOND = 1e-4
 
 class EigensolverError(Exception):
     """Raised when the dense eigensolver (geev or QZ) fails to converge."""
+
+
+class PencilPairs(tuple):
+    """``(lam, V)`` from :func:`solve_pencil_dense`; ``path`` is ``"geev"`` or ``"qz"``."""
+
+    def __new__(cls, lam, V, path):
+        pairs = super().__new__(cls, (lam, V))
+        pairs.path = path
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ def solve_dense(C0, C1=None):
 
 
 def solve_pencil_dense(pencil):
-    """Solve the pencil densely; returns ``(lam, V)``.
+    """Solve the pencil densely; returns ``(lam, V)`` as :class:`PencilPairs`.
 
     ``C1 = diag(I, K)`` differs from the identity only in its corner
     ``K = k_gamma A_gamma``. When ``K`` is well conditioned
@@ -71,7 +80,8 @@ def solve_pencil_dense(pencil):
     on ``P(lam)`` (see :func:`_refine_eigenvectors`); only ``C0`` is built
     densely. Otherwise the pencil is materialized, its bottom block row is
     equilibrated and it goes to QZ. Either way the
-    eigenvalues and right eigenvectors are those of the original pencil.
+    eigenvalues and right eigenvectors are those of the original pencil, and
+    the result's ``path`` names the solver that ran.
     """
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
@@ -82,11 +92,11 @@ def solve_pencil_dense(pencil):
         c = pencil.equilibration_scale()
         C0[split:] *= c
         C1[split:] *= c
-        return solve_dense(C0, C1)
+        return PencilPairs(*solve_dense(C0, C1), "qz")
     C0 = pencil._dense_C0()
     C0[split:] = zgetrs(lu, piv, C0[split:])[0]
     lam, V = solve_dense(C0)
-    return lam, _refine_eigenvectors(pencil, lam, V)
+    return PencilPairs(lam, _refine_eigenvectors(pencil, lam, V), "geev")
 
 
 def _refine_eigenvectors(pencil, lam, V):

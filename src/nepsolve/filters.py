@@ -82,10 +82,9 @@ def apply_filter(pencil, rule, Y, lus=None):
     """
     if lus is None:
         lus = _factor_poles(pencil, rule)
-    Z = None
-    for g, lu in zip(rule.weights, lus):
-        term = g * lu.solve(Y)
-        Z = term if Z is None else Z + term
+    Z = rule.weights[0] * lus[0].solve(Y)
+    for g, lu in zip(rule.weights[1:], lus[1:]):
+        Z += g * lu.solve(Y)
     return Z
 
 

@@ -34,6 +34,12 @@ TRIM_RTOL = 1e-14
 # largest pencil dimension that is materialized densely without ``force``;
 # the CLI's ``--solver auto`` switches to the filter path above it
 DENSE_DIM_LIMIT = 5000
+# SuperLU column ordering for a sparse P(mu): minimum degree on the pattern of
+# A + A^T. P(mu) is structurally near-symmetric, and on the n=1000
+# tridiagonal-plus-random criterion-7 family this keeps nnz(L+U) per pole at
+# about 255k-259k where the default COLAMD gives 415k, halving factor and
+# solve time. Partial pivoting (diag_pivot_thresh=1) is unchanged.
+SPARSE_ORDERING = "MMD_AT_PLUS_A"
 
 
 class SingularShiftError(Exception):
@@ -273,9 +279,13 @@ class BlockLU:
         self.prefactor = complex(np.prod([H[i, i - 1] for i in range(1, gamma)]))
         Pm = pencil.poly(mu)
         if sp.issparse(Pm):
-            solver = spla.splu(Pm.tocsc())
-            diag = np.abs(solver.U.diagonal())
-            self._solve_p = solver.solve
+            try:
+                solver = spla.splu(Pm.tocsc(), permc_spec=SPARSE_ORDERING)
+            except RuntimeError:  # SuperLU met an exactly zero pivot
+                diag = np.zeros(1)
+            else:
+                diag = np.abs(solver.U.diagonal())
+                self._solve_p = solver.solve
         else:
             lu, piv = scipy.linalg.lu_factor(Pm)
             diag = np.abs(np.diag(lu))

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from nepsolve import (DegreeSpec, RunConfig, SampleSet, builtin_problem, emit,
-                      lawson, run, sample_boundary)
-from nepsolve.cli import EXIT_FIT_MISS, EXIT_OK, build_parser, main
+                      hadeler, lawson, run, sample_boundary, save_manifest)
+from nepsolve import cli
+from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
+                          build_parser, main)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,32 @@ def test_report_json_schema(time_delay_report):
     assert {"re", "im", "residual", "normalized_residual", "in_region",
             "consistency"} <= set(row)
     assert {"fit", "pencil", "solve"} <= set(doc["timings"])
+    assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev"}
     json.dumps(doc)  # serializable
+
+
+def test_report_names_dense_path(tmp_path):
+    # hadeler's leading coefficient gives C1 a well-conditioned corner: geev
+    path = save_manifest(hadeler(n=20), str(tmp_path / "hadeler.json"))
+    report = run(RunConfig(manifest=path, nodes=50, tol=1e-10, max_degree=8,
+                           solver="dense"))
+    assert report.to_json_dict()["solver"]["path"] == "geev"
+    # T(x) = E1 + x E2 with a rank-one E2 fits exactly at degree 1, so the
+    # corner of C1 is singular, as in test_singular_leading_coefficient_takes_qz
+    doc = {
+        "name": "rank_one_lead",
+        "terms": [{"kind": "constant", "params": {"value": 1}},
+                  {"kind": "monomial", "params": {"power": 1}}],
+        "matrices": [{"inline": [[2, 1], [0, 1]]}, {"inline": [[1, 0], [0, 0]]}],
+        "region": {"center": [0.0, 0.0], "radius": 3.0},
+    }
+    mpath = tmp_path / "rank_one_lead.json"
+    mpath.write_text(json.dumps(doc))
+    report = run(RunConfig(manifest=str(mpath), nodes=20, tol=1e-8,
+                           max_degree=3, solver="dense"))
+    assert report.to_json_dict()["solver"]["path"] == "qz"
+    # det(E1 + x E2) = 2 + x
+    assert [p.lam for p in report.in_region] == [pytest.approx(-2.0)]
 
 
 def test_emit_json_csv_agree_to_17_digits(time_delay_report, tmp_path):
@@ -274,8 +301,45 @@ def test_run_hadeler_filter_path():
     assert report.solver == "filter"
     assert report.solver_converged
     assert report.exit_status == EXIT_OK
+    assert report.to_json_dict()["solver"] == {
+        "kind": "filter", "converged": True, "path": "filter",
+        "iterations": report.solver_info["iterations"], "subspace": 60,
+        "stop_reason": "converged"}
+    assert 1 <= report.solver_info["iterations"] <= 30
     inreg = report.in_region
     assert len(inreg) > 0
     # converged classification: every in-region pair passed sigma < 1e-4,
     # i.e. residual below (|c| + r) * tol_residual = 41.5e-4
     assert all(p.residual < 41.5 * 1e-4 for p in inreg)
+
+
+def test_filter_budget_reported_and_exit_status():
+    # three columns cannot hold time_delay2's five in-region eigenvalues
+    report = run(RunConfig(problem="time_delay2", nodes=40, tol=1e-6,
+                           max_degree=10, solver="filter", subspace=3))
+    assert report.to_json_dict()["solver"] == {
+        "kind": "filter", "converged": False, "path": "filter",
+        "iterations": 30, "subspace": 3, "stop_reason": "budget"}
+    assert report.exit_status == EXIT_SOLVER_MISS
+
+
+def test_in_region_pole_exit_status(monkeypatch, tmp_path):
+    poly_roots = cli.poly_roots
+
+    def with_fake_pole(coeffs, basis):
+        # an extra root inside time_delay2's region, away from its eigenvalues
+        return np.append(poly_roots(coeffs, basis), 0.5 + 1.5j)
+
+    monkeypatch.setattr(cli, "poly_roots", with_fake_pole)
+    out = tmp_path / "report.json"
+    status = main(["--problem", "time_delay2", "--nodes", "40", "--tol", "1e-6",
+                   "--max-degree", "10", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["pole_free"] is False
+    assert doc["approx"]["met_target"] and doc["solver"]["converged"]
+    assert status == EXIT_POLES
+    # a fit miss keeps precedence over an in-region pole
+    report = run(RunConfig(problem="time_delay2", nodes=30, tol=1e-16,
+                           max_degree=3))
+    assert not report.pole_free
+    assert report.exit_status == EXIT_FIT_MISS

@@ -5,12 +5,13 @@ import pytest
 import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
-from nepsolve import (MatrixPolynomial, SingularShiftError, assemble,
+from nepsolve import (BlockLU, MatrixPolynomial, SingularShiftError, assemble,
                       block_lu, build_basis, build_pencil, error_bound,
                       eval_basis, example1, export_pencil,
                       extract_nep_eigenpairs, gram_matrix, poly_roots,
-                      solve_dense, verify_linearization)
+                      shift_invert, solve_dense, verify_linearization)
 from nepsolve.pencil import DENSE_DIM_LIMIT
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (det_poly_roots, eval_monomial, match_sets, monomial_coeffs,
@@ -253,6 +254,75 @@ def test_block_lu_far_shift_succeeds_eigenvalue_shift_fails():
     lam, _ = solve_dense(C0, C1)
     with pytest.raises(SingularShiftError):
         block_lu(pencil, lam[0])
+
+
+def _random_sparse(rng, n, density):
+    A = sp.random(n, n, density=density, format="csr", dtype=complex,
+                  random_state=rng,
+                  data_rvs=lambda k: rng.standard_normal(k)
+                  + 1j * rng.standard_normal(k))
+    return A
+
+
+@st.composite
+def _sparse_poly_case(draw):
+    """Sparse polynomial, shift and block: unsymmetric patterns, zero diagonals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gamma = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 0.3))
+    basis = build_basis(random_nodes(rng, max(3 * gamma + 4, 8)), gamma)
+    # a cyclic shift keeps P(mu) structurally nonsingular once the diagonal
+    # entries below are zeroed
+    shift = sp.csr_matrix((np.ones(n), (np.arange(n), np.roll(np.arange(n), 1))),
+                          shape=(n, n))
+    zeroed = (rng.random(n) < 0.5) & (n > 1)
+    coeffs = []
+    for _ in range(gamma + 1):
+        A = _random_sparse(rng, n, density) + complex(rng.standard_normal(),
+                                                      rng.standard_normal()) * shift
+        A = A - sp.diags(np.where(zeroed, A.diagonal(), 0.0))
+        A.eliminate_zeros()
+        coeffs.append(A.tocsr())
+    P = MatrixPolynomial(coeffs, basis)
+    mu = complex(2.2 + rng.standard_normal(), 2.2 + rng.standard_normal())
+    Y = rng.standard_normal((gamma * n, 2)) + 1j * rng.standard_normal((gamma * n, 2))
+    return P, mu, Y, zeroed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_poly_case())
+def test_sparse_shift_invert_matches_dense_oracle(case):
+    # criterion 6b's oracle and bound, on sparse coefficients: P(mu) goes
+    # through SuperLU rather than the dense LU
+    P, mu, Y, zeroed = case
+    pencil = build_pencil(P, trim=False)
+    C0, C1 = pencil.materialize()
+    M = mu * C1 - C0
+    # the bound holds for a well-conditioned shifted pencil only
+    assume(np.linalg.cond(M) < 1e8)
+    Pm = P(mu)
+    assert sp.issparse(Pm)
+    assert np.all(Pm.diagonal()[zeroed] == 0)
+    Zd = np.linalg.solve(M, C1 @ Y)
+    lu = BlockLU(pencil, mu)
+    for Z in (shift_invert(pencil, mu, Y), shift_invert(pencil, mu, Y, lu=lu)):
+        assert np.linalg.norm(Z - Zd) <= 1e-9 * np.linalg.norm(Zd)
+
+
+def test_exactly_singular_sparse_shift_raises():
+    rng = np.random.default_rng(33)
+    basis = build_basis(random_nodes(rng, 10), 2)
+    coeffs = [_random_sparse(rng, 6, 0.5) + sp.identity(6, format="csr")
+              for _ in range(3)]
+    for A in coeffs:  # an empty row in every coefficient, so in every P(x)
+        A.data[A.indptr[2]: A.indptr[3]] = 0.0
+        A.eliminate_zeros()
+    pencil = build_pencil(MatrixPolynomial(coeffs, basis), trim=False)
+    with pytest.raises(SingularShiftError):
+        BlockLU(pencil, 1.5 + 0.5j)
+    with pytest.raises(SingularShiftError):
+        shift_invert(pencil, 1.5 + 0.5j, np.ones(pencil.dim))
 
 
 # ---------------------------------------------------------------- Gram bound
