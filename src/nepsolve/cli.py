@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
-from .filters import SIFConfig, sif
+from .eigensolve import (extract_nep_eigenpairs, pole_free_check,
+                         refine_eigenvectors, solve_pencil_dense)
+from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
 from .pencil import (DENSE_DIM_LIMIT, assemble, build_pencil, error_bound,
                      gram_matrix, poly_roots)
@@ -97,8 +98,8 @@ class EigenReport:
     zeros: dict
     solver: str
     solver_converged: bool
-    # ``path`` (geev, qz or filter) and, on the filter path, iterations,
-    # subspace and stop_reason
+    # ``path`` (geev, qz or filter); on the dense paths the corner's rcond,
+    # on the filter path iterations, subspace and stop_reason
     solver_info: dict
     timings: dict
 
@@ -203,20 +204,20 @@ def run(config):
     if solver == "auto":
         solver = "dense" if pencil.dim <= DENSE_DIM_LIMIT else "filter"
 
+    bound = error_bound(gram_matrix(nep), xi.e_max)
     t0 = time.perf_counter()
     if solver == "dense":
         pairs = solve_pencil_dense(pencil)
         eigenpairs = extract_nep_eigenpairs(pairs, xi.basis, nep, region)
         solver_converged = True
-        solver_info = {"path": pairs.path}
+        solver_info = {"path": pairs.path, "rcond": pairs.rcond}
     else:
-        subspace = config.subspace if config.subspace is not None else 60
         result = sif(pencil, nep, region,
-                     SIFConfig(subspace=subspace, seed=config.seed))
-        eigenpairs = result.eigenpairs
+                     SIFConfig(subspace=config.subspace, seed=config.seed))
+        eigenpairs = _refine_above(result.eigenpairs, bound, pencil, nep, region)
         solver_converged = result.converged
         solver_info = {"path": "filter", "iterations": result.iterations,
-                       "subspace": subspace,
+                       "subspace": result.subspace,
                        "stop_reason": "converged" if result.converged else "budget"}
     t_solve = time.perf_counter() - t0
 
@@ -240,7 +241,7 @@ def run(config):
         fit=xi,
         fit_met_target=fit_met,
         escalation=escalation,
-        bound=error_bound(gram_matrix(nep), xi.e_max),
+        bound=bound,
         pole_free=pole_free,
         poles=all_poles,
         zeros=zeros,
@@ -249,6 +250,24 @@ def run(config):
         solver_info=solver_info,
         timings={"fit": t_fit, "pencil": t_pencil, "solve": t_solve},
     )
+
+
+def _refine_above(eigenpairs, bound, pencil, nep, region):
+    # a Ritz vector's leading block can miss the a priori bound that its
+    # eigenvalue meets; one inverse-iteration step on P(lam) mends it, so the
+    # in-region filter pairs above the bound take that step and are
+    # re-extracted (a pair whose step is not finite is kept as it was)
+    weak = [p for p in eigenpairs if p.in_region and p.residual > bound]
+    if not weak:
+        return eigenpairs
+    lam = np.array([p.lam for p in weak])
+    V = np.zeros((pencil.dim, lam.size), dtype=complex)
+    V[: pencil.n] = np.column_stack([p.u for p in weak])
+    ok = refine_eigenvectors(pencil, lam, V)
+    refined = {p.lam: p for p in extract_nep_eigenpairs(
+        (lam[ok], V[:, ok]), pencil.poly.basis, nep, region)}
+    return [refined.get(p.lam, p) if p.in_region and p.residual > bound else p
+            for p in eigenpairs]
 
 
 def emit(report, fmt=None, path=None):
@@ -310,7 +329,9 @@ def build_parser():
     parser.add_argument("--solver", choices=("auto", "dense", "filter"),
                         default=RunConfig.solver)
     parser.add_argument("--subspace", type=int, metavar="N",
-                        help="subspace columns for the filter solver")
+                        help="fix the filter solver's block at N columns (default: "
+                             f"start at {SUBSPACE_START} and grow with the number of "
+                             "Ritz values in the region)")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: print to stdout)")

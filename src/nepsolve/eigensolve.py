@@ -5,14 +5,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 # LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .basis import eval_basis
-from .pencil import _dense
+from .pencil import SPARSE_ORDERING, _dense
 
 __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
-           "solve_pencil_dense", "extract_nep_eigenpairs", "pole_free_check"]
+           "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
+           "pole_free_check"]
 
 log = logging.getLogger(__name__)
 
@@ -28,11 +31,16 @@ class EigensolverError(Exception):
 
 
 class PencilPairs(tuple):
-    """``(lam, V)`` from :func:`solve_pencil_dense`; ``path`` is ``"geev"`` or ``"qz"``."""
+    """``(lam, V)`` from :func:`solve_pencil_dense`.
 
-    def __new__(cls, lam, V, path):
+    ``path`` is ``"geev"`` or ``"qz"``; ``rcond`` is the reciprocal condition
+    number of the corner ``K`` of ``C1`` that chose it (0 for a singular one).
+    """
+
+    def __new__(cls, lam, V, path, rcond):
         pairs = super().__new__(cls, (lam, V))
         pairs.path = path
+        pairs.rcond = rcond
         return pairs
 
 
@@ -77,7 +85,7 @@ def solve_pencil_dense(pencil):
     (``rcond(K) >= STANDARD_FORM_RCOND``) the bottom block row of ``C0`` is
     multiplied by ``K^{-1}`` and the standard problem ``C1^{-1} C0`` goes to
     geev, and each eigenvector is then replaced by one inverse-iteration step
-    on ``P(lam)`` (see :func:`_refine_eigenvectors`); only ``C0`` is built
+    on ``P(lam)`` (see :func:`refine_eigenvectors`); only ``C0`` is built
     densely. Otherwise the pencil is materialized, its bottom block row is
     equilibrated and it goes to QZ. Either way the
     eigenvalues and right eigenvectors are those of the original pencil, and
@@ -86,37 +94,55 @@ def solve_pencil_dense(pencil):
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
     lu, piv, info = zgetrf(K)
-    rcond = zgecon(lu, np.linalg.norm(K, 1))[0] if info == 0 else 0.0
+    rcond = float(zgecon(lu, np.linalg.norm(K, 1))[0]) if info == 0 else 0.0
     if rcond < STANDARD_FORM_RCOND:
         C0, C1 = pencil.materialize(force=True)
         c = pencil.equilibration_scale()
         C0[split:] *= c
         C1[split:] *= c
-        return PencilPairs(*solve_dense(C0, C1), "qz")
+        return PencilPairs(*solve_dense(C0, C1), "qz", rcond)
     C0 = pencil._dense_C0()
     C0[split:] = zgetrs(lu, piv, C0[split:])[0]
     lam, V = solve_dense(C0)
-    return PencilPairs(lam, _refine_eigenvectors(pencil, lam, V), "geev")
+    refine_eigenvectors(pencil, lam, V)
+    return PencilPairs(lam, V, "geev", rcond)
 
 
-def _refine_eigenvectors(pencil, lam, V):
-    # geev's eigenvalues are as accurate as QZ's, but the leading block of
-    # its eigenvectors, which is the reported u, is not. One step of inverse
-    # iteration x = P(lam)^{-1} v[:n] fixes that, and the column becomes
-    # theta(lam)[:gamma] (x) x, the eigenvector the linearization prescribes
-    # (refining only the leading block leaves the pencil backward error
-    # large). A column whose step is not finite is kept as geev gave it.
+def refine_eigenvectors(pencil, lam, V):
+    """One inverse-iteration step on ``P(lam)`` for each column of ``V``, in place.
+
+    The leading block of a pencil eigenvector read off a linearization can be
+    far less accurate than its eigenvalue. The step ``x = P(lam)^{-1} v[:n]``
+    fixes that, and the column becomes ``theta(lam)[:gamma] (x) x`` with unit
+    norm, the eigenvector the linearization prescribes (refining only the
+    leading block would leave the pencil backward error large). ``P(lam)`` is
+    factored sparsely when every coefficient is sparse, densely otherwise. A
+    column whose step is not finite is kept as given. Returns the mask of
+    replaced columns.
+    """
     n, gamma = pencil.n, pencil.gamma
-    A = np.array([_dense(a) for a in pencil.poly.coeffs], dtype=complex)
+    coeffs = pencil.poly.coeffs
+    sparse = all(sp.issparse(a) for a in coeffs)
+    if not sparse:
+        A = np.array([_dense(a) for a in coeffs], dtype=complex)
     theta = eval_basis(pencil.poly.basis, lam)[:, : gamma + 1]
+    replaced = np.zeros(lam.size, dtype=bool)
     for i in range(lam.size):
-        lu, piv, _ = zgetrf(np.tensordot(theta[i], A, axes=1), overwrite_a=True)
-        x = zgetrs(lu, piv, V[:n, i, None])[0][:, 0]
+        if sparse:
+            try:
+                lu = spla.splu(pencil.poly(lam[i]).tocsc(), permc_spec=SPARSE_ORDERING)
+            except RuntimeError:  # SuperLU met an exactly zero pivot
+                continue
+            x = lu.solve(V[:n, i])
+        else:
+            lu, piv, _ = zgetrf(np.tensordot(theta[i], A, axes=1), overwrite_a=True)
+            x = zgetrs(lu, piv, V[:n, i, None])[0][:, 0]
         v = np.kron(theta[i, :gamma], x)
         nv = np.linalg.norm(v)
         if np.isfinite(nv) and nv > 0:
             V[:, i] = v / nv
-    return V
+            replaced[i] = True
+    return replaced
 
 
 def extract_nep_eigenpairs(pairs, basis, nep, region):

@@ -13,7 +13,7 @@ which reduces to forward block recurrences plus a single n x n solve with
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +23,11 @@ from .pencil import BlockLU, SingularShiftError
 
 __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError",
            "quadrature", "scalar_filter", "shift_invert", "apply_filter",
-           "default_shift", "sif"]
+           "default_shift", "sif", "SUBSPACE_START"]
+
+# a filter block of unspecified width starts with this many columns and grows
+# to max(ceil(1.5 c), c + 8) once c Ritz values fall in the region
+SUBSPACE_START = 16
 
 
 class PoleHitError(Exception):
@@ -107,16 +111,26 @@ def default_shift(region):
 
 @dataclass(frozen=True)
 class SIFConfig:
-    """Subspace-iteration parameters: block width, quadrature, thresholds."""
+    """Subspace-iteration parameters: block width, quadrature, thresholds.
 
-    subspace: int
+    ``subspace=N`` fixes the block at N columns. The default, ``None``, starts
+    at ``SUBSPACE_START`` columns (at most the pencil's dimension) and lets
+    :func:`sif` grow the block from its Ritz count; ``grow`` records which,
+    and ``subspace`` then reads ``SUBSPACE_START``.
+    """
+
+    subspace: int = None
     quad_order: int = 16
     tol_residual: float = 1e-4
     tol_ghost: float = 1e-2
     max_iters: int = 30
     seed: int = 0
+    grow: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "grow", self.subspace is None)
+        if self.grow:
+            object.__setattr__(self, "subspace", SUBSPACE_START)
         if self.subspace < 1:
             raise ValueError("subspace must have at least one column")
         if self.max_iters < 1:
@@ -138,12 +152,16 @@ class SIFStep:
 
 @dataclass(frozen=True)
 class SIFResult:
-    """Converged (or flagged partial) eigenpairs with the iteration trace."""
+    """Converged (or flagged partial) eigenpairs with the iteration trace.
+
+    ``subspace`` is the block width of the last iteration.
+    """
 
     eigenpairs: list
     trace: tuple
     converged: bool
     iterations: int
+    subspace: int
 
 
 def _orth(U):
@@ -164,6 +182,14 @@ def sif(pencil, nep, region, config):
     ``tol_residual``, and the in-region count is stable across consecutive
     iterations. All Ritz vectors are carried into the next sweep regardless
     of region membership.
+
+    With ``config.grow`` the block starts at ``min(SUBSPACE_START, dim)``
+    columns. After each Rayleigh-Ritz step its width becomes at least
+    ``max(ceil(1.5 c), c + 8)``, capped at ``dim``, where ``c`` counts the
+    Ritz values inside the region, ghosts included; the Ritz vectors are
+    topped up with fresh seeded random columns to that width. The block never
+    shrinks.
+    Without ``grow`` the block keeps ``config.subspace`` columns.
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
     lus = _factor_poles(pencil, rule)
@@ -172,14 +198,18 @@ def sif(pencil, nep, region, config):
     row_scale = pencil.equilibration_scale()
     split = (pencil.gamma - 1) * pencil.n
     rng = np.random.default_rng(config.seed)
-    Y = (rng.standard_normal((pencil.dim, config.subspace))
-         + 1j * rng.standard_normal((pencil.dim, config.subspace)))
+    width = min(config.subspace, pencil.dim) if config.grow else config.subspace
+    need = width
+    Y = _random_block(rng, pencil.dim, width)
 
     trace = []
     converged = False
     prev_count = None
     prev_max_sigma = None
     for it in range(1, config.max_iters + 1):
+        width = max(width, need)
+        if config.grow and Y.shape[1] < width:
+            Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1])])
         U = apply_filter(pencil, rule, Y, lus=lus)
         V = _orth(U)
         # equilibrated left scaling (a diagonal equivalence on the pencil)
@@ -216,6 +246,9 @@ def sif(pencil, nep, region, config):
                 f"({prev_max_sigma:.3e} -> {max_sigma:.3e})", stacklevel=2)
         prev_max_sigma = max_sigma
 
+        if config.grow:
+            # ceil(1.5 c) without floating point
+            need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
         done = (ghost_count == 0 and count == prev_count
                 and (count == 0 or max_sigma < config.tol_residual))
         prev_count = count
@@ -227,4 +260,8 @@ def sif(pencil, nep, region, config):
     eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
                                         pencil.poly.basis, nep, region)
     return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace),
-                     converged=converged, iterations=len(trace))
+                     converged=converged, iterations=len(trace), subspace=width)
+
+
+def _random_block(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

@@ -152,10 +152,12 @@ class Region:
             raise ValueError("region radius must be positive")
 
     def contains(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        inside = np.abs(lam - self.center) <= self.radius
+        d = np.asarray(lam, dtype=complex) - self.center
+        # hypot, not abs: numpy's complex abs of a 0-d array can be one ulp
+        # off where its array loop is exact, which moves points on the circle
+        inside = np.hypot(d.real, d.imag) <= self.radius
         if self.half_disk:
-            inside = inside & ((lam - self.center).imag >= 0.0)
+            inside = inside & (d.imag >= 0.0)
         return inside
 
     def to_json(self):

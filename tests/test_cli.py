@@ -14,6 +14,9 @@ from nepsolve import (DegreeSpec, RunConfig, SampleSet, builtin_problem, emit,
 from nepsolve import cli
 from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
                           build_parser, main)
+from nepsolve.eigensolve import STANDARD_FORM_RCOND
+from nepsolve.filters import SUBSPACE_START
+from util import match_sets
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,11 @@ def test_report_json_schema(time_delay_report):
     assert {"re", "im", "residual", "normalized_residual", "in_region",
             "consistency"} <= set(row)
     assert {"fit", "pencil", "solve"} <= set(doc["timings"])
-    assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev"}
+    rcond = doc["solver"]["rcond"]
+    assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev",
+                             "rcond": rcond}
+    # geev runs only on a corner at least this well conditioned
+    assert 1e-4 <= rcond <= 1.0
     json.dumps(doc)  # serializable
 
 
@@ -57,7 +64,9 @@ def test_report_names_dense_path(tmp_path):
     path = save_manifest(hadeler(n=20), str(tmp_path / "hadeler.json"))
     report = run(RunConfig(manifest=path, nodes=50, tol=1e-10, max_degree=8,
                            solver="dense"))
-    assert report.to_json_dict()["solver"]["path"] == "geev"
+    solver = report.to_json_dict()["solver"]
+    assert solver["path"] == "geev"
+    assert solver["rcond"] >= STANDARD_FORM_RCOND
     # T(x) = E1 + x E2 with a rank-one E2 fits exactly at degree 1, so the
     # corner of C1 is singular, as in test_singular_leading_coefficient_takes_qz
     doc = {
@@ -71,7 +80,9 @@ def test_report_names_dense_path(tmp_path):
     mpath.write_text(json.dumps(doc))
     report = run(RunConfig(manifest=str(mpath), nodes=20, tol=1e-8,
                            max_degree=3, solver="dense"))
-    assert report.to_json_dict()["solver"]["path"] == "qz"
+    solver = report.to_json_dict()["solver"]
+    assert solver["path"] == "qz"
+    assert 0.0 <= solver["rcond"] < STANDARD_FORM_RCOND
     # det(E1 + x E2) = 2 + x
     assert [p.lam for p in report.in_region] == [pytest.approx(-2.0)]
 
@@ -311,6 +322,42 @@ def test_run_hadeler_filter_path():
     # converged classification: every in-region pair passed sigma < 1e-4,
     # i.e. residual below (|c| + r) * tol_residual = 41.5e-4
     assert all(p.residual < 41.5 * 1e-4 for p in inreg)
+
+
+@pytest.fixture(scope="module")
+def hadeler_filter_reports(tmp_path_factory):
+    # default width: no --subspace, so the block grows from SUBSPACE_START
+    reports = {}
+    for n in (100, 200):
+        path = save_manifest(hadeler(n=n),
+                             str(tmp_path_factory.mktemp("m") / f"hadeler{n}.json"))
+        reports[n] = run(RunConfig(manifest=path, nodes=50, tol=1e-10,
+                                   max_degree=8, solver="filter", seed=0))
+    return reports
+
+
+def test_default_width_grows_and_matches_dense(hadeler_filter_reports,
+                                               hadeler_bundle):
+    # hadeler(200) has 14 in-region eigenvalues, so 16 columns are too few
+    # for the growth rule: the block grows to 14 + 8 = 22
+    report = hadeler_filter_reports[200]
+    solver = report.to_json_dict()["solver"]
+    assert solver["subspace"] > SUBSPACE_START
+    assert solver["converged"] and solver["stop_reason"] == "converged"
+    assert report.exit_status == EXIT_OK
+    lam = [p.lam for p in report.in_region]
+    dense = [p.lam for p in hadeler_bundle.in_region]
+    assert len(lam) == len(dense) == 14
+    assert match_sets(lam, dense, 1e-8)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_default_width_filter_residuals_within_bound(hadeler_filter_reports, n):
+    # Ritz vectors of the narrow block miss the bound on hadeler(100) until
+    # one inverse-iteration step on P(lam) refines them
+    report = hadeler_filter_reports[n]
+    assert report.solver_converged and report.in_region
+    assert all(p.residual <= report.bound for p in report.in_region)
 
 
 def test_filter_budget_reported_and_exit_status():

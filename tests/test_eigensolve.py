@@ -135,6 +135,29 @@ def test_refined_eigenvectors_stay_near_geev(monkeypatch, time_delay_bundle,
             assert 1 - cos < 1e-8
 
 
+def test_refine_eigenvectors_sparse_matches_dense():
+    # one helper refines both kinds of P(lam): SuperLU on sparse
+    # coefficients, LAPACK on dense ones, to the same vectors
+    rng = np.random.default_rng(62)
+    P = random_poly(rng, 5, 3)
+    sparse = MatrixPolynomial([scipy.sparse.csr_matrix(A) for A in P.coeffs], P.basis)
+    pencil, sparse_pencil = build_pencil(P, trim=False), build_pencil(sparse, trim=False)
+    lam, V = solve_dense(*pencil.materialize(force=True))
+    lam = lam[:6]
+    # a perturbed start vector shows the step doing the work
+    start = V[:, :6] + 1e-3 * rng.standard_normal((pencil.dim, 6))
+    Vd, Vs = start.copy(), start.copy()
+    assert eigensolve.refine_eigenvectors(pencil, lam, Vd).all()
+    assert eigensolve.refine_eigenvectors(sparse_pencil, lam, Vs).all()
+    # unit columns along the same direction; the phase follows the
+    # rounding of the near-singular solve
+    assert np.allclose(np.linalg.norm(Vs, axis=0), 1.0)
+    assert np.abs(np.einsum("ij,ij->j", Vd.conj(), Vs)).min() > 1 - 1e-10
+    for i in range(lam.size):
+        x = Vs[: pencil.n, i]
+        assert np.linalg.norm(P(lam[i]) @ x) <= 1e-8 * np.linalg.norm(x)
+
+
 def test_in_region_predicate():
     region = Region(1.0 + 2.0j, 2.0)
     assert region.contains(1.0 + 2.0j)
@@ -154,6 +177,44 @@ def test_region_predicate_pure_and_vectorized():
     assert region.contains(pts).tolist() == got.tolist()  # idempotent
     perm = [3, 1, 0, 2]
     assert region.contains(pts[perm]).tolist() == [got[i] for i in perm]
+
+
+# dyadic values with few bits: sums and differences of them are exact
+_dyadic = st.integers(-2 ** 12, 2 ** 12).map(lambda k: k / 2 ** 8)
+# Pythagorean triples: |a + bi| = c exactly
+_TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (1, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cx=_dyadic, cy=_dyadic, scale=st.integers(1, 2 ** 6).map(lambda k: k / 2 ** 4),
+       triple=st.sampled_from(_TRIPLES), signs=st.tuples(st.sampled_from([1, -1]),
+                                                         st.sampled_from([1, -1])),
+       swap=st.booleans(), half=st.booleans())
+def test_region_contains_boundary_property(cx, cy, scale, triple, signs, swap, half):
+    # the region is closed: a point exactly on the circle is inside, just
+    # beyond it is outside; the half-disk keeps its diameter Im = 0
+    a, b, c = triple
+    if swap:
+        a, b = b, a
+    center, radius = complex(cx, cy), c * scale
+    offset = complex(signs[0] * a * scale, signs[1] * b * scale)
+    region = Region(center, radius, half_disk=half)
+    on_circle = center + offset
+    assert on_circle - center == offset  # the construction is exact
+    beyond = center + offset * (1 + 2 ** -40)
+    within = center + offset * (1 - 2 ** -40)
+    upper = not half or offset.imag >= 0
+    assert bool(region.contains(on_circle)) == upper
+    assert bool(region.contains(within)) == upper
+    assert not region.contains(beyond)
+    got = region.contains(np.array([on_circle, within, beyond]))
+    assert got.tolist() == [upper, upper, False]
+    # the diameter of a half-disk: Im(lam - c) = 0 exactly, |Re| up to r
+    edge = complex(cx + signs[0] * radius * a / c, cy)
+    assert edge - center == complex(signs[0] * radius * a / c, 0.0)
+    assert region.contains(edge)
+    below = complex(edge.real, np.nextafter(cy, -np.inf))
+    assert bool(region.contains(below)) == (not half)
 
 
 _BASIS = build_basis(np.linspace(-1.0, 1.0, 8), 2)

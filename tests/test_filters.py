@@ -10,7 +10,7 @@ from nepsolve import (DegreeSpec, PoleHitError, Region, SampleSet, SIFConfig,
                       apply_filter, build_pencil, lawson, quadrature,
                       scalar_filter, shift_invert, sif, solve_dense,
                       solve_pencil_dense, time_delay2, write_trace_csv)
-from nepsolve.filters import default_shift
+from nepsolve.filters import SUBSPACE_START, default_shift
 from nepsolve.pencil import BlockLU, assemble
 from util import match_sets, random_poly
 
@@ -185,6 +185,8 @@ def test_apply_filter_preserves_invariant_subspace_span():
 def test_sif_config_validation():
     with pytest.raises(ValueError):
         SIFConfig(subspace=0)
+    assert SIFConfig().grow and SIFConfig().subspace == SUBSPACE_START
+    assert not SIFConfig(subspace=SUBSPACE_START).grow
     with pytest.raises(ValueError, match="max_iters"):
         SIFConfig(subspace=4, max_iters=0)
     with pytest.raises(ValueError):
@@ -272,6 +274,73 @@ def _wrap_poly_as_nep(P):
             return np.array([np.abs(A).sum(axis=0).max() for A in mats])
 
     return _Poly(P)
+
+
+def _record_widths(monkeypatch):
+    # the column count of every block sif filters
+    import nepsolve.filters as filters
+
+    widths = []
+
+    def recorded(pencil, rule, Y, lus=None):
+        widths.append(Y.shape[1])
+        return apply_filter(pencil, rule, Y, lus=lus)
+
+    monkeypatch.setattr(filters, "apply_filter", recorded)
+    return widths
+
+
+def test_sif_default_width_capped_at_small_dim(monkeypatch):
+    # every eigenvalue of a dim-12 pencil is in the region, so the growth rule
+    # asks for 12 + 8 columns; the block never gets more than dim
+    rng = np.random.default_rng(61)
+    P = random_poly(rng, 3, 4)
+    pencil = build_pencil(P, trim=False)
+    lam = solve_dense(*pencil.materialize(force=True))[0]
+    center = complex(lam.mean())
+    region = Region(center, 2.0 * np.abs(lam - center).max())
+    widths = _record_widths(monkeypatch)
+    result = sif(pencil, _wrap_poly_as_nep(P), region, SIFConfig(seed=1, max_iters=4))
+    assert pencil.dim == 12 < SUBSPACE_START
+    assert widths and max(widths) <= pencil.dim
+    assert result.subspace == pencil.dim
+
+
+def test_sif_grows_to_rule_width():
+    # a linear polynomial x I - A with 10 planted eigenvalues well inside the
+    # disk and 30 far outside: 16 columns would do, but the rule asks for
+    # max(15, 18) = 18, and the block has them when the iteration stops
+    rng = np.random.default_rng(63)
+    from nepsolve import build_basis
+    from nepsolve.pencil import MatrixPolynomial
+
+    inner = 0.3 * np.exp(2j * np.pi * np.arange(10) / 10)
+    outer = (3 + 2 * rng.random(30)) * np.exp(2j * np.pi * rng.random(30))
+    Q = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    A = Q @ np.diag(np.concatenate([inner, outer])) @ np.linalg.inv(Q)
+    basis = build_basis(np.exp(2j * np.pi * np.arange(9) / 9), 1)
+    theta0 = basis.Q[0, 0]
+    P = MatrixPolynomial([(basis.H[0, 0] * np.eye(40) - A) / theta0,
+                          basis.H[1, 0] * np.eye(40) / theta0], basis)
+    pencil = build_pencil(P)
+    result = sif(pencil, _wrap_poly_as_nep(P), Region(0j, 0.5), SIFConfig(seed=3))
+    assert result.converged
+    assert result.subspace == 18
+    assert match_sets([p.lam for p in result.eigenpairs], inner, 1e-8)
+
+
+def test_sif_explicit_width_never_changes(time_delay_bundle, monkeypatch):
+    # 5 in-region eigenvalues: the growth rule would ask for 13 columns
+    b = time_delay_bundle
+    widths = _record_widths(monkeypatch)
+    result = sif(b.pencil, b.nep, b.nep.region, SIFConfig(subspace=12, seed=7))
+    assert result.converged
+    assert set(widths) == {12} and result.subspace == 12
+    widths.clear()
+    grown = sif(b.pencil, b.nep, b.nep.region, SIFConfig(seed=7))
+    assert widths[0] == SUBSPACE_START == grown.subspace
+    assert match_sets([p.lam for p in grown.eigenpairs],
+                      [p.lam for p in result.eigenpairs], 1e-8)
 
 
 def test_sif_deterministic_under_seed(time_delay_bundle):

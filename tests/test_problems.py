@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from nepsolve import (ManifestError, Region, constant, example1, exp_affine,
                       exp_quadratic, expm1_term, hadeler, load_manifest,
@@ -194,14 +196,51 @@ def test_manifest_dimension_mismatch(tmp_path):
 
 
 def test_sparse_manifest_round_trip(tmp_path):
-    import scipy.sparse as sp
-
     E = sp.random(30, 30, density=0.1, random_state=3).tocsr().astype(complex)
     nep = SplitFormNEP("sp", [constant(1.0)], [E], Region(0j, 1.0))
     path = save_manifest(nep, str(tmp_path / "sp.json"))
     back = load_manifest(path)
     assert sp.issparse(back.matrices[0])
     assert (abs(back.matrices[0] - E)).max() == 0
+
+
+@st.composite
+def _split_form_case(draw):
+    """Random dense and sparse complex E_i with matching terms and region."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["dense", "sparse", "empty"]),
+                          min_size=1, max_size=4))
+    # magnitudes from subnormal-adjacent to huge, so every digit must survive
+    mags = 10.0 ** rng.uniform(-300, 300, size=len(kinds))
+    matrices = []
+    for kind, mag in zip(kinds, mags):
+        E = mag * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if kind != "dense":
+            E = sp.csr_matrix(E * (rng.random((n, n)) < (0.4 if kind == "sparse" else 0)))
+        matrices.append(E)
+    terms = [draw(st.sampled_from([constant(1.0), monomial(1), monomial(2, -1.0),
+                                   exp_affine(-1.0), expm1_term()]))
+             for _ in kinds]
+    c = complex(*rng.uniform(-10, 10, 2))
+    region = Region(c, float(rng.uniform(0.1, 10)), draw(st.booleans()))
+    return SplitFormNEP("random", terms, matrices, region)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_form_case())
+def test_manifest_round_trip_property(tmp_path_factory, nep):
+    path = save_manifest(nep, str(tmp_path_factory.mktemp("m") / "nep.json"))
+    back = load_manifest(path)
+    assert back.name == nep.name and back.region == nep.region
+    assert back.terms == nep.terms
+    for E, B in zip(nep.matrices, back.matrices):
+        assert sp.issparse(B) == sp.issparse(E)
+        assert B.shape == E.shape
+        if sp.issparse(E):
+            assert (B != E).nnz == 0
+        else:
+            assert np.array_equal(B, E)
 
 
 # ------------------------------------------------------------ sampling
