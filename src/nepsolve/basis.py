@@ -100,7 +100,7 @@ def leading_coeffs(H):
     """Leading coefficients from the subdiagonal: k_0 = 1, k_j = k_{j-1}/H[j, j-1]."""
     H = np.asarray(H)
     gamma = H.shape[1]
-    k = np.empty(gamma + 1, dtype=complex)
+    k = np.empty(gamma + 1, dtype=np.result_type(H, float))
     k[0] = 1.0
     for j in range(1, gamma + 1):
         sub = H[j, j - 1]

@@ -99,7 +99,8 @@ class EigenReport:
     solver: str
     solver_converged: bool
     # ``path`` (geev, qz or filter); on the dense paths the corner's rcond,
-    # on the filter path iterations, subspace and stop_reason
+    # on the filter path iterations, subspace and stop_reason; on both the
+    # pencil's ``arithmetic`` (real or complex)
     solver_info: dict
     timings: dict
 
@@ -219,6 +220,7 @@ def run(config):
         solver_info = {"path": "filter", "iterations": result.iterations,
                        "subspace": result.subspace,
                        "stop_reason": "converged" if result.converged else "budget"}
+    solver_info["arithmetic"] = "real" if pencil.is_real else "complex"
     t_solve = time.perf_counter() - t0
 
     if not pole_free:

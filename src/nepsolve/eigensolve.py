@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 # LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+from scipy.linalg.lapack import get_lapack_funcs, zgetrs
 
 from .basis import eval_basis
 from .pencil import SPARSE_ORDERING, _dense
@@ -74,6 +74,8 @@ def solve_dense(C0, C1=None):
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed to converge: {exc}") from exc
     finite = np.isfinite(lam)
+    if finite.all():  # as on the standard problem: no copy of V
+        return lam, V
     return lam[finite], V[:, finite]
 
 
@@ -90,11 +92,17 @@ def solve_pencil_dense(pencil):
     equilibrated and it goes to QZ. Either way the
     eigenvalues and right eigenvectors are those of the original pencil, and
     the result's ``path`` names the solver that ran.
+
+    A real pencil (see :func:`~nepsolve.pencil.assemble`) runs in real
+    arithmetic throughout: dgetrf/dgecon/dgetrs on the corner, then dgeev or
+    dggev. Its eigenvalues come in exact conjugate pairs, and the refinement
+    solves only for the first of each pair.
     """
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
-    lu, piv, info = zgetrf(K)
-    rcond = float(zgecon(lu, np.linalg.norm(K, 1))[0]) if info == 0 else 0.0
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (K,))
+    lu, piv, info = getrf(K)
+    rcond = float(gecon(lu, np.linalg.norm(K, 1))[0]) if info == 0 else 0.0
     if rcond < STANDARD_FORM_RCOND:
         C0, C1 = pencil.materialize(force=True)
         c = pencil.equilibration_scale()
@@ -102,8 +110,10 @@ def solve_pencil_dense(pencil):
         C1[split:] *= c
         return PencilPairs(*solve_dense(C0, C1), "qz", rcond)
     C0 = pencil._dense_C0()
-    C0[split:] = zgetrs(lu, piv, C0[split:])[0]
+    C0[split:] = getrs(lu, piv, C0[split:])[0]
     lam, V = solve_dense(C0)
+    # geev gives real vectors when every eigenvalue of a real matrix is real
+    V = V.astype(complex, copy=False)
     refine_eigenvectors(pencil, lam, V)
     return PencilPairs(lam, V, "geev", rcond)
 
@@ -116,18 +126,28 @@ def refine_eigenvectors(pencil, lam, V):
     fixes that, and the column becomes ``theta(lam)[:gamma] (x) x`` with unit
     norm, the eigenvector the linearization prescribes (refining only the
     leading block would leave the pencil backward error large). ``P(lam)`` is
-    factored sparsely when every coefficient is sparse, densely otherwise. A
-    column whose step is not finite is kept as given. Returns the mask of
-    replaced columns.
+    factored sparsely when every coefficient is sparse, densely otherwise,
+    and in real arithmetic when the coefficients and ``theta(lam)`` are
+    real. A real pencil's ``P(conj lam)`` is ``conj P(lam)``, so a column
+    whose eigenvalue is the conjugate of the previous column's (geev's
+    order for a pair) takes the conjugate of that column's step. A column
+    whose step is not finite is kept as given. Returns the mask of replaced
+    columns.
     """
     n, gamma = pencil.n, pencil.gamma
     coeffs = pencil.poly.coeffs
     sparse = all(sp.issparse(a) for a in coeffs)
     if not sparse:
-        A = np.array([_dense(a) for a in coeffs], dtype=complex)
+        A = np.array([_dense(a) for a in coeffs])
     theta = eval_basis(pencil.poly.basis, lam)[:, : gamma + 1]
+    real = pencil.is_real
     replaced = np.zeros(lam.size, dtype=bool)
     for i in range(lam.size):
+        if (real and i and replaced[i - 1] and lam[i].imag
+                and lam[i] == lam[i - 1].conj()):
+            V[:, i] = V[:, i - 1].conj()
+            replaced[i] = True
+            continue
         if sparse:
             try:
                 lu = spla.splu(pencil.poly(lam[i]).tocsc(), permc_spec=SPARSE_ORDERING)
@@ -135,7 +155,10 @@ def refine_eigenvectors(pencil, lam, V):
                 continue
             x = lu.solve(V[:n, i])
         else:
-            lu, piv, _ = zgetrf(np.tensordot(theta[i], A, axes=1), overwrite_a=True)
+            th = theta[i] if np.any(theta[i].imag) else theta[i].real
+            M = np.tensordot(th, A, axes=1)
+            lu, piv, _ = get_lapack_funcs("getrf", (M,))(M, overwrite_a=True)
+            # zgetrs takes a real LU factor as complex
             x = zgetrs(lu, piv, V[:n, i, None])[0][:, 0]
         v = np.kron(theta[i, :gamma], x)
         nv = np.linalg.norm(v)
@@ -162,16 +185,18 @@ def extract_nep_eigenpairs(pairs, basis, nep, region):
     if rest:
         raise ValueError("vector length must be a multiple of the block size")
     cutoff = HUGE_EIGENVALUE_FACTOR * (1.0 + abs(region.center) + region.radius)
+    lam = np.asarray(lam, dtype=complex)
     finite = np.abs(lam) <= cutoff
-    lam, V = np.asarray(lam, dtype=complex)[finite], V[:, finite]
     vnorm = np.linalg.norm(V, axis=0)
-    if np.any(vnorm == 0):
+    if np.any(vnorm[finite] == 0):
         raise ValueError("zero vector")
     unorm = np.linalg.norm(V[:n], axis=0)
-    bottom = unorm < 1e-10 * vnorm
+    bottom = finite & (unorm < 1e-10 * vnorm)
     for z in lam[bottom]:
         log.info("skipping bottom-dominated eigenvector at lam=%s", complex(z))
-    lam, V, vnorm, unorm = lam[~bottom], V[:, ~bottom], vnorm[~bottom], unorm[~bottom]
+    keep = finite & ~bottom
+    if not keep.all():  # V is copied only when a column goes
+        lam, V, vnorm, unorm = lam[keep], V[:, keep], vnorm[keep], unorm[keep]
     U = V[:n]
     theta = eval_basis(basis, lam)
     consistency = np.zeros(lam.size)

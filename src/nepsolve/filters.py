@@ -239,8 +239,10 @@ def sif(pencil, nep, region, config):
         min_sigma = float(sigmas_in.min()) if count else float("nan")
         trace.append(SIFStep(it, count, ghost_count, max_sigma, min_sigma))
 
-        if it > 2 and prev_max_sigma is not None and np.isfinite(prev_max_sigma) \
-                and np.isfinite(max_sigma) and max_sigma > prev_max_sigma * (1 + 1e-8):
+        # a rise below tol_residual is rounding, not divergence
+        if (it > 2 and np.isfinite(prev_max_sigma)
+                and prev_max_sigma * (1 + 1e-8) < max_sigma < np.inf
+                and max_sigma >= config.tol_residual):
             warnings.warn(
                 f"in-region residual increased at iteration {it} "
                 f"({prev_max_sigma:.3e} -> {max_sigma:.3e})", stacklevel=2)

@@ -17,12 +17,12 @@ current Lawson weights on the active nodes and rebuilt as those weights move.
 
 import csv
 import functools
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg
 
-from .basis import build_basis, eval_basis
+from .basis import build_basis, eval_basis, leading_coeffs
 
 __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
            "LawsonStep", "RankDeficiencyError", "PoleEvaluationError",
@@ -37,6 +37,11 @@ UNREACHABLE_MARGIN = 100
 # sweeps between rebuilds of the basis under the current weights; a node drop
 # rebuilds it at once
 REBASIS_EVERY = 10
+# samples are conjugate-symmetric when each node's partner lies within
+# PAIR_NODE_RTOL * max|x| of its conjugate and the partner's values within
+# PAIR_VALUE_RTOL of the conjugated values (relative to the row's norm)
+PAIR_NODE_RTOL = 1e-13
+PAIR_VALUE_RTOL = 1e-12
 
 
 class RankDeficiencyError(Exception):
@@ -103,6 +108,31 @@ class SampleSet:
     def from_nep(cls, nep, nodes):
         nodes = np.asarray(nodes, dtype=complex).ravel()
         return cls(nodes=nodes, values=nep.t_values(nodes))
+
+    @functools.cached_property
+    def conj_pair(self):
+        """Index of each node's conjugate partner, or ``None`` if some node has none.
+
+        Node ``p[l]`` is the partner of node ``l`` when it lies within
+        ``PAIR_NODE_RTOL * max|x|`` of ``conj(x_l)`` and its values within
+        ``PAIR_VALUE_RTOL * ||values[l]||`` of ``conj(values[l])``; a node on
+        the real axis is its own partner. Samples of terms with
+        ``t(conj x) = conj t(x)`` on a disk with a real center pair up this
+        way, and their minimax fit is real.
+        """
+        x, values = self.nodes, self.values
+        partner = np.empty(x.size, dtype=int)
+        for lo in range(0, x.size, 256):  # bounds the distance block's memory
+            dist = np.abs(x[lo: lo + 256, None].conj() - x)
+            partner[lo: lo + 256] = dist.argmin(axis=1)
+        node_off = np.abs(x[partner] - x.conj())
+        value_off = np.linalg.norm(values[partner] - values.conj(), axis=1)
+        value_scale = np.linalg.norm(values, axis=1)
+        if (np.any(partner[partner] != np.arange(x.size))
+                or np.any(node_off > PAIR_NODE_RTOL * np.abs(x).max())
+                or np.any(value_off > PAIR_VALUE_RTOL * value_scale)):
+            return None
+        return partner
 
 
 class DualResult:
@@ -285,6 +315,14 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
 
     The returned fit is the best-error sweep, whatever the stop reason: its
     own coefficients, error and gap, in the basis that sweep ran in.
+
+    Conjugate-symmetric samples (see :attr:`SampleSet.conj_pair`) have a real
+    minimax fit. For them each weight update is averaged over conjugate
+    pairs, which keeps the weights exactly pair-symmetric, and the returned
+    fit is made real: the denominator's phase is fixed by its largest entry,
+    the coefficients and the recurrence ``H`` drop their imaginary rounding,
+    and ``e_max`` and ``gap`` are measured again from the real coefficients
+    on the fit's active nodes.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive, max_iters at least 1")
@@ -296,6 +334,7 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
 
     active = np.arange(m)
     sub = samples
+    pair = samples.conj_pair
     w = np.full(m, 1.0 / m)
     basis = None
     # below this the fit interpolates the data to working precision and the
@@ -310,6 +349,8 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
     for it in range(max_iters):
         keep = w >= WEIGHT_TOL
         if not np.all(keep):
+            if pair is not None:
+                pair = (np.cumsum(keep) - 1)[pair[keep]]
             active, w = active[keep], w[keep]
             w = w / w.sum()
             sub = SampleSet(samples.nodes[active], samples.values[active])
@@ -333,16 +374,38 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
             stop_reason = "unreachable"
         else:
             upd = w * err_norms
+            if pair is not None:
+                # exactly pair-symmetric, so both nodes of a pair drop together
+                upd = 0.5 * (upd + upd[pair])
             w = upd / upd.sum()
             continue
         break
 
     e_max, gap, w_best, active_best, dres, basis_best = best
-    return RationalApproximant(
+    xi = RationalApproximant(
         numer_coeffs=dres.numer_coeffs, denom_coeffs=dres.denom_coeffs,
         degrees=spec, basis=basis_best, e_max=e_max, gap=gap,
         stop_reason=stop_reason, trace=tuple(trace), active_index=active_best,
         weights=w_best)
+    return xi if pair is None else _real_fit(xi, samples, dres.d_value)
+
+
+def _real_fit(xi, samples, d_w):
+    # the fit of conjugate-symmetric samples is real up to the phase of its
+    # denominator and rounding; its error is measured again once it is real
+    b = xi.denom_coeffs
+    phase = b[np.argmax(np.abs(b))]
+    phase /= abs(phase)
+    H = xi.basis.H.real
+    basis = replace(xi.basis, H=H, k=leading_coeffs(H))
+    basis = replace(basis, Q=eval_basis(basis, basis.nodes))
+    xi = replace(xi, numer_coeffs=tuple((a / phase).real for a in xi.numer_coeffs),
+                 denom_coeffs=(b / phase).real, basis=basis)
+    active = SampleSet(samples.nodes[xi.active_index],
+                       samples.values[xi.active_index])
+    e_max = max_error(active, xi)
+    return replace(xi, e_max=e_max,
+                   gap=abs(e_max - d_w) / e_max if e_max > 0 else 0.0)
 
 
 def evaluate_approximant(xi, points):

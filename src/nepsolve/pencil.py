@@ -103,23 +103,31 @@ def assemble(xi, nep):
     """Combine fit numerators with split-form matrices: ``A_j = sum_i a_{i,j} E_i``.
 
     Coefficients run up to the basis degree; entries beyond a numerator's own
-    degree contribute zero.
+    degree contribute zero. They are real when the fit is real (see
+    :func:`~nepsolve.lawson.lawson`) and every ``E_i`` has a zero imaginary
+    part, complex otherwise.
     """
     if nep.s != len(xi.numer_coeffs):
         raise ValueError(f"fit has {len(xi.numer_coeffs)} components, "
                          f"problem has {nep.s} terms")
     gamma = xi.basis.degree
     n = nep.n
+    mats = nep.matrices
+    real = (not any(np.iscomplexobj(a) for a in xi.numer_coeffs)
+            and not any(np.any((E.data if sp.issparse(E) else E).imag) for E in mats))
+    if real:
+        mats = [E.real for E in mats]
+    dtype = float if real else complex
     coeffs = []
     for j in range(gamma + 1):
         acc = None
-        for a, E in zip(xi.numer_coeffs, nep.matrices):
+        for a, E in zip(xi.numer_coeffs, mats):
             if j >= a.size or a[j] == 0:
                 continue
             acc = a[j] * E if acc is None else acc + a[j] * E
         if acc is None:
-            acc = (sp.csr_matrix((n, n), dtype=complex)
-                   if sp.issparse(nep.matrices[0]) else np.zeros((n, n), dtype=complex))
+            acc = (sp.csr_matrix((n, n), dtype=dtype)
+                   if sp.issparse(mats[0]) else np.zeros((n, n), dtype=dtype))
         coeffs.append(acc)
     return MatrixPolynomial(coeffs, xi.basis)
 
@@ -146,6 +154,12 @@ class StructuredPencil:
     @property
     def dim(self):
         return self.gamma * self.n
+
+    @property
+    def is_real(self):
+        """Whether ``C0`` and ``C1`` are real: a real basis and real coefficients."""
+        return not (np.iscomplexobj(self.H)
+                    or any(np.iscomplexobj(B) for B in self.bottom))
 
     def _blocks(self, Y):
         Y = np.asarray(Y, dtype=complex)
@@ -194,16 +208,18 @@ class StructuredPencil:
                 f"pencil dimension {self.dim} exceeds materialization threshold "
                 f"{DENSE_DIM_LIMIT}; pass force=True to override")
         split = (self.gamma - 1) * self.n
-        C1 = np.eye(self.dim, dtype=complex)
+        C0 = self._dense_C0()
+        C1 = np.eye(self.dim, dtype=C0.dtype)
         C1[split:, split:] = _dense(self.c1_corner)
-        return self._dense_C0(), C1
+        return C0, C1
 
     def _dense_C0(self):
+        # real for a real basis and real coefficients, complex otherwise
         Ht = self.H[: self.gamma, : self.gamma - 1].T
         return np.vstack([
             np.kron(Ht, np.eye(self.n)),
             np.hstack([_dense(B) for B in self.bottom]),
-        ]).astype(complex)
+        ])
 
     def permutation(self):
         """The block column permutation S used by the LU factorization."""
@@ -376,7 +392,7 @@ def error_bound(G, e_max):
 
 def poly_roots(coeffs, basis):
     """Roots of the scalar polynomial ``sum_j c_j theta_j`` via its 1x1-block pencil."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
+    c = np.asarray(coeffs).ravel()
     top = np.max(np.abs(c)) if c.size else 0.0
     if top == 0.0:
         raise ValueError("all-zero coefficient vector has no root set")

@@ -53,7 +53,7 @@ def test_report_json_schema(time_delay_report):
     assert {"fit", "pencil", "solve"} <= set(doc["timings"])
     rcond = doc["solver"]["rcond"]
     assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev",
-                             "rcond": rcond}
+                             "rcond": rcond, "arithmetic": "real"}
     # geev runs only on a corner at least this well conditioned
     assert 1e-4 <= rcond <= 1.0
     json.dumps(doc)  # serializable
@@ -67,6 +67,7 @@ def test_report_names_dense_path(tmp_path):
     solver = report.to_json_dict()["solver"]
     assert solver["path"] == "geev"
     assert solver["rcond"] >= STANDARD_FORM_RCOND
+    assert solver["arithmetic"] == "real"
     # T(x) = E1 + x E2 with a rank-one E2 fits exactly at degree 1, so the
     # corner of C1 is singular, as in test_singular_leading_coefficient_takes_qz
     doc = {
@@ -83,8 +84,22 @@ def test_report_names_dense_path(tmp_path):
     solver = report.to_json_dict()["solver"]
     assert solver["path"] == "qz"
     assert 0.0 <= solver["rcond"] < STANDARD_FORM_RCOND
+    # real E_i and polynomial terms: the fallback is dggev
+    assert solver["arithmetic"] == "real"
     # det(E1 + x E2) = 2 + x
     assert [p.lam for p in report.in_region] == [pytest.approx(-2.0)]
+
+
+def test_report_arithmetic_real_for_hadeler(tmp_path):
+    # real E_i and conjugate-symmetric terms on a disk with a real center
+    path = save_manifest(hadeler(n=100), str(tmp_path / "hadeler.json"))
+    report = run(RunConfig(manifest=path, nodes=50, tol=1e-10, max_degree=6,
+                           solver="dense"))
+    solver = report.to_json_dict()["solver"]
+    assert solver["arithmetic"] == "real" and solver["path"] == "geev"
+    assert report.exit_status == EXIT_OK
+    assert report.in_region
+    assert all(p.residual <= report.bound for p in report.in_region)
 
 
 def test_emit_json_csv_agree_to_17_digits(time_delay_report, tmp_path):
@@ -296,6 +311,9 @@ def test_run_example1_recovers_spectrum(monkeypatch):
     approx = json.loads(emit(report, fmt="json"))["approx"]
     assert approx["stop_reason"] == "interp_floor"
     assert approx["converged"] is True and approx["gap"] is None
+    # exp(i x^2) is not conjugate-symmetric, so the fit and pencil stay complex
+    assert np.iscomplexobj(report.fit.denom_coeffs)
+    assert report.to_json_dict()["solver"]["arithmetic"] == "complex"
     refs = np.array([0.0, np.sqrt(2 * np.pi), -np.sqrt(2 * np.pi),
                      1j * np.sqrt(2 * np.pi), -1j * np.sqrt(2 * np.pi)])
     lams = [p.lam for p in report.in_region]
@@ -315,7 +333,7 @@ def test_run_hadeler_filter_path():
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": True, "path": "filter",
         "iterations": report.solver_info["iterations"], "subspace": 60,
-        "stop_reason": "converged"}
+        "stop_reason": "converged", "arithmetic": "real"}
     assert 1 <= report.solver_info["iterations"] <= 30
     inreg = report.in_region
     assert len(inreg) > 0
@@ -366,7 +384,8 @@ def test_filter_budget_reported_and_exit_status():
                            max_degree=10, solver="filter", subspace=3))
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": False, "path": "filter",
-        "iterations": 30, "subspace": 3, "stop_reason": "budget"}
+        "iterations": 30, "subspace": 3, "stop_reason": "budget",
+        "arithmetic": "real"}
     assert report.exit_status == EXIT_SOLVER_MISS
 
 

@@ -1,6 +1,7 @@
 """Dense solve contract, region predicate, residuals, and pole checks."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from nepsolve import (Region, build_basis, build_pencil, eval_basis, example1,
-                      extract_nep_eigenpairs, lawson, pole_free_check,
-                      poly_roots, solve_dense, solve_pencil_dense)
+from nepsolve import (Region, assemble, build_basis, build_pencil, eval_basis,
+                      example1, extract_nep_eigenpairs, hadeler, lawson,
+                      pole_free_check, poly_roots, sample_boundary, solve_dense,
+                      solve_pencil_dense)
 from nepsolve import eigensolve
 from nepsolve.lawson import DegreeSpec, RationalApproximant, SampleSet
 from nepsolve.pencil import MatrixPolynomial
@@ -133,6 +135,43 @@ def test_refined_eigenvectors_stay_near_geev(monkeypatch, time_delay_bundle,
             u, g = V[:n, i], V_geev[:n, i]
             cos = abs(np.vdot(u, g)) / (np.linalg.norm(u) * np.linalg.norm(g))
             assert 1 - cos < 1e-8
+
+
+@pytest.fixture(scope="module")
+def hadeler100_pencil():
+    nep = hadeler(100)
+    samples = SampleSet.from_nep(nep, sample_boundary(nep.region, 50))
+    xi = lawson(samples, DegreeSpec((6, 6, 6), 6))
+    return SimpleNamespace(nep=nep, pencil=build_pencil(assemble(xi, nep)))
+
+
+@pytest.mark.parametrize("bundle", ["time_delay_bundle", "hadeler100_pencil"])
+def test_real_pencil_matches_complex_solve(bundle, request, monkeypatch):
+    b = request.getfixturevalue(bundle)
+    assert b.pencil.is_real
+    original, dtypes = eigensolve.solve_dense, []
+
+    def recording(C0, C1=None):
+        dtypes.append((C0.dtype, C1))
+        return original(C0, C1)
+
+    monkeypatch.setattr(eigensolve, "solve_dense", recording)
+    lam, V = solve_pencil_dense(b.pencil)
+    assert dtypes == [(np.float64, None)]  # geev on a real standard form
+    # real arithmetic: the spectrum is closed under conjugation exactly, and
+    # each partner's vector is the conjugate of the refined one
+    np.testing.assert_array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+    upper = np.flatnonzero(lam.imag > 0)
+    np.testing.assert_array_equal(lam[upper + 1], lam[upper].conj())
+    np.testing.assert_array_equal(V[:, upper + 1], V[:, upper].conj())
+    # the same pencil cast to complex has the same in-region eigenvalues
+    C0, C1 = b.pencil.materialize(force=True)
+    ref, _ = solve_dense(C0.astype(complex), C1.astype(complex))
+    region = b.nep.region
+    inside, ref_inside = lam[region.contains(lam)], ref[region.contains(ref)]
+    assert inside.size == ref_inside.size > 0
+    assert np.abs(inside[:, None] - ref_inside[None, :]).min(axis=1).max() <= 1e-10
+    assert np.abs(inside[:, None] - ref_inside[None, :]).min(axis=0).max() <= 1e-10
 
 
 def test_refine_eigenvectors_sparse_matches_dense():

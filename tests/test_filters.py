@@ -343,6 +343,19 @@ def test_sif_explicit_width_never_changes(time_delay_bundle, monkeypatch):
                       [p.lam for p in result.eigenpairs], 1e-8)
 
 
+def test_sif_silent_on_a_rise_below_tol_residual(time_delay_bundle):
+    # with this seed the in-region residual rises by rounding at iteration
+    # 3, far below tol_residual; that is no divergence, so no warning (which
+    # the suite's filterwarnings would turn into a failure)
+    b = time_delay_bundle
+    config = SIFConfig(seed=0)
+    result = sif(b.pencil, b.nep, b.nep.region, config)
+    assert result.converged
+    sigmas = [step.max_sigma for step in result.trace]
+    assert sigmas[2] > sigmas[1] * (1 + 1e-8)
+    assert max(sigmas[1:]) < config.tol_residual
+
+
 def test_sif_deterministic_under_seed(time_delay_bundle):
     b = time_delay_bundle
     cfg = SIFConfig(subspace=12, quad_order=16, seed=7)

@@ -12,6 +12,7 @@ from nepsolve import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
                       eval_basis, evaluate_approximant, example1, hadeler,
                       lawson, max_error, sample_boundary, time_delay2,
                       write_trace_csv)
+from nepsolve.problems import Region
 from util import dual_oracle, eval_monomial, monomial_coeffs, random_nodes
 
 # the package attribute ``nepsolve.lawson`` is the function, not the module
@@ -278,6 +279,53 @@ def test_give_up_only_when_target_is_out_of_reach(monkeypatch, margin):
                 assert xi.trace == full.trace
                 assert xi.e_max == full.e_max
     assert gave_up > 0 and kept > 0
+
+
+def _symmetric_samples(nep, m):
+    return SampleSet.from_nep(nep, sample_boundary(nep.region, m))
+
+
+def test_conj_pair_detection():
+    samples = _symmetric_samples(time_delay2(), 50)
+    pair = samples.conj_pair
+    # nodes 0 and 25 lie on the real axis and pair with themselves
+    assert pair.tolist() == [(-l) % 50 for l in range(50)]
+    assert np.abs(samples.nodes[pair] - samples.nodes.conj()).max() < 1e-13
+    # exp(i x^2) is not conjugate-symmetric
+    assert _symmetric_samples(example1(), 100).conj_pair is None
+    # half-disks and off-axis centers have no conjugate node set
+    nep = time_delay2()
+    for region in (Region(-1.0, 6.0, half_disk=True), Region(-1.0 + 0.5j, 6.0)):
+        nodes = sample_boundary(region, 50)
+        assert SampleSet.from_nep(nep, nodes).conj_pair is None
+    # a node or a value moved well beyond rounding breaks the pairing
+    nodes, values = samples.nodes.copy(), samples.values.copy()
+    nodes[3] += 1e-10
+    assert SampleSet(nodes, samples.values).conj_pair is None
+    values[3, 1] *= 1 + 1e-10
+    assert SampleSet(samples.nodes, values).conj_pair is None
+
+
+@pytest.mark.parametrize("nep, m, k", [(time_delay2(), 50, 10),
+                                       (hadeler(30), 50, 6)])
+def test_lawson_symmetric_samples_give_real_fit(nep, m, k):
+    samples = _symmetric_samples(nep, m)
+    pair = samples.conj_pair
+    xi = lawson(samples, DegreeSpec((k,) * nep.s, k))
+    w = np.zeros(samples.m)
+    w[xi.active_index] = xi.weights
+    # the weights stay exactly pair-symmetric, so pairs drop together
+    np.testing.assert_array_equal(w, w[pair])
+    assert not np.iscomplexobj(xi.denom_coeffs)
+    assert not any(np.iscomplexobj(a) for a in xi.numer_coeffs)
+    assert not np.iscomplexobj(xi.basis.H) and not np.iscomplexobj(xi.basis.k)
+    # the error is the real fit's own, measured on the active nodes
+    active = SampleSet(samples.nodes[xi.active_index],
+                       samples.values[xi.active_index])
+    assert xi.e_max == max_error(active, xi)
+    best = min(xi.trace, key=lambda step: step.e_xi)
+    assert xi.gap == abs(xi.e_max - best.d_w) / xi.e_max
+    assert xi.e_max == pytest.approx(best.e_xi, rel=1e-3)
 
 
 def test_too_few_nodes_rejected():

@@ -1,5 +1,7 @@
 """Linearization, block LU, Gram bound, and scalar rooting tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.io
@@ -123,6 +125,43 @@ def test_linearization_identity_random_probes():
         for _ in range(4):
             x0 = complex(rng.standard_normal() + 1j * rng.standard_normal())
             assert verify_linearization(pencil, x0) < 1e-12
+
+
+@st.composite
+def _poly_and_probe(draw):
+    """A small matrix polynomial, real or complex, with a probe among its nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gamma = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    m = max(3 * gamma + 4, 8)
+    if draw(st.booleans()):
+        # real nodes give a real recurrence, and real coefficients a real pencil
+        basis = build_basis(rng.uniform(-1, 1, m), gamma)
+        basis = dataclasses.replace(basis, H=basis.H.real, k=basis.k.real)
+        coeffs = [rng.standard_normal((n, n)) for _ in range(gamma + 1)]
+    else:
+        basis = build_basis(random_nodes(rng, m), gamma)
+        coeffs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                  for _ in range(gamma + 1)]
+    scales = draw(st.lists(st.integers(-3, 3), min_size=gamma + 1,
+                           max_size=gamma + 1))
+    coeffs = [10.0 ** e * A for e, A in zip(scales, coeffs)]
+    x0 = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    return MatrixPolynomial(coeffs, basis), x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_probe())
+def test_linearization_identity_property(case):
+    # (C0 - x C1)(theta(x) (x) I) = -k_{gamma-1} e_gamma (x) P(x) at any
+    # probe; the relative residual is not scaled by |theta(x)|, which grows
+    # off the nodes, so the probes stay in their box and the tolerance
+    # leaves 100x over the worst of 3,000 random cases with the widest
+    # coefficient scales
+    P, x0 = case
+    pencil = build_pencil(P, trim=False)
+    assert pencil.is_real == (not np.iscomplexobj(P.coeffs[0]))
+    assert verify_linearization(pencil, x0) < 1e-10
 
 
 def test_identity_annihilates_polynomial_null_vector():
