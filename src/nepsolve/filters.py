@@ -10,6 +10,13 @@ whose exact value is ``1 / (1 + ((x - c)/r)^k)``. Applying the filter to a
 block of vectors costs one structured shift-invert solve per pole, each of
 which reduces to forward block recurrences plus a single n x n solve with
 ``P(s_j)`` (factored once per rule).
+
+On a real pencil with a real center, poles ``j`` and ``k - 1 - j`` are
+conjugate and ``P(conj s) = conj P(s)``, so only the upper-half poles (and
+the on-axis pole ``c - r`` for odd ``k``) are factored, and the filter acts
+on a real block as ``sum_{j < k/2} 2 Re(g_j S(s_j) Y)``, plus
+``Re(g_m S(c - r) Y)`` for odd ``k = 2m + 1``, with
+``S(s) = (s C1 - C0)^{-1} C1``.
 """
 
 import warnings
@@ -81,20 +88,54 @@ def shift_invert(pencil, mu, Y, lu=None):
 def apply_filter(pencil, rule, Y, lus=None):
     """Apply the rational filter to the block ``Y``.
 
-    ``lus`` may hold pre-built :class:`BlockLU` factorizations, one per pole;
-    the weighted sum is accumulated in pole order so results are reproducible.
+    ``lus`` may hold pre-built :class:`BlockLU` factorizations, one per
+    factored pole as :func:`_factor_poles` builds them; the weighted sum is
+    accumulated in pole order so results are reproducible. On a paired rule
+    (real pencil, real center) a real ``Y`` gives a real result, and a
+    complex ``Y`` is filtered as the real block ``[Re Y, Im Y]``.
     """
     if lus is None:
         lus = _factor_poles(pencil, rule)
-    Z = rule.weights[0] * lus[0].solve(Y)
-    for g, lu in zip(rule.weights[1:], lus[1:]):
+    paired = _paired(pencil, rule)
+    weights = rule.weights
+    if paired:
+        if len(lus) != (rule.k + 1) // 2:
+            raise ValueError("a paired rule takes one factorization per upper-half pole")
+        Y = np.asarray(Y)
+        if np.iscomplexobj(Y):
+            Z = apply_filter(pencil, rule, np.column_stack([Y.real, Y.imag]), lus)
+            half = Z.shape[1] // 2
+            Z = Z[:, :half] + 1j * Z[:, half:]
+            return Z[:, 0] if Y.ndim == 1 else Z
+        # pole k-1-j is the conjugate of pole j and adds the conjugate term;
+        # the on-axis pole of an odd rule is its own partner
+        weights = 2 * weights[: len(lus)]
+        if rule.k % 2:
+            weights[-1] /= 2
+    Z = weights[0] * lus[0].solve(Y)
+    for g, lu in zip(weights[1:], lus[1:]):
         Z += g * lu.solve(Y)
-    return Z
+    return Z.real if paired else Z
+
+
+def _paired(pencil, rule):
+    return rule.center.imag == 0 and pencil.is_real
 
 
 def _factor_poles(pencil, rule):
+    """One factorization per pole, or per upper-half pole on a paired rule.
+
+    Poles are paired by index, ``j`` with ``k - 1 - j``: the computed poles
+    are conjugate only to rounding, and the on-axis pole of an odd rule is
+    factored at its real part.
+    """
+    poles = rule.poles
+    if _paired(pencil, rule):
+        poles = poles[: (rule.k + 1) // 2].copy()
+        if rule.k % 2:
+            poles[-1] = poles[-1].real
     lus = []
-    for j, s in enumerate(rule.poles):
+    for j, s in enumerate(poles):
         try:
             lus.append(BlockLU(pencil, s))
         except SingularShiftError as exc:
@@ -181,18 +222,21 @@ def sif(pencil, nep, region, config):
     ghost remains inside the region, every in-region pair is below
     ``tol_residual``, and the in-region count is stable across consecutive
     iterations. All Ritz vectors are carried into the next sweep regardless
-    of region membership.
+    of region membership; on a paired rule (real pencil, real center) the
+    real orthonormal basis of the filtered block, which spans them, is carried
+    instead, and the block stays real.
 
     With ``config.grow`` the block starts at ``min(SUBSPACE_START, dim)``
     columns. After each Rayleigh-Ritz step its width becomes at least
     ``max(ceil(1.5 c), c + 8)``, capped at ``dim``, where ``c`` counts the
     Ritz values inside the region, ghosts included; the Ritz vectors are
-    topped up with fresh seeded random columns to that width. The block never
-    shrinks.
+    topped up with fresh seeded random columns, real on a paired rule, to that
+    width. The block never shrinks.
     Without ``grow`` the block keeps ``config.subspace`` columns.
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
     lus = _factor_poles(pencil, rule)
+    real = _paired(pencil, rule)
     sigma_shift = default_shift(region)
     scale = abs(region.center) + region.radius
     row_scale = pencil.equilibration_scale()
@@ -200,7 +244,7 @@ def sif(pencil, nep, region, config):
     rng = np.random.default_rng(config.seed)
     width = min(config.subspace, pencil.dim) if config.grow else config.subspace
     need = width
-    Y = _random_block(rng, pencil.dim, width)
+    Y = _random_block(rng, pencil.dim, width, real)
 
     trace = []
     converged = False
@@ -209,7 +253,7 @@ def sif(pencil, nep, region, config):
     for it in range(1, config.max_iters + 1):
         width = max(width, need)
         if config.grow and Y.shape[1] < width:
-            Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1])])
+            Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1], real)])
         U = apply_filter(pencil, rule, Y, lus=lus)
         V = _orth(U)
         # equilibrated left scaling (a diagonal equivalence on the pencil)
@@ -239,8 +283,9 @@ def sif(pencil, nep, region, config):
         min_sigma = float(sigmas_in.min()) if count else float("nan")
         trace.append(SIFStep(it, count, ghost_count, max_sigma, min_sigma))
 
-        # a rise below tol_residual is rounding, not divergence
-        if (it > 2 and np.isfinite(prev_max_sigma)
+        # a rise below tol_residual is rounding, not divergence, and one over
+        # a different set of pairs (the count changed) is no rise at all
+        if (it > 2 and count == prev_count and np.isfinite(prev_max_sigma)
                 and prev_max_sigma * (1 + 1e-8) < max_sigma < np.inf
                 and max_sigma >= config.tol_residual):
             warnings.warn(
@@ -257,7 +302,7 @@ def sif(pencil, nep, region, config):
         if done:
             converged = True
             break
-        Y = Ritz
+        Y = V if real else Ritz
 
     eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
                                         pencil.poly.basis, nep, region)
@@ -265,5 +310,7 @@ def sif(pencil, nep, region, config):
                      converged=converged, iterations=len(trace), subspace=width)
 
 
-def _random_block(rng, rows, cols):
+def _random_block(rng, rows, cols, real):
+    if real:
+        return rng.standard_normal((rows, cols))
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

@@ -1,16 +1,20 @@
 """Quadrature rule, rational filter, structured solves, and subspace iteration."""
 
+import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
-from nepsolve import (DegreeSpec, PoleHitError, Region, SampleSet, SIFConfig,
-                      apply_filter, build_pencil, lawson, quadrature,
+from nepsolve import (DegreeSpec, MatrixPolynomial, PoleHitError, Region,
+                      SampleSet, SIFConfig, apply_filter, build_basis,
+                      build_pencil, lawson, quadrature,
                       scalar_filter, shift_invert, sif, solve_dense,
                       solve_pencil_dense, time_delay2, write_trace_csv)
-from nepsolve.filters import SUBSPACE_START, default_shift
+from nepsolve.filters import SUBSPACE_START, _factor_poles, default_shift
 from nepsolve.pencil import BlockLU, assemble
 from util import match_sets, random_poly
 
@@ -132,9 +136,6 @@ def test_apply_filter_projects_onto_separated_invariant_subspace():
     # linear polynomial x I - A with a planted spectrum: three eigenvalues
     # well inside the disk, the rest far outside
     rng = np.random.default_rng(60)
-    from nepsolve import build_basis
-    from nepsolve.pencil import MatrixPolynomial
-
     vals = np.array([0.1, -0.2j, 0.15 + 0.1j, 2.5, -3.0, 2.0j, -2.5j, 3.5])
     Q = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     A = Q @ np.diag(vals) @ np.linalg.inv(Q)
@@ -180,6 +181,82 @@ def test_apply_filter_preserves_invariant_subspace_span():
     cosang = abs(np.vdot(y[:, 0], Z[:, 0])) / (
         np.linalg.norm(y) * np.linalg.norm(Z))
     assert cosang > 1 - 1e-8
+
+
+@st.composite
+def _real_filter_case(draw):
+    """A real polynomial in a real basis, a rule on a real center, a block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gamma = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    basis = build_basis(rng.uniform(-1, 1, max(3 * gamma + 4, 8)), gamma)
+    basis = dataclasses.replace(basis, H=basis.H.real, k=basis.k.real)
+    P = MatrixPolynomial([rng.standard_normal((n, n)) for _ in range(gamma + 1)],
+                         basis)
+    rule = quadrature(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 2.0)),
+                      draw(st.integers(1, 20)))
+    Y = rng.standard_normal((gamma * n, 2))
+    if draw(st.booleans()):
+        Y = Y + 1j * rng.standard_normal((gamma * n, 2))
+    return P, rule, Y
+
+
+@settings(max_examples=100, deadline=None)
+@given(_real_filter_case())
+def test_paired_filter_matches_the_full_pole_sum(case):
+    # ceil(k/2) factorizations give the sum over all k poles. The sum cancels
+    # where the disk holds no eigenvalue, so the rounding is measured against
+    # its largest term, on shifts conditioned well enough (about half the
+    # draws) that 1e-12 leaves a 6x margin over the worst of 3,000 cases
+    P, rule, Y = case
+    pencil = build_pencil(P, trim=False)
+    assert pencil.is_real
+    C0, C1 = pencil.materialize()
+    assume(max(np.linalg.cond(s * C1 - C0) for s in rule.poles) < 1e2)
+    lus = _factor_poles(pencil, rule)
+    assert len(lus) == (rule.k + 1) // 2
+    Z = apply_filter(pencil, rule, Y, lus=lus)
+    terms = [g * BlockLU(pencil, s).solve(Y) for g, s in zip(rule.weights, rule.poles)]
+    assert np.iscomplexobj(Z) == np.iscomplexobj(Y)
+    assert np.linalg.norm(Z - sum(terms)) <= 1e-12 * max(np.linalg.norm(t) for t in terms)
+
+
+def test_paired_filter_rejects_one_factorization_per_pole(time_delay_bundle):
+    pencil = time_delay_bundle.pencil
+    rule = quadrature(-1.0, 6.0, 4)
+    with pytest.raises(ValueError, match="upper-half pole"):
+        apply_filter(pencil, rule, np.ones(pencil.dim),
+                     lus=[BlockLU(pencil, s) for s in rule.poles])
+
+
+def _count_factorizations(monkeypatch):
+    count = [0]
+    init = BlockLU.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(BlockLU, "__init__", counted)
+    return count
+
+
+@pytest.mark.parametrize("k", [7, 16])
+def test_sif_factors_half_the_poles_on_a_real_pencil_with_a_real_center(
+        k, time_delay_bundle, example1_bundle, monkeypatch):
+    count = _count_factorizations(monkeypatch)
+    config = SIFConfig(subspace=8, quad_order=k, max_iters=1)
+    b = time_delay_bundle
+    assert b.pencil.is_real and b.nep.region.center.imag == 0
+    off_axis = Region(b.nep.region.center + 0.5j, b.nep.region.radius)
+    e = example1_bundle
+    assert not e.pencil.is_real
+    for pencil, nep, region, want in [(b.pencil, b.nep, b.nep.region, (k + 1) // 2),
+                                      (b.pencil, b.nep, off_axis, k),
+                                      (e.pencil, e.nep, e.nep.region, k)]:
+        count[0] = 0
+        sif(pencil, nep, region, config)
+        assert count[0] == want
 
 
 def test_sif_config_validation():
@@ -306,27 +383,31 @@ def test_sif_default_width_capped_at_small_dim(monkeypatch):
     assert result.subspace == pencil.dim
 
 
-def test_sif_grows_to_rule_width():
-    # a linear polynomial x I - A with 10 planted eigenvalues well inside the
-    # disk and 30 far outside: 16 columns would do, but the rule asks for
-    # max(15, 18) = 18, and the block has them when the iteration stops
-    rng = np.random.default_rng(63)
-    from nepsolve import build_basis
-    from nepsolve.pencil import MatrixPolynomial
+INNER = 0.3 * np.exp(2j * np.pi * np.arange(10) / 10)
 
-    inner = 0.3 * np.exp(2j * np.pi * np.arange(10) / 10)
+
+def _planted_inner_problem():
+    # x I - A with 10 eigenvalues well inside Region(0, 0.5) and 30 far outside
+    rng = np.random.default_rng(63)
     outer = (3 + 2 * rng.random(30)) * np.exp(2j * np.pi * rng.random(30))
     Q = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    A = Q @ np.diag(np.concatenate([inner, outer])) @ np.linalg.inv(Q)
+    A = Q @ np.diag(np.concatenate([INNER, outer])) @ np.linalg.inv(Q)
     basis = build_basis(np.exp(2j * np.pi * np.arange(9) / 9), 1)
     theta0 = basis.Q[0, 0]
-    P = MatrixPolynomial([(basis.H[0, 0] * np.eye(40) - A) / theta0,
-                          basis.H[1, 0] * np.eye(40) / theta0], basis)
+    return MatrixPolynomial([(basis.H[0, 0] * np.eye(40) - A) / theta0,
+                             basis.H[1, 0] * np.eye(40) / theta0], basis)
+
+
+def test_sif_grows_to_rule_width():
+    # the planted problem's 10 inner eigenvalues: 16 columns would do, but the
+    # rule asks for max(15, 18) = 18, and the block has them when the
+    # iteration stops
+    P = _planted_inner_problem()
     pencil = build_pencil(P)
     result = sif(pencil, _wrap_poly_as_nep(P), Region(0j, 0.5), SIFConfig(seed=3))
     assert result.converged
     assert result.subspace == 18
-    assert match_sets([p.lam for p in result.eigenpairs], inner, 1e-8)
+    assert match_sets([p.lam for p in result.eigenpairs], INNER, 1e-8)
 
 
 def test_sif_explicit_width_never_changes(time_delay_bundle, monkeypatch):
@@ -344,16 +425,57 @@ def test_sif_explicit_width_never_changes(time_delay_bundle, monkeypatch):
 
 
 def test_sif_silent_on_a_rise_below_tol_residual(time_delay_bundle):
-    # with this seed the in-region residual rises by rounding at iteration
-    # 3, far below tol_residual; that is no divergence, so no warning (which
-    # the suite's filterwarnings would turn into a failure)
+    # with this seed a ghost at iteration 2 forces a third sweep, where the
+    # in-region residual rises by rounding at the same count, far below
+    # tol_residual; that is no divergence, so no warning (which the suite's
+    # filterwarnings would turn into a failure)
     b = time_delay_bundle
-    config = SIFConfig(seed=0)
+    config = SIFConfig(seed=6)
     result = sif(b.pencil, b.nep, b.nep.region, config)
     assert result.converged
     sigmas = [step.max_sigma for step in result.trace]
     assert sigmas[2] > sigmas[1] * (1 + 1e-8)
+    assert result.trace[2].in_region_count == result.trace[1].in_region_count
     assert max(sigmas[1:]) < config.tol_residual
+
+
+def _planted_sif(sweeps):
+    # sif on the planted problem at a fixed width of 10 for 3 sweeps; sweep
+    # i's residual call gives every in-region pair the scale-free residual
+    # sweeps[i] (a scalar, or one value per pair), and later calls, such as
+    # extraction's, see the true residual
+    P = _planted_inner_problem()
+    nep = _wrap_poly_as_nep(P)
+    nep.region = Region(0j, 0.5)
+    planted = iter(sweeps)
+    apply = nep.apply
+
+    def residual(lam, U):
+        sigma = next(planted, None)
+        if sigma is None:
+            return apply(lam, U)
+        return U * (abs(nep.region.center) + nep.region.radius) * np.asarray(sigma)
+
+    nep.apply = residual
+    return sif(build_pencil(P), nep, nep.region,
+               SIFConfig(subspace=10, seed=3, max_iters=3))
+
+
+def test_sif_warns_on_a_rise_at_a_stable_count():
+    with pytest.warns(UserWarning, match="increased at iteration 3"):
+        result = _planted_sif([5e-3, 2e-3, 4e-3])
+    assert [step.in_region_count for step in result.trace] == [10, 10, 10]
+    assert result.trace[2].max_sigma >= SIFConfig().tol_residual
+
+
+def test_sif_silent_on_a_rise_over_a_changed_count():
+    # iteration 2 plants one ghost, so iteration 3 compares 10 pairs with 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _planted_sif([5e-3, np.r_[0.5, np.full(9, 2e-3)], 4e-3])
+    trace = result.trace
+    assert [step.in_region_count for step in trace] == [10, 9, 10]
+    assert trace[2].max_sigma > trace[1].max_sigma >= SIFConfig().tol_residual
 
 
 def test_sif_deterministic_under_seed(time_delay_bundle):
