@@ -98,9 +98,9 @@ class EigenReport:
     zeros: dict
     solver: str
     solver_converged: bool
-    # ``path`` (geev, qz or filter); on the dense paths the corner's rcond,
-    # on the filter path iterations, subspace and stop_reason; on both the
-    # pencil's ``arithmetic`` (real or complex)
+    # ``path`` (geev, qz or filter); on the dense paths the corner's rcond
+    # and the count of eigenvalues ``outside`` the region, on the filter path
+    # iterations, subspace and stop_reason; on both ``arithmetic``
     solver_info: dict
     timings: dict
 
@@ -208,10 +208,11 @@ def run(config):
     bound = error_bound(gram_matrix(nep), xi.e_max)
     t0 = time.perf_counter()
     if solver == "dense":
-        pairs = solve_pencil_dense(pencil)
+        pairs = solve_pencil_dense(pencil, region)
         eigenpairs = extract_nep_eigenpairs(pairs, xi.basis, nep, region)
         solver_converged = True
-        solver_info = {"path": pairs.path, "rcond": pairs.rcond}
+        solver_info = {"path": pairs.path, "rcond": pairs.rcond,
+                       "outside": pairs.outside}
     else:
         result = sif(pencil, nep, region,
                      SIFConfig(subspace=config.subspace, seed=config.seed))
@@ -258,18 +259,15 @@ def _refine_above(eigenpairs, bound, pencil, nep, region):
     # a Ritz vector's leading block can miss the a priori bound that its
     # eigenvalue meets; one inverse-iteration step on P(lam) mends it, so the
     # in-region filter pairs above the bound take that step and are
-    # re-extracted (a pair whose step is not finite is kept as it was)
-    weak = [p for p in eigenpairs if p.in_region and p.residual > bound]
+    # re-extracted
+    weak = [p for p in eigenpairs if p.residual > bound]
     if not weak:
         return eigenpairs
     lam = np.array([p.lam for p in weak])
-    V = np.zeros((pencil.dim, lam.size), dtype=complex)
-    V[: pencil.n] = np.column_stack([p.u for p in weak])
-    ok = refine_eigenvectors(pencil, lam, V)
+    V = refine_eigenvectors(pencil, lam, np.column_stack([p.u for p in weak]))
     refined = {p.lam: p for p in extract_nep_eigenpairs(
-        (lam[ok], V[:, ok]), pencil.poly.basis, nep, region)}
-    return [refined.get(p.lam, p) if p.in_region and p.residual > bound else p
-            for p in eigenpairs]
+        (lam, V), pencil.poly.basis, nep, region)}
+    return [refined.get(p.lam, p) for p in eigenpairs]
 
 
 def emit(report, fmt=None, path=None):

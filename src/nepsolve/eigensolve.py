@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 # LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
-from scipy.linalg.lapack import get_lapack_funcs, zgetrs
+from scipy.linalg.lapack import get_lapack_funcs, zgetrf, zgetrs
 
 from .basis import eval_basis
 from .pencil import SPARSE_ORDERING, _dense
@@ -34,13 +34,15 @@ class PencilPairs(tuple):
     """``(lam, V)`` from :func:`solve_pencil_dense`.
 
     ``path`` is ``"geev"`` or ``"qz"``; ``rcond`` is the reciprocal condition
-    number of the corner ``K`` of ``C1`` that chose it (0 for a singular one).
+    number of the corner ``K`` of ``C1`` that chose it (0 for a singular one);
+    ``outside`` counts the finite eigenvalues dropped as outside the region.
     """
 
-    def __new__(cls, lam, V, path, rcond):
+    def __new__(cls, lam, V, path, rcond, outside):
         pairs = super().__new__(cls, (lam, V))
         pairs.path = path
         pairs.rcond = rcond
+        pairs.outside = outside
         return pairs
 
 
@@ -57,46 +59,37 @@ class Eigenpair:
 
 
 def solve_dense(C0, C1=None):
-    """All finite eigenpairs of ``C0 v = lam C1 v``, or of ``C0 v = lam v``.
+    """Finite eigenvalues of ``C0 v = lam C1 v``, or of ``C0 v = lam v``.
 
     With ``C1`` the generalized problem goes to the platform QZ (LAPACK
-    ggev); without it the standard problem goes to LAPACK geev. Returns
-    ``(lam, V)`` with eigenvalues in ``lam`` and right eigenvectors in the
-    columns of ``V``; infinite eigenvalues (singular ``C1`` directions) are
-    dropped.
+    ggev); without it the standard problem goes to LAPACK geev. Neither is
+    asked for eigenvectors. Infinite eigenvalues (singular ``C1``
+    directions) are dropped.
     """
     C0 = np.asarray(C0)
     if (C0.ndim != 2 or C0.shape[0] != C0.shape[1]
             or (C1 is not None and np.shape(C1) != C0.shape)):
         raise ValueError("pencil matrices must be square and of equal shape")
     try:
-        lam, V = scipy.linalg.eig(C0, C1, right=True)
+        lam = scipy.linalg.eigvals(C0, C1)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed to converge: {exc}") from exc
-    finite = np.isfinite(lam)
-    if finite.all():  # as on the standard problem: no copy of V
-        return lam, V
-    return lam[finite], V[:, finite]
+    return lam[np.isfinite(lam)]
 
 
-def solve_pencil_dense(pencil):
+def solve_pencil_dense(pencil, region=None):
     """Solve the pencil densely; returns ``(lam, V)`` as :class:`PencilPairs`.
 
     ``C1 = diag(I, K)`` differs from the identity only in its corner
     ``K = k_gamma A_gamma``. When ``K`` is well conditioned
     (``rcond(K) >= STANDARD_FORM_RCOND``) the bottom block row of ``C0`` is
-    multiplied by ``K^{-1}`` and the standard problem ``C1^{-1} C0`` goes to
-    geev, and each eigenvector is then replaced by one inverse-iteration step
-    on ``P(lam)`` (see :func:`refine_eigenvectors`); only ``C0`` is built
-    densely. Otherwise the pencil is materialized, its bottom block row is
-    equilibrated and it goes to QZ. Either way the
-    eigenvalues and right eigenvectors are those of the original pencil, and
-    the result's ``path`` names the solver that ran.
-
-    A real pencil (see :func:`~nepsolve.pencil.assemble`) runs in real
-    arithmetic throughout: dgetrf/dgecon/dgetrs on the corner, then dgeev or
-    dggev. Its eigenvalues come in exact conjugate pairs, and the refinement
-    solves only for the first of each pair.
+    multiplied by ``K^{-1}`` and geev solves the standard problem
+    ``C1^{-1} C0``; otherwise the pencil is materialized, its bottom block row
+    is equilibrated and QZ solves it. A real pencil runs dgetrf/dgecon/dgetrs
+    and dgeev or dggev. Either solver gives eigenvalues only; with a
+    ``region`` those outside it are dropped and counted. Each kept eigenvalue
+    gets its eigenvector from two steps of :func:`refine_eigenvectors` from a
+    fixed seeded start.
     """
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
@@ -108,74 +101,74 @@ def solve_pencil_dense(pencil):
         c = pencil.equilibration_scale()
         C0[split:] *= c
         C1[split:] *= c
-        return PencilPairs(*solve_dense(C0, C1), "qz", rcond)
-    C0 = pencil._dense_C0()
-    C0[split:] = getrs(lu, piv, C0[split:])[0]
-    lam, V = solve_dense(C0)
-    # geev gives real vectors when every eigenvalue of a real matrix is real
-    V = V.astype(complex, copy=False)
-    refine_eigenvectors(pencil, lam, V)
-    return PencilPairs(lam, V, "geev", rcond)
+        lam, path = solve_dense(C0, C1), "qz"
+    else:
+        C0 = pencil._dense_C0()
+        C0[split:] = getrs(lu, piv, C0[split:])[0]
+        lam, path = solve_dense(C0), "geev"
+    inside = np.ones(lam.size, dtype=bool) if region is None else region.contains(lam)
+    lam = lam[inside]
+    # row i starts eigenvalue i, whatever the number of eigenvalues kept
+    start = np.random.default_rng(0).standard_normal((lam.size, pencil.n)).T
+    V = refine_eigenvectors(pencil, lam, start, steps=2)
+    return PencilPairs(lam, V, path, rcond, int(inside.size - lam.size))
 
 
-def refine_eigenvectors(pencil, lam, V):
-    """One inverse-iteration step on ``P(lam)`` for each column of ``V``, in place.
+def refine_eigenvectors(pencil, lam, U, steps=1):
+    """Pencil eigenvectors for the eigenvalues ``lam`` by inverse iteration.
 
-    The leading block of a pencil eigenvector read off a linearization can be
-    far less accurate than its eigenvalue. The step ``x = P(lam)^{-1} v[:n]``
-    fixes that, and the column becomes ``theta(lam)[:gamma] (x) x`` with unit
-    norm, the eigenvector the linearization prescribes (refining only the
-    leading block would leave the pencil backward error large). ``P(lam)`` is
-    factored sparsely when every coefficient is sparse, densely otherwise,
-    and in real arithmetic when the coefficients and ``theta(lam)`` are
-    real. A real pencil's ``P(conj lam)`` is ``conj P(lam)``, so a column
-    whose eigenvalue is the conjugate of the previous column's (geev's
-    order for a pair) takes the conjugate of that column's step. A column
-    whose step is not finite is kept as given. Returns the mask of replaced
-    columns.
+    ``P(lam[i])`` is factored once (SuperLU when every coefficient is sparse,
+    LAPACK otherwise) and ``x <- P(lam[i])^{-1} x / ||x||`` runs ``steps``
+    times from ``x = U[:, i]``. Column i of the result is
+    ``theta(lam[i])[:gamma] (x) x`` with unit norm, the eigenvector the
+    linearization prescribes. Where ``P(lam[i])`` is exactly singular or a
+    step is not finite, ``x`` is its null vector from an SVD instead. On a
+    real pencil ``P(conj lam) = conj P(lam)``, so an eigenvalue that is the
+    conjugate of the previous one (geev's order for a pair) takes the
+    conjugate of its vector.
     """
-    n, gamma = pencil.n, pencil.gamma
-    coeffs = pencil.poly.coeffs
-    sparse = all(sp.issparse(a) for a in coeffs)
-    if not sparse:
-        A = np.array([_dense(a) for a in coeffs])
-    theta = eval_basis(pencil.poly.basis, lam)[:, : gamma + 1]
+    gamma = pencil.gamma
+    sparse = all(sp.issparse(a) for a in pencil.poly.coeffs)
+    theta = eval_basis(pencil.poly.basis, lam)[:, :gamma]
     real = pencil.is_real
-    replaced = np.zeros(lam.size, dtype=bool)
+    V = np.empty((pencil.dim, lam.size), dtype=complex)
     for i in range(lam.size):
-        if (real and i and replaced[i - 1] and lam[i].imag
-                and lam[i] == lam[i - 1].conj()):
+        if real and i and lam[i].imag and lam[i] == lam[i - 1].conj():
             V[:, i] = V[:, i - 1].conj()
-            replaced[i] = True
             continue
+        M = pencil.poly(lam[i])
         if sparse:
             try:
-                lu = spla.splu(pencil.poly(lam[i]).tocsc(), permc_spec=SPARSE_ORDERING)
+                solve = spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING).solve
             except RuntimeError:  # SuperLU met an exactly zero pivot
-                continue
-            x = lu.solve(V[:n, i])
+                solve = None
         else:
-            th = theta[i] if np.any(theta[i].imag) else theta[i].real
-            M = np.tensordot(th, A, axes=1)
-            lu, piv, _ = get_lapack_funcs("getrf", (M,))(M, overwrite_a=True)
-            # zgetrs takes a real LU factor as complex
-            x = zgetrs(lu, piv, V[:n, i, None])[0][:, 0]
-        v = np.kron(theta[i, :gamma], x)
-        nv = np.linalg.norm(v)
-        if np.isfinite(nv) and nv > 0:
-            V[:, i] = v / nv
-            replaced[i] = True
-    return replaced
+            M = _dense(M)
+            lu, piv, info = zgetrf(M)
+            solve = None if info else (lambda b: zgetrs(lu, piv, b)[0])
+        x = U[:, i]
+        for _ in range(steps if solve else 0):
+            x = solve(x)
+            nx = np.linalg.norm(x)
+            if not 0 < nx < np.inf:
+                solve = None
+                break
+            x = x / nx
+        if solve is None:
+            x = np.linalg.svd(_dense(M))[2][-1].conj()
+        v = np.kron(theta[i], x)
+        V[:, i] = v / np.linalg.norm(v)
+    return V
 
 
 def extract_nep_eigenpairs(pairs, basis, nep, region):
     """Turn pencil eigenpairs into problem eigenpairs with diagnostics.
 
-    ``pairs`` is ``(lam, V)`` as returned by :func:`solve_dense`: eigenvalues
-    in ``lam``, pencil eigenvectors in the columns of ``V``. Eigenvalues of
-    absurd magnitude (artifacts of a singular leading coefficient) and
-    bottom-dominated eigenvectors are dropped; everything else is reported
-    with its region flag and ``consistency``, which is
+    ``pairs`` is ``(lam, V)`` as returned by :func:`solve_pencil_dense`:
+    eigenvalues in ``lam``, pencil eigenvectors in the columns of ``V``.
+    Eigenvalues of absurd magnitude (artifacts of a singular leading
+    coefficient) and bottom-dominated eigenvectors are dropped; everything
+    else is reported with its region flag and ``consistency``, which is
     ``max_i ||v_i - theta_i(lam) v_1|| / ||v||`` over the trailing blocks.
     Results are sorted by real then imaginary part.
     """

@@ -258,7 +258,11 @@ def build_pencil(P, trim=True):
 
 
 def verify_linearization(pencil, x0):
-    """Relative residual of the defining identity at the probe ``x0``."""
+    """Relative residual of the defining identity at the probe ``x0``.
+
+    The scale is ``(||C0|| + |x0| ||C1||) ||theta(x0)[:gamma]||``, which
+    grows with ``theta`` off the nodes.
+    """
     x0 = complex(x0)
     gamma, n = pencil.gamma, pencil.n
     theta = eval_basis(pencil.poly.basis, [x0])[0]
@@ -268,7 +272,8 @@ def verify_linearization(pencil, x0):
         V[j * n: (j + 1) * n] = theta[j] * eye
     M = pencil.apply_C0(V) - x0 * pencil.apply_C1(V)
     M[(gamma - 1) * n:] += pencil.k[gamma - 1] * _dense(pencil.poly(x0))
-    return float(np.linalg.norm(M) / (pencil.fro_C0() + abs(x0) * pencil.fro_C1()))
+    return float(np.linalg.norm(M) / ((pencil.fro_C0() + abs(x0) * pencil.fro_C1())
+                                      * np.linalg.norm(theta[:gamma])))
 
 
 class BlockLU:

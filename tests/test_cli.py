@@ -51,9 +51,13 @@ def test_report_json_schema(time_delay_report):
     assert {"re", "im", "residual", "normalized_residual", "in_region",
             "consistency"} <= set(row)
     assert {"fit", "pencil", "solve"} <= set(doc["timings"])
-    rcond = doc["solver"]["rcond"]
+    rcond, outside = doc["solver"]["rcond"], doc["solver"]["outside"]
     assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev",
-                             "rcond": rcond, "arithmetic": "real"}
+                             "rcond": rcond, "outside": outside,
+                             "arithmetic": "real"}
+    # the dense path reports the in-region pairs and counts the others
+    assert all(row["in_region"] for row in doc["eigen"])
+    assert isinstance(outside, int) and outside > 0
     # geev runs only on a corner at least this well conditioned
     assert 1e-4 <= rcond <= 1.0
     json.dumps(doc)  # serializable
@@ -88,6 +92,9 @@ def test_report_names_dense_path(tmp_path):
     assert solver["arithmetic"] == "real"
     # det(E1 + x E2) = 2 + x
     assert [p.lam for p in report.in_region] == [pytest.approx(-2.0)]
+    # P(lam) rounds to an exactly singular matrix there; its eigenvector is
+    # the null vector from the SVD
+    assert report.in_region[0].residual < 1e-12
 
 
 def test_report_arithmetic_real_for_hadeler(tmp_path):
@@ -100,6 +107,19 @@ def test_report_arithmetic_real_for_hadeler(tmp_path):
     assert report.exit_status == EXIT_OK
     assert report.in_region
     assert all(p.residual <= report.bound for p in report.in_region)
+
+
+def test_hadeler150_dense_report_is_valid_json(tmp_path):
+    # some pencil eigenvalues lie so far outside the region that e^lam
+    # overflows in T(lam) u; they are counted, not extracted, so no overflow
+    # warning is raised and the report holds finite numbers only
+    path = save_manifest(hadeler(n=150), str(tmp_path / "hadeler.json"))
+    report = run(RunConfig(manifest=path, nodes=50, tol=1e-10, max_degree=6,
+                           solver="dense"))
+    doc = report.to_json_dict()
+    json.dumps(doc, allow_nan=False)
+    assert doc["eigen"] and all(row["in_region"] for row in doc["eigen"])
+    assert len(doc["eigen"]) + doc["solver"]["outside"] == 900
 
 
 def test_emit_json_csv_agree_to_17_digits(time_delay_report, tmp_path):

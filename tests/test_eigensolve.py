@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nepsolve import (Region, assemble, build_basis, build_pencil, eval_basis,
                       example1, extract_nep_eigenpairs, hadeler, lawson,
@@ -22,7 +22,7 @@ from util import (det_poly_roots, eigenpair_oracle, random_nodes,
 
 
 def test_solve_dense_diagonal():
-    lam, V = solve_dense(np.diag([1.0, 2.0]).astype(complex), np.eye(2, dtype=complex))
+    lam = solve_dense(np.diag([1.0, 2.0]).astype(complex), np.eye(2, dtype=complex))
     assert sorted(lam.real) == pytest.approx([1.0, 2.0])
     assert np.allclose(lam.imag, 0.0)
 
@@ -42,10 +42,12 @@ def test_pencil_of_linear_polynomial_matches_direct_eigensolve():
     coeffs = [(basis.H[0, 0] * np.eye(4) - A) / theta0,
               basis.H[1, 0] * np.eye(4) / theta0]
     pencil = build_pencil(MatrixPolynomial(coeffs, basis))
-    lam, V = solve_dense(*pencil.materialize())
+    lam = solve_dense(*pencil.materialize())
     ref = np.sort_complex(np.linalg.eigvals(A))
     assert np.abs(np.sort_complex(lam) - ref).max() < 1e-10 * max(1, np.abs(ref).max())
-    # backward error contract
+    # backward error contract of the dense pencil solve's eigenpairs
+    lam, V = solve_pencil_dense(pencil)
+    assert np.abs(np.sort_complex(lam) - ref).max() < 1e-10 * max(1, np.abs(ref).max())
     C0, C1 = pencil.materialize()
     for i in range(lam.size):
         v = V[:, i]
@@ -68,15 +70,15 @@ def test_backward_error_gate_on_benchmarks(example1_bundle, time_delay_bundle,
 
 
 def _record_solve_dense(monkeypatch):
-    # solve_pencil_dense's calls to solve_dense, as (took QZ, lam, V) with
-    # copies of what solve_dense returned
+    # solve_pencil_dense's calls to solve_dense, as (took QZ, lam) with a
+    # copy of the eigenvalues solve_dense returned
     calls = []
     original = eigensolve.solve_dense
 
     def recording(C0, C1=None):
-        lam, V = original(C0, C1)
-        calls.append((C1 is not None, lam.copy(), V.copy()))
-        return lam, V
+        lam = original(C0, C1)
+        calls.append((C1 is not None, lam.copy()))
+        return lam
 
     monkeypatch.setattr(eigensolve, "solve_dense", recording)
     return calls
@@ -90,7 +92,7 @@ def test_singular_leading_coefficient_takes_qz(monkeypatch):
     P.coeffs[-1] = np.outer(a, b)
     calls = _record_solve_dense(monkeypatch)
     lam, _ = solve_pencil_dense(build_pencil(P, trim=False))
-    assert [qz for qz, _, _ in calls] == [True]
+    assert [qz for qz, _ in calls] == [True]
     roots = det_poly_roots(P)
     finite = lam[np.abs(lam) < 1e6]
     assert finite.size == roots.size == 7  # n*gamma = 9 less the rank deficit
@@ -104,7 +106,7 @@ def test_well_conditioned_corner_takes_geev(monkeypatch):
     pencil = build_pencil(P, trim=False)
     calls = _record_solve_dense(monkeypatch)
     lam, V = solve_pencil_dense(pencil)
-    assert [qz for qz, _, _ in calls] == [False]
+    assert [qz for qz, _ in calls] == [False]
     ref = scipy.linalg.eigvals(*pencil.materialize())
     assert lam.size == ref.size == pencil.dim
     dist = np.abs(lam[:, None] - ref[None, :])
@@ -120,19 +122,21 @@ def test_well_conditioned_corner_takes_geev(monkeypatch):
 
 def test_refined_eigenvectors_stay_near_geev(monkeypatch, time_delay_bundle,
                                              hadeler_bundle):
-    # the inverse-iteration step corrects geev's in-region directions; it
-    # does not replace them with other ones
+    # the in-region vectors from inverse iteration on P(lam) are the
+    # directions geev with eigenvectors gives the materialized standard form
     for bundle in (time_delay_bundle, hadeler_bundle):
         calls = _record_solve_dense(monkeypatch)
         lam, V = solve_pencil_dense(bundle.pencil)
-        [(qz, lam_geev, V_geev)] = calls
+        [(qz, lam_geev)] = calls
         assert not qz
         np.testing.assert_array_equal(lam, lam_geev)
+        C0, C1 = bundle.pencil.materialize(force=True)
+        ref, V_ref = scipy.linalg.eig(np.linalg.solve(C1, C0))
         n = bundle.nep.n
         inside = np.nonzero(bundle.nep.region.contains(lam))[0]
         assert inside.size > 0
         for i in inside:
-            u, g = V[:n, i], V_geev[:n, i]
+            u, g = V[:n, i], V_ref[:n, np.argmin(np.abs(ref - lam[i]))]
             cos = abs(np.vdot(u, g)) / (np.linalg.norm(u) * np.linalg.norm(g))
             assert 1 - cos < 1e-8
 
@@ -166,7 +170,7 @@ def test_real_pencil_matches_complex_solve(bundle, request, monkeypatch):
     np.testing.assert_array_equal(V[:, upper + 1], V[:, upper].conj())
     # the same pencil cast to complex has the same in-region eigenvalues
     C0, C1 = b.pencil.materialize(force=True)
-    ref, _ = solve_dense(C0.astype(complex), C1.astype(complex))
+    ref = solve_dense(C0.astype(complex), C1.astype(complex))
     region = b.nep.region
     inside, ref_inside = lam[region.contains(lam)], ref[region.contains(ref)]
     assert inside.size == ref_inside.size > 0
@@ -181,13 +185,15 @@ def test_refine_eigenvectors_sparse_matches_dense():
     P = random_poly(rng, 5, 3)
     sparse = MatrixPolynomial([scipy.sparse.csr_matrix(A) for A in P.coeffs], P.basis)
     pencil, sparse_pencil = build_pencil(P, trim=False), build_pencil(sparse, trim=False)
-    lam, V = solve_dense(*pencil.materialize(force=True))
+    lam, V = scipy.linalg.eig(*pencil.materialize(force=True))
     lam = lam[:6]
     # a perturbed start vector shows the step doing the work
-    start = V[:, :6] + 1e-3 * rng.standard_normal((pencil.dim, 6))
-    Vd, Vs = start.copy(), start.copy()
-    assert eigensolve.refine_eigenvectors(pencil, lam, Vd).all()
-    assert eigensolve.refine_eigenvectors(sparse_pencil, lam, Vs).all()
+    start = V[: pencil.n, :6] + 1e-3 * rng.standard_normal((pencil.n, 6))
+    Vd = eigensolve.refine_eigenvectors(pencil, lam, start)
+    Vs = eigensolve.refine_eigenvectors(sparse_pencil, lam, start)
+    # every column is a finite step
+    assert Vd.shape == Vs.shape == (pencil.dim, 6)
+    assert np.isfinite(Vd).all() and np.isfinite(Vs).all()
     # unit columns along the same direction; the phase follows the
     # rounding of the near-singular solve
     assert np.allclose(np.linalg.norm(Vs, axis=0), 1.0)
@@ -195,6 +201,86 @@ def test_refine_eigenvectors_sparse_matches_dense():
     for i in range(lam.size):
         x = Vs[: pencil.n, i]
         assert np.linalg.norm(P(lam[i]) @ x) <= 1e-8 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_refine_eigenvectors_exactly_singular_takes_null_vector(sparse):
+    # P(x) = theta_0 diag(0, 1, 2) + theta_1(x) I; at x = H[0, 0] the basis
+    # gives theta_1 = 0 exactly, so P is exactly singular there: getrf and
+    # SuperLU meet a zero pivot, and the SVD's null vector e_1 stands in
+    basis = build_basis(np.linspace(-1.0, 1.0, 6), 1)
+    coeffs = [np.diag([0.0, 1.0, 2.0]), np.eye(3)]
+    if sparse:
+        coeffs = [scipy.sparse.csr_matrix(A) for A in coeffs]
+    P = MatrixPolynomial(coeffs, basis)
+    lam = np.array([basis.H[0, 0]], dtype=complex)
+    assert scipy.sparse.csr_matrix(P(lam[0]))[0, 0] == 0
+    V = eigensolve.refine_eigenvectors(build_pencil(P, trim=False), lam,
+                                       np.ones((3, 1)), steps=2)
+    u = V[:3, 0]
+    assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0, rel=1e-15)
+    assert abs(abs(u[0]) - np.linalg.norm(u)) <= 1e-15
+    assert np.abs(u[1:]).max() == 0.0
+
+
+@st.composite
+def _dense_case(draw):
+    # a small matrix polynomial, real or complex, whose leading coefficient
+    # may be rank one (the corner of C1 is then singular and QZ runs), and a
+    # random disk, on the real axis for some real cases
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gamma, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = max(3 * gamma + 4, 8)
+    real = draw(st.booleans())
+    if real:
+        basis = build_basis(rng.uniform(-1, 1, m), gamma)
+        basis = dataclasses.replace(basis, H=basis.H.real, k=basis.k.real)
+        draw_matrix = lambda *shape: rng.standard_normal(shape)
+    else:
+        basis = build_basis(random_nodes(rng, m), gamma)
+        draw_matrix = lambda *shape: (rng.standard_normal(shape)
+                                      + 1j * rng.standard_normal(shape))
+    coeffs = [draw_matrix(n, n) for _ in range(gamma + 1)]
+    rank_one = n > 1 and draw(st.booleans())
+    if rank_one:
+        coeffs[-1] = np.outer(draw_matrix(n), draw_matrix(n))
+    on_axis = real and draw(st.booleans())
+    center = complex(draw(st.floats(-1.5, 1.5)),
+                     0.0 if on_axis else draw(st.floats(-1.5, 1.5)))
+    region = Region(center, draw(st.floats(0.2, 3.0)))
+    return MatrixPolynomial(coeffs, basis), region, rank_one
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_case())
+def test_solve_pencil_dense_in_region_property(case):
+    # the in-region eigenvalues of the materialized pencil, each with a
+    # vector theta(lam) (x) u that P(lam) annihilates
+    P, region, rank_one = case
+    pencil = build_pencil(P, trim=False)
+    ref = scipy.linalg.eigvals(*pencil.materialize(force=True))
+    ref = ref[np.isfinite(ref)]
+    # no reference eigenvalue so near the circle that rounding decides its side
+    dist = np.abs(np.abs(ref - region.center) - region.radius)
+    assume(np.all(dist > 1e-8 * (1 + abs(region.center) + region.radius)))
+    ref = ref[region.contains(ref)]
+    pairs = solve_pencil_dense(pencil, region)
+    lam, V = pairs
+    assert (pairs.path == "qz") == (pairs.rcond < eigensolve.STANDARD_FORM_RCOND)
+    assert pairs.path == "qz" or not rank_one
+    assert region.contains(lam).all()
+    assert lam.size == ref.size
+    if lam.size:
+        gap = np.abs(lam[:, None] - ref[None, :])
+        assert np.all(gap.min(axis=1) <= 1e-10 * np.maximum(1.0, np.abs(lam)))
+        assert np.all(gap.min(axis=0) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+    theta = eval_basis(P.basis, lam)
+    for i in range(lam.size):
+        u = V[: P.n, i] / theta[i, 0]
+        assert np.linalg.norm(V[:, i] - np.kron(theta[i, : pencil.gamma], u)) <= \
+            1e-13 * np.linalg.norm(V[:, i])
+        scale = sum(abs(t) * np.linalg.norm(A) for t, A in zip(theta[i], P.coeffs))
+        assert np.linalg.norm(P(lam[i]) @ u) <= 1e-10 * scale * np.linalg.norm(u)
 
 
 def test_in_region_predicate():

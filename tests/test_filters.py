@@ -373,7 +373,7 @@ def test_sif_default_width_capped_at_small_dim(monkeypatch):
     rng = np.random.default_rng(61)
     P = random_poly(rng, 3, 4)
     pencil = build_pencil(P, trim=False)
-    lam = solve_dense(*pencil.materialize(force=True))[0]
+    lam = solve_dense(*pencil.materialize(force=True))
     center = complex(lam.mean())
     region = Region(center, 2.0 * np.abs(lam - center).max())
     widths = _record_widths(monkeypatch)
@@ -494,7 +494,7 @@ def test_sif_trace_csv():
     P = random_poly(rng, 2, 3)
     pencil = build_pencil(P, trim=False)
     nep_like = _wrap_poly_as_nep(P)
-    lam0 = solve_dense(*pencil.materialize())[0][0]
+    lam0 = solve_dense(*pencil.materialize())[0]
     # an empty region gives nan sigmas; one around an eigenvalue finite ones
     for region in (Region(100.0 + 0j, 1.0), Region(lam0, 0.3)):
         result = sif(pencil, nep_like, region,

@@ -89,7 +89,7 @@ def test_degree_one_companion_eigenvalue():
          np.array([[basis.H[1, 0] / theta0]])]
     pencil = build_pencil(MatrixPolynomial(A, basis))
     C0, C1 = pencil.materialize()
-    lam, _ = solve_dense(C0, C1)
+    lam = solve_dense(C0, C1)
     assert lam.size == 1
     assert abs(lam[0] - c) < 1e-12
 
@@ -129,7 +129,7 @@ def test_linearization_identity_random_probes():
 
 @st.composite
 def _poly_and_probe(draw):
-    """A small matrix polynomial, real or complex, with a probe among its nodes."""
+    """A small matrix polynomial, real or complex, and a probe far off its nodes."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gamma = draw(st.integers(1, 8))
     n = draw(st.integers(1, 6))
@@ -146,7 +146,8 @@ def _poly_and_probe(draw):
     scales = draw(st.lists(st.integers(-3, 3), min_size=gamma + 1,
                            max_size=gamma + 1))
     coeffs = [10.0 ** e * A for e, A in zip(scales, coeffs)]
-    x0 = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    # the nodes lie in [-1, 1]^2; theta grows like |x0|^gamma beyond it
+    x0 = complex(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
     return MatrixPolynomial(coeffs, basis), x0
 
 
@@ -154,14 +155,14 @@ def _poly_and_probe(draw):
 @given(_poly_and_probe())
 def test_linearization_identity_property(case):
     # (C0 - x C1)(theta(x) (x) I) = -k_{gamma-1} e_gamma (x) P(x) at any
-    # probe; the relative residual is not scaled by |theta(x)|, which grows
-    # off the nodes, so the probes stay in their box and the tolerance
-    # leaves 100x over the worst of 3,000 random cases with the widest
-    # coefficient scales
+    # probe; the relative residual is scaled by ||theta(x)||, so it stays at
+    # rounding level ten times beyond the nodes' box; the tolerance leaves
+    # over 200x above the worst (4.2e-16) of 3,000 random cases with the
+    # widest coefficient scales, probed in boxes of half-width 1 to 10
     P, x0 = case
     pencil = build_pencil(P, trim=False)
     assert pencil.is_real == (not np.iscomplexobj(P.coeffs[0]))
-    assert verify_linearization(pencil, x0) < 1e-10
+    assert verify_linearization(pencil, x0) < 1e-13
 
 
 def test_identity_annihilates_polynomial_null_vector():
@@ -169,7 +170,7 @@ def test_identity_annihilates_polynomial_null_vector():
     P = random_poly(rng, 4, 3)
     pencil = build_pencil(P, trim=False)
     C0, C1 = pencil.materialize()
-    lam, V = solve_dense(C0, C1)
+    lam = solve_dense(C0, C1)
     lam0 = lam[0]
     # null vector of P at its own eigenvalue, from the SVD
     _, _, Vh = np.linalg.svd(np.asarray(P(lam0)))
@@ -211,7 +212,7 @@ def test_eigenvalue_containment_against_det_scan():
         P = random_poly(rng, n, gamma)
         pencil = build_pencil(P, trim=False)
         C0, C1 = pencil.materialize()
-        lam, _ = solve_dense(C0, C1)
+        lam = solve_dense(C0, C1)
         roots = det_poly_roots(P)
         for r in roots:
             assert np.abs(lam - r).min() <= 1e-8 * max(1.0, abs(r))
@@ -290,7 +291,7 @@ def test_block_lu_far_shift_succeeds_eigenvalue_shift_fails():
     pencil = build_pencil(P, trim=False)
     block_lu(pencil, 100.0 + 100.0j)  # far from everything
     C0, C1 = pencil.materialize()
-    lam, _ = solve_dense(C0, C1)
+    lam = solve_dense(C0, C1)
     with pytest.raises(SingularShiftError):
         block_lu(pencil, lam[0])
 
