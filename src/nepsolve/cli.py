@@ -230,7 +230,7 @@ def run(config):
         # artifacts of the surrogate, not eigenvalues of the problem
         kept = []
         for p in eigenpairs:
-            if p.in_region and np.min(np.abs(in_region_poles - p.lam)) < pole_guard:
+            if np.min(np.abs(in_region_poles - p.lam)) < pole_guard:
                 log.info("dropping eigenvalue %s: coincides with a pole of the fit",
                          p.lam)
                 continue

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import get_lapack_funcs, zgetrf, zgetrs
 
 from .basis import eval_basis
-from .pencil import SPARSE_ORDERING, _dense
+from .pencil import DENSE_DIM_LIMIT, SPARSE_ORDERING, _dense
 
 __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
@@ -119,21 +119,19 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
 
     ``P(lam[i])`` is factored once (SuperLU when every coefficient is sparse,
     LAPACK otherwise) and ``x <- P(lam[i])^{-1} x / ||x||`` runs ``steps``
-    times from ``x = U[:, i]``. Column i of the result is
-    ``theta(lam[i])[:gamma] (x) x`` with unit norm, the eigenvector the
-    linearization prescribes. Where ``P(lam[i])`` is exactly singular or a
-    step is not finite, ``x`` is its null vector from an SVD instead. On a
-    real pencil ``P(conj lam) = conj P(lam)``, so an eigenvalue that is the
-    conjugate of the previous one (geev's order for a pair) takes the
-    conjugate of its vector.
+    times from ``x = U[:, i]``; column i of the result is the unit
+    ``theta(lam[i])[:gamma] (x) x`` the linearization prescribes. An exactly
+    singular ``P(lam[i])`` or a non-finite step gives the SVD null vector
+    instead, except that a sparse one above ``DENSE_DIM_LIMIT`` keeps its last
+    finite ``x``. On a real pencil ``P(conj lam) = conj P(lam)``, so an
+    eigenvalue that is the conjugate of the previous one (geev's order for a
+    pair) takes the conjugate of its vector.
     """
-    gamma = pencil.gamma
     sparse = all(sp.issparse(a) for a in pencil.poly.coeffs)
-    theta = eval_basis(pencil.poly.basis, lam)[:, :gamma]
-    real = pencil.is_real
+    theta = eval_basis(pencil.poly.basis, lam)[:, : pencil.gamma]
     V = np.empty((pencil.dim, lam.size), dtype=complex)
     for i in range(lam.size):
-        if real and i and lam[i].imag and lam[i] == lam[i - 1].conj():
+        if pencil.is_real and i and lam[i].imag and lam[i] == lam[i - 1].conj():
             V[:, i] = V[:, i - 1].conj()
             continue
         M = pencil.poly(lam[i])
@@ -148,17 +146,22 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
             solve = None if info else (lambda b: zgetrs(lu, piv, b)[0])
         x = U[:, i]
         for _ in range(steps if solve else 0):
-            x = solve(x)
-            nx = np.linalg.norm(x)
-            if not 0 < nx < np.inf:
+            y = solve(x)
+            ny = np.linalg.norm(y)
+            if not 0 < ny < np.inf:
                 solve = None
                 break
-            x = x / nx
-        if solve is None:
-            x = np.linalg.svd(_dense(M))[2][-1].conj()
+            x = y / ny
+        if solve is None and (not sparse or pencil.dim <= DENSE_DIM_LIMIT):
+            x = _null_vector(M)
         v = np.kron(theta[i], x)
         V[:, i] = v / np.linalg.norm(v)
     return V
+
+
+def _null_vector(M):
+    """Right singular vector of ``M`` for its smallest singular value."""
+    return np.linalg.svd(_dense(M))[2][-1].conj()
 
 
 def extract_nep_eigenpairs(pairs, basis, nep, region):

@@ -178,7 +178,7 @@ def test_real_pencil_matches_complex_solve(bundle, request, monkeypatch):
     assert np.abs(inside[:, None] - ref_inside[None, :]).min(axis=0).max() <= 1e-10
 
 
-def test_refine_eigenvectors_sparse_matches_dense():
+def test_refine_eigenvectors_sparse_matches_dense(monkeypatch):
     # one helper refines both kinds of P(lam): SuperLU on sparse
     # coefficients, LAPACK on dense ones, to the same vectors
     rng = np.random.default_rng(62)
@@ -189,9 +189,12 @@ def test_refine_eigenvectors_sparse_matches_dense():
     lam = lam[:6]
     # a perturbed start vector shows the step doing the work
     start = V[: pencil.n, :6] + 1e-3 * rng.standard_normal((pencil.n, 6))
+    fallbacks = []
+    monkeypatch.setattr(eigensolve, "_null_vector", fallbacks.append)
     Vd = eigensolve.refine_eigenvectors(pencil, lam, start)
     Vs = eigensolve.refine_eigenvectors(sparse_pencil, lam, start)
-    # every column is a finite step
+    # every column is a finite step: the SVD fallback never ran
+    assert fallbacks == []
     assert Vd.shape == Vs.shape == (pencil.dim, 6)
     assert np.isfinite(Vd).all() and np.isfinite(Vs).all()
     # unit columns along the same direction; the phase follows the
@@ -221,6 +224,26 @@ def test_refine_eigenvectors_exactly_singular_takes_null_vector(sparse):
     assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0, rel=1e-15)
     assert abs(abs(u[0]) - np.linalg.norm(u)) <= 1e-15
     assert np.abs(u[1:]).max() == 0.0
+
+
+def test_refine_eigenvectors_does_not_densify_a_large_sparse_pencil(monkeypatch):
+    # the exactly singular sparse P of the test above, in a pencil taken as
+    # above DENSE_DIM_LIMIT: no SVD of the densified P, the start is kept
+    basis = build_basis(np.linspace(-1.0, 1.0, 6), 1)
+    P = MatrixPolynomial([scipy.sparse.diags([0.0, 1.0, 2.0]).tocsr(),
+                          scipy.sparse.identity(3, format="csr")], basis)
+    pencil = build_pencil(P, trim=False)
+    lam = np.array([basis.H[0, 0]], dtype=complex)
+
+    def refuse(*_):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_LIMIT", pencil.dim - 1)
+    monkeypatch.setattr(eigensolve, "_null_vector", refuse)
+    monkeypatch.setattr(eigensolve, "_dense", refuse)
+    V = eigensolve.refine_eigenvectors(pencil, lam, np.ones((3, 1)), steps=2)
+    assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0, rel=1e-15)
+    assert abs(V[:, 0].sum()) == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
 
 @st.composite
