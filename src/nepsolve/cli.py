@@ -180,9 +180,12 @@ def run(config):
         # best fit
         xi = lawson(samples, DegreeSpec((k,) * nep.s, k),
                     target=None if k == last else config.tol)
+        # each step carries its proof: best error and largest dual bound
+        sqrt_e = float(np.sqrt(xi.e_max))
         escalation.append({"degree": k, "sweeps": xi.iterations,
-                           "stop_reason": xi.stop_reason})
-        fit_met = bool(np.sqrt(xi.e_max) < config.tol)
+                           "stop_reason": xi.stop_reason, "sqrt_e": sqrt_e,
+                           "sqrt_d": float(np.sqrt(max(t.d_w for t in xi.trace)))})
+        fit_met = sqrt_e < config.tol
         if fit_met:
             break
     t_fit = time.perf_counter() - t0

@@ -32,8 +32,9 @@ __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
 # nodes whose Lawson weight falls below this are dropped for good
 WEIGHT_TOL = 1e-12
 # a fit given a target gives up once its dual bound exceeds the target by this
-# factor (in sqrt(e)); the slack covers the rounding in the measured bound
-UNREACHABLE_MARGIN = 100
+# many interpolation floors (in sqrt(e)); the slack covers the rounding in the
+# measured bound, which grows near the floor
+UNREACHABLE_MARGIN = 5
 # sweeps between rebuilds of the basis under the current weights; a node drop
 # rebuilds it at once
 REBASIS_EVERY = 10
@@ -304,14 +305,18 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
     with the default ``tol = 1e-2``, ``sqrt(e)`` is within 0.5% of the
     optimum.
 
-    ``target`` is an optional goal for ``sqrt(e)``. By weak duality every
-    later iterate's error is at least its own dual value, and the dual value
-    does not fall from sweep to sweep beyond rounding, which the margin
-    covers. So once ``min(best e_xi, d(w))`` exceeds
-    ``UNREACHABLE_MARGIN**2 * max(target**2, floor)`` (``floor`` being the
-    working-precision error level) this type cannot meet ``target`` and the
-    fit stops with ``stop_reason="unreachable"``. A converged verdict in the
-    same sweep takes precedence. Without ``target`` the rule is off.
+    ``target`` is an optional goal for ``sqrt(e)``. By weak duality each
+    dual value bounds the minimax error ``e*`` of this type from below, so
+    once ``min(best e_xi, d(w)) > (target + UNREACHABLE_MARGIN * sqrt(floor))**2``,
+    with ``sqrt(floor) = 20 eps max_l ||t(x_l)||`` the working-precision
+    error level, the fit stops with ``stop_reason="unreachable"``. The margin
+    covers the rounding in ``d(w)``, which grows near the floor; ``d(w)`` can
+    also fall between sweeps. On example1 (100 nodes, target 1e-10, floor
+    3.5e-11) the type (28, 28) meets the target, yet its ``sqrt(d)`` reaches
+    1.8 floors over it at iteration 6 and falls 15x when a node drops; the
+    types (26, 26) and (27, 27), which miss it, settle 12 floors over. A
+    converged verdict in the same sweep takes precedence. Without
+    ``target`` the rule is off.
 
     The returned fit is the best-error sweep, whatever the stop reason: its
     own coefficients, error and gap, in the basis that sweep ran in.
@@ -342,7 +347,7 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
     vscale = float(np.max(np.linalg.norm(samples.values, axis=1)))
     interp_floor = float(20 * np.finfo(float).eps * vscale) ** 2
     give_up = (np.inf if target is None else
-               UNREACHABLE_MARGIN ** 2 * max(target ** 2, interp_floor))
+               (target + UNREACHABLE_MARGIN * np.sqrt(interp_floor)) ** 2)
     trace = []
     best = None
     stop_reason = "budget"

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from nepsolve import (DegreeSpec, RunConfig, SampleSet, builtin_problem, emit,
-                      hadeler, lawson, run, sample_boundary, save_manifest)
+from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
+                      run, sample_boundary, save_manifest)
 from nepsolve import cli
 from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
                           build_parser, main)
@@ -45,7 +45,8 @@ def test_report_json_schema(time_delay_report):
     assert {"degree", "sqrt_e", "gap", "stop_reason",
             "escalation"} <= set(doc["approx"])
     for step in doc["approx"]["escalation"]:
-        assert set(step) == {"degree", "sweeps", "stop_reason"}
+        assert set(step) == {"degree", "sweeps", "stop_reason", "sqrt_e",
+                             "sqrt_d"}
     assert set(doc["zeros"]) == {"t1", "t2", "t3"}
     row = doc["eigen"][0]
     assert {"re", "im", "residual", "normalized_residual", "in_region",
@@ -200,27 +201,57 @@ def test_run_reports_reproducible(time_delay_report):
     assert a == b
 
 
-def test_escalation_matches_full_fits_until_target(time_delay_report):
+def _check_escalation_matches_full_fits(report):
     # giving up on degrees that cannot meet tol must not change what is
     # reported: compare with fitting every degree in full
-    config = time_delay_report.config
-    nep = builtin_problem(config.problem)
-    samples = SampleSet.from_nep(nep, sample_boundary(nep.region, config.nodes))
+    config = report.config
+    nep = cli._resolve_problem(config)
+    region = cli._resolve_region(config, nep)
+    samples = SampleSet.from_nep(nep, sample_boundary(region, config.nodes))
     for k in range(1, config.max_degree + 1):
         xi = lawson(samples, DegreeSpec((k,) * nep.s, k))
         if np.sqrt(xi.e_max) < config.tol:
             break
-    fit = time_delay_report.fit
+    fit = report.fit
     assert fit.degrees.denominator == k
     assert fit.e_max == xi.e_max
     assert fit.iterations == xi.iterations
     assert fit.stop_reason == xi.stop_reason
-    escalation = time_delay_report.escalation
+    escalation = report.escalation
     assert [step["degree"] for step in escalation] == list(range(1, k + 1))
-    assert escalation[-1] == {"degree": k, "sweeps": xi.iterations,
-                              "stop_reason": xi.stop_reason}
+    assert escalation[-1] == {
+        "degree": k, "sweeps": xi.iterations, "stop_reason": xi.stop_reason,
+        "sqrt_e": np.sqrt(xi.e_max),
+        "sqrt_d": np.sqrt(max(step.d_w for step in xi.trace))}
+    assert escalation[-1]["sqrt_e"] == report.to_json_dict()["approx"]["sqrt_e"]
+    # each degree given up carries its proof: a dual bound above tol
+    assert all(step["sqrt_d"] > config.tol for step in escalation
+               if step["stop_reason"] == "unreachable")
+    return escalation
+
+
+def test_escalation_matches_full_fits_until_target(time_delay_report):
+    escalation = _check_escalation_matches_full_fits(time_delay_report)
     assert all(step["stop_reason"] == "unreachable"
                for step in escalation[:-2])
+
+
+@pytest.mark.parametrize("problem, nodes, max_degree, max_sweeps", [
+    ("example1", 100, 30, 45),
+    ("hadeler100", 50, 6, 30),
+])
+def test_escalation_matches_full_fits_on_benchmark_configs(
+        tmp_path, problem, nodes, max_degree, max_sweeps):
+    if problem == "hadeler100":
+        source = {"manifest": save_manifest(hadeler(n=100),
+                                            str(tmp_path / "hadeler.json"))}
+    else:
+        source = {"problem": problem}
+    report = run(RunConfig(nodes=nodes, tol=1e-10, max_degree=max_degree,
+                           **source))
+    escalation = _check_escalation_matches_full_fits(report)
+    # the give-up rule's sweep budget on the benchmark's fits
+    assert sum(step["sweeps"] for step in escalation) <= max_sweeps
 
 
 def test_config_validation():

@@ -251,9 +251,10 @@ def test_nonconvergence_is_flagged_not_raised():
     assert xi.gap > 0
 
 
-@pytest.mark.parametrize("margin", [1, lawson_module.UNREACHABLE_MARGIN])
+@pytest.mark.parametrize("margin", [0, lawson_module.UNREACHABLE_MARGIN])
 def test_give_up_only_when_target_is_out_of_reach(monkeypatch, margin):
-    # weak duality makes the rule sound even without the rounding margin: a
+    # weak duality makes the rule sound even without the rounding margin (at
+    # 0 it gives up once the dual bound clears the target itself): a
     # fit given up as unreachable could not have met its target in full, and
     # up to the give-up it ran the same sweeps as the full fit
     monkeypatch.setattr(lawson_module, "UNREACHABLE_MARGIN", margin)
