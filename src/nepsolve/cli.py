@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError("max_degree must be at least 1")
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.fmt not in ("json", "csv"):
+            raise ValueError(f"unknown format {self.fmt!r}")
         if self.subspace is not None and self.subspace < 1:
             raise ValueError("subspace must be at least 1")
         if self.seed < 0:
@@ -332,9 +334,8 @@ def build_parser():
     parser.add_argument("--solver", choices=("auto", "dense", "filter"),
                         default=RunConfig.solver)
     parser.add_argument("--subspace", type=int, metavar="N",
-                        help="fix the filter solver's block at N columns (default: "
-                             f"start at {SUBSPACE_START} and grow with the number of "
-                             "Ritz values in the region)")
+                        help="start the filter block at N columns; it grows with "
+                             f"the in-region Ritz count (default {SUBSPACE_START})")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: print to stdout)")

@@ -6,12 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-# LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
-from scipy.linalg.lapack import get_lapack_funcs, zgetrf, zgetrs
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .basis import eval_basis
-from .pencil import DENSE_DIM_LIMIT, SPARSE_ORDERING, _dense
+from .pencil import DENSE_DIM_LIMIT, _dense, _factor_p
 
 __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
@@ -117,9 +115,10 @@ def solve_pencil_dense(pencil, region=None):
 def refine_eigenvectors(pencil, lam, U, steps=1):
     """Pencil eigenvectors for the eigenvalues ``lam`` by inverse iteration.
 
-    ``P(lam[i])`` is factored once (SuperLU when every coefficient is sparse,
-    LAPACK otherwise) and ``x <- P(lam[i])^{-1} x / ||x||`` runs ``steps``
-    times from ``x = U[:, i]``; column i of the result is the unit
+    ``P(lam[i])`` is factored once (SuperLU when it is sparse, LAPACK
+    otherwise, as :class:`~nepsolve.pencil.BlockLU` factors it) and
+    ``x <- P(lam[i])^{-1} x / ||x||`` runs ``steps`` times from
+    ``x = U[:, i]``; column i of the result is the unit
     ``theta(lam[i])[:gamma] (x) x`` the linearization prescribes. An exactly
     singular ``P(lam[i])`` or a non-finite step gives the SVD null vector
     instead, except that a sparse one above ``DENSE_DIM_LIMIT`` keeps its last
@@ -127,7 +126,6 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
     eigenvalue that is the conjugate of the previous one (geev's order for a
     pair) takes the conjugate of its vector.
     """
-    sparse = all(sp.issparse(a) for a in pencil.poly.coeffs)
     theta = eval_basis(pencil.poly.basis, lam)[:, : pencil.gamma]
     V = np.empty((pencil.dim, lam.size), dtype=complex)
     for i in range(lam.size):
@@ -135,15 +133,7 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
             V[:, i] = V[:, i - 1].conj()
             continue
         M = pencil.poly(lam[i])
-        if sparse:
-            try:
-                solve = spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING).solve
-            except RuntimeError:  # SuperLU met an exactly zero pivot
-                solve = None
-        else:
-            M = _dense(M)
-            lu, piv, info = zgetrf(M)
-            solve = None if info else (lambda b: zgetrs(lu, piv, b)[0])
+        solve = _factor_p(M)[0]
         x = U[:, i]
         for _ in range(steps if solve else 0):
             y = solve(x)
@@ -152,7 +142,7 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
                 solve = None
                 break
             x = y / ny
-        if solve is None and (not sparse or pencil.dim <= DENSE_DIM_LIMIT):
+        if solve is None and (not sp.issparse(M) or pencil.dim <= DENSE_DIM_LIMIT):
             x = _null_vector(M)
         v = np.kron(theta[i], x)
         V[:, i] = v / np.linalg.norm(v)

@@ -20,7 +20,7 @@ on a real block as ``sum_{j < k/2} 2 Re(g_j S(s_j) Y)``, plus
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,8 +32,8 @@ __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError"
            "quadrature", "scalar_filter", "shift_invert", "apply_filter",
            "default_shift", "sif", "SUBSPACE_START"]
 
-# a filter block of unspecified width starts with this many columns and grows
-# to max(ceil(1.5 c), c + 8) once c Ritz values fall in the region
+# a filter block of unspecified width starts with this many columns; every
+# block grows to max(ceil(1.5 c), c + 8) once c Ritz values fall in the region
 SUBSPACE_START = 16
 
 
@@ -154,10 +154,9 @@ def default_shift(region):
 class SIFConfig:
     """Subspace-iteration parameters: block width, quadrature, thresholds.
 
-    ``subspace=N`` fixes the block at N columns. The default, ``None``, starts
-    at ``SUBSPACE_START`` columns (at most the pencil's dimension) and lets
-    :func:`sif` grow the block from its Ritz count; ``grow`` records which,
-    and ``subspace`` then reads ``SUBSPACE_START``.
+    ``subspace`` is the width the block starts at; the default, ``None``,
+    reads ``SUBSPACE_START``. :func:`sif` caps it at the pencil's dimension
+    and grows it from the Ritz count.
     """
 
     subspace: int = None
@@ -166,11 +165,9 @@ class SIFConfig:
     tol_ghost: float = 1e-2
     max_iters: int = 30
     seed: int = 0
-    grow: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "grow", self.subspace is None)
-        if self.grow:
+        if self.subspace is None:
             object.__setattr__(self, "subspace", SUBSPACE_START)
         if self.subspace < 1:
             raise ValueError("subspace must have at least one column")
@@ -221,18 +218,15 @@ def sif(pencil, nep, region, config):
     pairs at or above ``tol_ghost`` are ghosts. The iteration stops once no
     ghost remains inside the region, every in-region pair is below
     ``tol_residual``, and the in-region count is stable across consecutive
-    iterations. All Ritz vectors are carried into the next sweep regardless
-    of region membership; on a paired rule (real pencil, real center) the
-    real orthonormal basis of the filtered block, which spans them, is carried
-    instead, and the block stays real.
+    iterations. The orthonormal basis of the filtered block, which spans all
+    Ritz vectors whatever their region membership, is carried into the next
+    sweep; on a paired rule (real pencil, real center) it stays real.
 
-    With ``config.grow`` the block starts at ``min(SUBSPACE_START, dim)``
-    columns. After each Rayleigh-Ritz step its width becomes at least
-    ``max(ceil(1.5 c), c + 8)``, capped at ``dim``, where ``c`` counts the
-    Ritz values inside the region, ghosts included; the Ritz vectors are
-    topped up with fresh seeded random columns, real on a paired rule, to that
-    width. The block never shrinks.
-    Without ``grow`` the block keeps ``config.subspace`` columns.
+    The block starts at ``min(config.subspace, dim)`` columns. After each
+    Rayleigh-Ritz step its width becomes at least ``max(ceil(1.5 c), c + 8)``,
+    capped at ``dim``, where ``c`` counts the Ritz values inside the region,
+    ghosts included; the carried basis is topped up with fresh seeded random
+    columns, real on a paired rule, to that width. The block never shrinks.
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
     lus = _factor_poles(pencil, rule)
@@ -242,8 +236,7 @@ def sif(pencil, nep, region, config):
     row_scale = pencil.equilibration_scale()
     split = (pencil.gamma - 1) * pencil.n
     rng = np.random.default_rng(config.seed)
-    width = min(config.subspace, pencil.dim) if config.grow else config.subspace
-    need = width
+    width = need = min(config.subspace, pencil.dim)
     Y = _random_block(rng, pencil.dim, width, real)
 
     trace = []
@@ -252,7 +245,7 @@ def sif(pencil, nep, region, config):
     prev_max_sigma = None
     for it in range(1, config.max_iters + 1):
         width = max(width, need)
-        if config.grow and Y.shape[1] < width:
+        if Y.shape[1] < width:
             Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1], real)])
         U = apply_filter(pencil, rule, Y, lus=lus)
         V = _orth(U)
@@ -293,16 +286,15 @@ def sif(pencil, nep, region, config):
                 f"({prev_max_sigma:.3e} -> {max_sigma:.3e})", stacklevel=2)
         prev_max_sigma = max_sigma
 
-        if config.grow:
-            # ceil(1.5 c) without floating point
-            need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
+        # ceil(1.5 c) without floating point
+        need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
         done = (ghost_count == 0 and count == prev_count
                 and (count == 0 or max_sigma < config.tol_residual))
         prev_count = count
         if done:
             converged = True
             break
-        Y = V if real else Ritz
+        Y = V
 
     eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
                                         pencil.poly.basis, nep, region)

@@ -21,6 +21,8 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .basis import eval_basis
 
@@ -279,8 +281,10 @@ def verify_linearization(pencil, x0):
 class BlockLU:
     """Factorization of ``(mu C1 - C0) S`` supporting structured solves.
 
-    Stores the scalar recurrence data and a factorization of ``P(mu)``; each
-    ``solve`` costs forward block recurrences plus one n x n solve.
+    Stores the scalar recurrence data, the one block of ``L`` that depends on
+    ``mu``, ``-bottom[gamma-1] + mu k_gamma A_gamma`` (the others are
+    ``-bottom[i]``), and an LU of ``P(mu)``; each ``solve`` costs forward
+    block recurrences plus one n x n solve.
     """
 
     def __init__(self, pencil, mu):
@@ -290,28 +294,10 @@ class BlockLU:
         gamma = pencil.gamma
         H, k, A = pencil.H, pencil.k, pencil.poly.coeffs
         self.theta = eval_basis(pencil.poly.basis, [mu])[0]
-        # l_{i,gamma} blocks, i = 1..gamma-1 (one-based as in the factorization)
-        self.l_blocks = [None]
-        for i in range(1, gamma):
-            blk = k[gamma - 1] * A[i] - (k[gamma] * H[i, gamma - 1]) * A[gamma]
-            if i == gamma - 1:
-                blk = blk + (mu * k[gamma]) * A[gamma]
-            self.l_blocks.append(blk)
+        self.last = -pencil.bottom[gamma - 1] + (mu * k[gamma]) * A[gamma]
         self.prefactor = complex(np.prod([H[i, i - 1] for i in range(1, gamma)]))
-        Pm = pencil.poly(mu)
-        if sp.issparse(Pm):
-            try:
-                solver = spla.splu(Pm.tocsc(), permc_spec=SPARSE_ORDERING)
-            except RuntimeError:  # SuperLU met an exactly zero pivot
-                diag = np.zeros(1)
-            else:
-                diag = np.abs(solver.U.diagonal())
-                self._solve_p = solver.solve
-        else:
-            lu, piv = scipy.linalg.lu_factor(Pm)
-            diag = np.abs(np.diag(lu))
-            self._solve_p = lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs)
-        if diag.min() <= 1e-14 * diag.max():
+        self._solve_p, diag = _factor_p(pencil.poly(mu))
+        if self._solve_p is None or diag.min() <= 1e-14 * diag.max():
             raise SingularShiftError(
                 f"P(mu) is numerically singular at mu={mu}; choose a shift "
                 "away from the spectrum")
@@ -331,8 +317,10 @@ class BlockLU:
                 acc += H[j + 1, i] * X[j]
             X[i] = -acc / H[i + 1, i]
         rhs = k[gamma] * (p.poly.coeffs[gamma] @ Yb[gamma - 1])
-        for i in range(1, gamma):
-            rhs = rhs - self.l_blocks[i] @ X[i - 1]
+        for i in range(1, gamma - 1):
+            rhs = rhs + p.bottom[i] @ X[i - 1]
+        if gamma >= 2:
+            rhs = rhs - self.last @ X[gamma - 2]
         X[gamma - 1] = self._solve_p(self.prefactor * rhs)
         Z = np.empty((gamma, n, Yb.shape[2]), dtype=complex)
         Z[0] = X[gamma - 1]
@@ -353,13 +341,35 @@ class BlockLU:
                 coeff = (mu if j == i - 1 else 0.0) - H[j, i - 1]
                 L[(i - 1) * n: i * n, (j - 1) * n: j * n] = coeff * eye
         for j in range(1, gamma):
-            L[(gamma - 1) * n:, (j - 1) * n: j * n] = _dense(self.l_blocks[j])
+            blk = self.last if j == gamma - 1 else -p.bottom[j]
+            L[(gamma - 1) * n:, (j - 1) * n: j * n] = _dense(blk)
         L[(gamma - 1) * n:, (gamma - 1) * n:] = k[gamma - 1] * _dense(p.poly(mu))
         U = np.eye(p.dim, dtype=complex)
         for i in range(1, gamma):
             U[(i - 1) * n: i * n, (gamma - 1) * n:] = \
                 -(self.theta[i] / self.theta[0]) * eye
         return L, U
+
+
+def _factor_p(M):
+    """LU of ``P`` at a point: ``(solve, |diag U|)``, or ``(None, None)``.
+
+    A sparse ``M`` goes to SuperLU with ``SPARSE_ORDERING``, a dense one to
+    LAPACK getrf/getrs of its dtype. An exactly zero pivot gives ``None``
+    for ``solve`` and no warning.
+    """
+    if sp.issparse(M):
+        try:
+            solver = spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING)
+        except RuntimeError:  # SuperLU met an exactly zero pivot
+            return None, None
+        return solver.solve, np.abs(solver.U.diagonal())
+    M = _dense(M)
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
+    lu, piv, info = getrf(M)
+    if info:
+        return None, None
+    return (lambda b: getrs(lu, piv, b)[0]), np.abs(np.diag(lu))
 
 
 def block_lu(pencil, mu):

@@ -148,8 +148,11 @@ class Region:
     half_disk: bool = False
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("region radius must be positive")
+        # written so that nan fails too
+        if not 0 < self.radius < np.inf:
+            raise ValueError("region radius must be positive and finite")
+        if not np.isfinite(self.center):
+            raise ValueError("region center must be finite")
 
     def contains(self, lam):
         d = np.asarray(lam, dtype=complex) - self.center

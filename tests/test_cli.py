@@ -1,5 +1,6 @@
 """Pipeline driver, report emission, and command-line interface tests."""
 
+import functools
 import importlib
 import importlib.util
 import json
@@ -15,7 +16,7 @@ from nepsolve import cli
 from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
                           build_parser, main)
 from nepsolve.eigensolve import STANDARD_FORM_RCOND
-from nepsolve.filters import SUBSPACE_START
+from nepsolve.filters import SUBSPACE_START, SIFConfig
 from util import match_sets
 
 
@@ -264,6 +265,8 @@ def test_config_validation():
             RunConfig(problem="x", tol=tol)
     with pytest.raises(ValueError):
         RunConfig(problem="x", solver="qz")
+    with pytest.raises(ValueError, match="format"):
+        RunConfig(problem="x", fmt="xml")
     with pytest.raises(ValueError, match="seed"):
         RunConfig(problem="x", seed=-1)
     with pytest.raises(ValueError, match="subspace"):
@@ -273,6 +276,16 @@ def test_config_validation():
         with pytest.raises(ValueError, match="nodes"):
             RunConfig(problem="x", nodes=nodes)
     RunConfig(problem="x", nodes=4)
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"radius": float("inf")}, "radius"),
+    ({"center": complex(float("nan"), 0)}, "center"),
+], ids=["inf_radius", "nan_center"])
+def test_run_rejects_non_finite_region(override, field):
+    # the region fails before any sampling, not in the basis build
+    with pytest.raises(ValueError, match=f"region {field}"):
+        run(RunConfig(problem="example1", **override))
 
 
 def test_parser_defaults_are_run_config_defaults():
@@ -429,15 +442,29 @@ def test_default_width_filter_residuals_within_bound(hadeler_filter_reports, n):
     assert all(p.residual <= report.bound for p in report.in_region)
 
 
-def test_filter_budget_reported_and_exit_status():
-    # three columns cannot hold time_delay2's five in-region eigenvalues
+def test_filter_budget_reported_and_exit_status(monkeypatch):
+    # one sweep cannot show a stable in-region count
+    monkeypatch.setattr(cli, "SIFConfig", functools.partial(SIFConfig, max_iters=1))
     report = run(RunConfig(problem="time_delay2", nodes=40, tol=1e-6,
                            max_degree=10, solver="filter", subspace=3))
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": False, "path": "filter",
-        "iterations": 30, "subspace": 3, "stop_reason": "budget",
+        "iterations": 1, "subspace": 3, "stop_reason": "budget",
         "arithmetic": "real"}
     assert report.exit_status == EXIT_SOLVER_MISS
+
+
+def test_filter_small_start_width_grows_and_converges():
+    # three columns cannot hold time_delay2's five in-region eigenvalues, so
+    # the block grows until they fit
+    report = run(RunConfig(problem="time_delay2", nodes=40, tol=1e-6,
+                           max_degree=10, solver="filter", subspace=3))
+    assert report.solver_converged
+    assert report.solver_info["stop_reason"] == "converged"
+    assert report.solver_info["subspace"] > 3
+    assert len(report.in_region) == 5
+    assert all(p.residual <= report.bound for p in report.in_region)
+    assert report.exit_status == EXIT_OK
 
 
 def test_in_region_pole_exit_status(monkeypatch, tmp_path):

@@ -262,8 +262,7 @@ def test_sif_factors_half_the_poles_on_a_real_pencil_with_a_real_center(
 def test_sif_config_validation():
     with pytest.raises(ValueError):
         SIFConfig(subspace=0)
-    assert SIFConfig().grow and SIFConfig().subspace == SUBSPACE_START
-    assert not SIFConfig(subspace=SUBSPACE_START).grow
+    assert SIFConfig().subspace == SUBSPACE_START
     with pytest.raises(ValueError, match="max_iters"):
         SIFConfig(subspace=4, max_iters=0)
     with pytest.raises(ValueError):
@@ -410,13 +409,14 @@ def test_sif_grows_to_rule_width():
     assert match_sets([p.lam for p in result.eigenpairs], INNER, 1e-8)
 
 
-def test_sif_explicit_width_never_changes(time_delay_bundle, monkeypatch):
-    # 5 in-region eigenvalues: the growth rule would ask for 13 columns
+def test_sif_explicit_width_is_only_a_start(time_delay_bundle, monkeypatch):
+    # 5 in-region eigenvalues: the growth rule asks for 13 columns, so a
+    # 12-column start grows, and finds what the default start finds
     b = time_delay_bundle
     widths = _record_widths(monkeypatch)
     result = sif(b.pencil, b.nep, b.nep.region, SIFConfig(subspace=12, seed=7))
     assert result.converged
-    assert set(widths) == {12} and result.subspace == 12
+    assert widths[0] == 12 and result.subspace == 13
     widths.clear()
     grown = sif(b.pencil, b.nep, b.nep.region, SIFConfig(seed=7))
     assert widths[0] == SUBSPACE_START == grown.subspace
@@ -440,7 +440,7 @@ def test_sif_silent_on_a_rise_below_tol_residual(time_delay_bundle):
 
 
 def _planted_sif(sweeps):
-    # sif on the planted problem at a fixed width of 10 for 3 sweeps; sweep
+    # sif on the planted problem from a width of 10 for 3 sweeps; sweep
     # i's residual call gives every in-region pair the scale-free residual
     # sweeps[i] (a scalar, or one value per pair), and later calls, such as
     # extraction's, see the true residual

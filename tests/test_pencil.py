@@ -350,7 +350,10 @@ def test_sparse_shift_invert_matches_dense_oracle(case):
         assert np.linalg.norm(Z - Zd) <= 1e-9 * np.linalg.norm(Zd)
 
 
-def test_exactly_singular_sparse_shift_raises():
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_exactly_singular_shift_raises(sparse):
+    # an exactly zero pivot raises SingularShiftError, without a LinAlgWarning
+    # (which the suite's filterwarnings would turn into a failure)
     rng = np.random.default_rng(33)
     basis = build_basis(random_nodes(rng, 10), 2)
     coeffs = [_random_sparse(rng, 6, 0.5) + sp.identity(6, format="csr")
@@ -358,6 +361,8 @@ def test_exactly_singular_sparse_shift_raises():
     for A in coeffs:  # an empty row in every coefficient, so in every P(x)
         A.data[A.indptr[2]: A.indptr[3]] = 0.0
         A.eliminate_zeros()
+    if not sparse:
+        coeffs = [A.toarray() for A in coeffs]
     pencil = build_pencil(MatrixPolynomial(coeffs, basis), trim=False)
     with pytest.raises(SingularShiftError):
         BlockLU(pencil, 1.5 + 0.5j)

@@ -181,6 +181,23 @@ def test_manifest_errors_carry_context(tmp_path):
         load_manifest(str(path3))
 
 
+@pytest.mark.parametrize("region, field", [
+    ({"center": [0, 0], "radius": float("inf")}, "radius"),
+    ({"center": [float("nan"), 0], "radius": 1.0}, "center"),
+], ids=["inf_radius", "nan_center"])
+def test_manifest_region_must_be_finite(tmp_path, region, field):
+    doc = {
+        "name": "bad_region",
+        "terms": [{"kind": "constant", "params": {"value": 1}}],
+        "matrices": [{"inline": [[1, 0], [0, 1]]}],
+        "region": region,
+    }
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(doc))  # non-finite floats as Infinity / NaN
+    with pytest.raises(ManifestError, match=f"region: region {field}"):
+        load_manifest(str(path))
+
+
 def test_manifest_dimension_mismatch(tmp_path):
     doc = {
         "name": "mismatch",
