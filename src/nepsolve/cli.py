@@ -102,7 +102,8 @@ class EigenReport:
     solver_converged: bool
     # ``path`` (geev, qz or filter); on the dense paths the corner's rcond
     # and the count of eigenvalues ``outside`` the region, on the filter path
-    # iterations, subspace and stop_reason; on both ``arithmetic``
+    # iterations, subspace and stop_reason; on both ``arithmetic`` and the
+    # filter's pole ``factorizations`` and ``block_solves`` (0 when dense)
     solver_info: dict
     timings: dict
 
@@ -217,7 +218,8 @@ def run(config):
         eigenpairs = extract_nep_eigenpairs(pairs, xi.basis, nep, region)
         solver_converged = True
         solver_info = {"path": pairs.path, "rcond": pairs.rcond,
-                       "outside": pairs.outside}
+                       "outside": pairs.outside, "factorizations": 0,
+                       "block_solves": 0}
     else:
         result = sif(pencil, nep, region,
                      SIFConfig(subspace=config.subspace, seed=config.seed))
@@ -225,7 +227,9 @@ def run(config):
         solver_converged = result.converged
         solver_info = {"path": "filter", "iterations": result.iterations,
                        "subspace": result.subspace,
-                       "stop_reason": "converged" if result.converged else "budget"}
+                       "stop_reason": "converged" if result.converged else "budget",
+                       "factorizations": result.factorizations,
+                       "block_solves": result.block_solves}
     solver_info["arithmetic"] = "real" if pencil.is_real else "complex"
     t_solve = time.perf_counter() - t0
 

@@ -19,7 +19,11 @@ on a real block as ``sum_{j < k/2} 2 Re(g_j S(s_j) Y)``, plus
 ``S(s) = (s C1 - C0)^{-1} C1``.
 """
 
+import os
+import traceback
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +99,8 @@ def apply_filter(pencil, rule, Y, lus=None):
     complex ``Y`` is filtered as the real block ``[Re Y, Im Y]``.
     """
     if lus is None:
-        lus = _factor_poles(pencil, rule)
+        with _factor_poles(pencil, rule) as lus:
+            return apply_filter(pencil, rule, Y, lus)
     paired = _paired(pencil, rule)
     weights = rule.weights
     if paired:
@@ -122,27 +127,54 @@ def _paired(pencil, rule):
     return rule.center.imag == 0 and pencil.is_real
 
 
+@contextmanager
 def _factor_poles(pencil, rule):
     """One factorization per pole, or per upper-half pole on a paired rule.
 
     Poles are paired by index, ``j`` with ``k - 1 - j``: the computed poles
     are conjugate only to rounding, and the on-axis pole of an odd rule is
     factored at its real part.
+
+    A context manager: it yields the list of :class:`BlockLU`, in pole
+    order, and empties it on exit. The poles are factored concurrently on
+    ``w = min(#poles, #usable CPUs)`` single-thread workers, pole ``j`` on
+    worker ``j % w`` (SuperLU releases the GIL). Each factorization is also
+    dropped by the worker that built it, after the caller's references are
+    gone: SciPy's SuperLU never gives back the memory of a factor freed on
+    another thread than the one that built it.
     """
     poles = rule.poles
     if _paired(pencil, rule):
         poles = poles[: (rule.k + 1) // 2].copy()
         if rule.k % 2:
             poles[-1] = poles[-1].real
-    lus = []
-    for j, s in enumerate(poles):
+    w = min(len(poles), len(os.sched_getaffinity(0)))
+    workers = [ThreadPoolExecutor(max_workers=1) for _ in range(w)]
+    owned = [[] for _ in range(w)]  # owned[i] grows and is cleared on worker i only
+
+    def factor(j, s):
         try:
-            lus.append(BlockLU(pencil, s))
+            owned[j % w].append(BlockLU(pencil, s))
         except SingularShiftError as exc:
+            # the failed BlockLU lives in the traceback's frames: free it here
+            traceback.clear_frames(exc.__traceback__)
             raise SingularShiftError(
                 f"quadrature pole {j + 1} of {rule.k} at {s} hits the "
                 f"spectrum: {exc}") from exc
-    return lus
+
+    lus = []
+    try:
+        # the first failing pole in pole order raises, once every worker is done
+        futures = [workers[j % w].submit(factor, j, s) for j, s in enumerate(poles)]
+        for future in futures:
+            future.result()
+        lus.extend(owned[j % w][j // w] for j in range(len(poles)))
+        yield lus
+    finally:
+        lus.clear()
+        for worker, own in zip(workers, owned):
+            worker.submit(own.clear)
+            worker.shutdown()
 
 
 def default_shift(region):
@@ -192,7 +224,9 @@ class SIFStep:
 class SIFResult:
     """Converged (or flagged partial) eigenpairs with the iteration trace.
 
-    ``subspace`` is the block width of the last iteration.
+    ``subspace`` is the block width of the last iteration;
+    ``factorizations`` counts the pole factorizations and ``block_solves``
+    the structured solves with them.
     """
 
     eigenpairs: list
@@ -200,6 +234,8 @@ class SIFResult:
     converged: bool
     iterations: int
     subspace: int
+    factorizations: int
+    block_solves: int
 
 
 def _orth(U):
@@ -229,7 +265,6 @@ def sif(pencil, nep, region, config):
     columns, real on a paired rule, to that width. The block never shrinks.
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
-    lus = _factor_poles(pencil, rule)
     real = _paired(pencil, rule)
     sigma_shift = default_shift(region)
     scale = abs(region.center) + region.radius
@@ -243,63 +278,69 @@ def sif(pencil, nep, region, config):
     converged = False
     prev_count = None
     prev_max_sigma = None
-    for it in range(1, config.max_iters + 1):
-        width = max(width, need)
-        if Y.shape[1] < width:
-            Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1], real)])
-        U = apply_filter(pencil, rule, Y, lus=lus)
-        V = _orth(U)
-        # equilibrated left scaling (a diagonal equivalence on the pencil)
-        C0V = pencil.apply_C0(V)
-        C1V = pencil.apply_C1(V)
-        C0V[split:] *= row_scale
-        C1V[split:] *= row_scale
-        W = _orth(C0V - sigma_shift * C1V)
-        lam, X = scipy.linalg.eig(W.conj().T @ C0V, W.conj().T @ C1V)
-        finite = np.isfinite(lam)
-        lam, X = lam[finite], X[:, finite]
-        Ritz = V @ X
+    with _factor_poles(pencil, rule) as lus:
+        for it in range(1, config.max_iters + 1):
+            width = max(width, need)
+            if Y.shape[1] < width:
+                Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1],
+                                                 real)])
+            U = apply_filter(pencil, rule, Y, lus=lus)
+            V = _orth(U)
+            # equilibrated left scaling (a diagonal equivalence on the pencil)
+            C0V = pencil.apply_C0(V)
+            C1V = pencil.apply_C1(V)
+            C0V[split:] *= row_scale
+            C1V[split:] *= row_scale
+            W = _orth(C0V - sigma_shift * C1V)
+            lam, X = scipy.linalg.eig(W.conj().T @ C0V, W.conj().T @ C1V)
+            finite = np.isfinite(lam)
+            lam, X = lam[finite], X[:, finite]
+            Ritz = V @ X
 
-        inside = np.flatnonzero(region.contains(lam))
-        V1 = Ritz[: pencil.n, inside]
-        nv1 = np.linalg.norm(V1, axis=0)
-        # a zero leading block gets sigma = inf and so counts as a ghost
-        sigma = np.divide(np.linalg.norm(nep.apply(lam[inside], V1), axis=0),
-                          scale * nv1, out=np.full(inside.size, np.inf),
-                          where=nv1 > 0)
-        ghost = sigma >= config.tol_ghost
-        keep = inside[~ghost]  # columns of the in-region, non-ghost Ritz pairs
-        ghost_count = int(ghost.sum())  # ghosts inside the region
-        sigmas_in = sigma[~ghost]
-        count = sigmas_in.size
-        max_sigma = float(sigmas_in.max()) if count else float("nan")
-        min_sigma = float(sigmas_in.min()) if count else float("nan")
-        trace.append(SIFStep(it, count, ghost_count, max_sigma, min_sigma))
+            inside = np.flatnonzero(region.contains(lam))
+            V1 = Ritz[: pencil.n, inside]
+            nv1 = np.linalg.norm(V1, axis=0)
+            # a zero leading block gets sigma = inf and so counts as a ghost
+            sigma = np.divide(np.linalg.norm(nep.apply(lam[inside], V1), axis=0),
+                              scale * nv1, out=np.full(inside.size, np.inf),
+                              where=nv1 > 0)
+            ghost = sigma >= config.tol_ghost
+            keep = inside[~ghost]  # columns of the in-region, non-ghost Ritz pairs
+            ghost_count = int(ghost.sum())  # ghosts inside the region
+            sigmas_in = sigma[~ghost]
+            count = sigmas_in.size
+            max_sigma = float(sigmas_in.max()) if count else float("nan")
+            min_sigma = float(sigmas_in.min()) if count else float("nan")
+            trace.append(SIFStep(it, count, ghost_count, max_sigma, min_sigma))
 
-        # a rise below tol_residual is rounding, not divergence, and one over
-        # a different set of pairs (the count changed) is no rise at all
-        if (it > 2 and count == prev_count and np.isfinite(prev_max_sigma)
-                and prev_max_sigma * (1 + 1e-8) < max_sigma < np.inf
-                and max_sigma >= config.tol_residual):
-            warnings.warn(
-                f"in-region residual increased at iteration {it} "
-                f"({prev_max_sigma:.3e} -> {max_sigma:.3e})", stacklevel=2)
-        prev_max_sigma = max_sigma
+            # a rise below tol_residual is rounding, not divergence, and one over
+            # a different set of pairs (the count changed) is no rise at all
+            if (it > 2 and count == prev_count and np.isfinite(prev_max_sigma)
+                    and prev_max_sigma * (1 + 1e-8) < max_sigma < np.inf
+                    and max_sigma >= config.tol_residual):
+                warnings.warn(
+                    f"in-region residual increased at iteration {it} "
+                    f"({prev_max_sigma:.3e} -> {max_sigma:.3e})", stacklevel=2)
+            prev_max_sigma = max_sigma
 
-        # ceil(1.5 c) without floating point
-        need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
-        done = (ghost_count == 0 and count == prev_count
-                and (count == 0 or max_sigma < config.tol_residual))
-        prev_count = count
-        if done:
-            converged = True
-            break
-        Y = V
+            # ceil(1.5 c) without floating point
+            need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
+            done = (ghost_count == 0 and count == prev_count
+                    and (count == 0 or max_sigma < config.tol_residual))
+            prev_count = count
+            if done:
+                converged = True
+                break
+            Y = V
+        factorizations = len(lus)
 
     eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
                                         pencil.poly.basis, nep, region)
+    # each sweep applies the filter once: one block solve per factored pole
     return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace),
-                     converged=converged, iterations=len(trace), subspace=width)
+                     converged=converged, iterations=len(trace), subspace=width,
+                     factorizations=factorizations,
+                     block_solves=len(trace) * factorizations)
 
 
 def _random_block(rng, rows, cols, real):

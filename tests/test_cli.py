@@ -54,8 +54,10 @@ def test_report_json_schema(time_delay_report):
             "consistency"} <= set(row)
     assert {"fit", "pencil", "solve"} <= set(doc["timings"])
     rcond, outside = doc["solver"]["rcond"], doc["solver"]["outside"]
+    # the counters count the filter's pole factorizations and solves only
     assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev",
                              "rcond": rcond, "outside": outside,
+                             "factorizations": 0, "block_solves": 0,
                              "arithmetic": "real"}
     # the dense path reports the in-region pairs and counts the others
     assert all(row["in_region"] for row in doc["eigen"])
@@ -397,7 +399,8 @@ def test_run_hadeler_filter_path():
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": True, "path": "filter",
         "iterations": report.solver_info["iterations"], "subspace": 60,
-        "stop_reason": "converged", "arithmetic": "real"}
+        "stop_reason": "converged", "factorizations": 8,
+        "block_solves": 8 * report.solver_info["iterations"], "arithmetic": "real"}
     assert 1 <= report.solver_info["iterations"] <= 30
     inreg = report.in_region
     assert len(inreg) > 0
@@ -450,7 +453,7 @@ def test_filter_budget_reported_and_exit_status(monkeypatch):
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": False, "path": "filter",
         "iterations": 1, "subspace": 3, "stop_reason": "budget",
-        "arithmetic": "real"}
+        "factorizations": 8, "block_solves": 8, "arithmetic": "real"}
     assert report.exit_status == EXIT_SOLVER_MISS
 
 

@@ -2,7 +2,12 @@
 
 import dataclasses
 import io
+import os
+import re
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from nepsolve import (DegreeSpec, MatrixPolynomial, PoleHitError, Region,
                       scalar_filter, shift_invert, sif, solve_dense,
                       solve_pencil_dense, time_delay2, write_trace_csv)
 from nepsolve.filters import SUBSPACE_START, _factor_poles, default_shift
-from nepsolve.pencil import BlockLU, assemble
+from nepsolve.pencil import BlockLU, SingularShiftError, assemble
 from util import match_sets, random_poly
 
 
@@ -213,9 +218,9 @@ def test_paired_filter_matches_the_full_pole_sum(case):
     assert pencil.is_real
     C0, C1 = pencil.materialize()
     assume(max(np.linalg.cond(s * C1 - C0) for s in rule.poles) < 1e2)
-    lus = _factor_poles(pencil, rule)
-    assert len(lus) == (rule.k + 1) // 2
-    Z = apply_filter(pencil, rule, Y, lus=lus)
+    with _factor_poles(pencil, rule) as lus:
+        assert len(lus) == (rule.k + 1) // 2
+        Z = apply_filter(pencil, rule, Y, lus=lus)
     terms = [g * BlockLU(pencil, s).solve(Y) for g, s in zip(rule.weights, rule.poles)]
     assert np.iscomplexobj(Z) == np.iscomplexobj(Y)
     assert np.linalg.norm(Z - sum(terms)) <= 1e-12 * max(np.linalg.norm(t) for t in terms)
@@ -229,22 +234,33 @@ def test_paired_filter_rejects_one_factorization_per_pole(time_delay_bundle):
                      lus=[BlockLU(pencil, s) for s in rule.poles])
 
 
-def _count_factorizations(monkeypatch):
-    count = [0]
+def _record_lu_threads(monkeypatch, fail_at=None):
+    # one [building thread, freeing thread] entry per BlockLU, the second
+    # None while the BlockLU lives; the one at the pole fail_at is built and
+    # then reported singular. The poles are factored on worker threads, so
+    # entries are counted by list.append, which is atomic where += is not
+    made = []
     init = BlockLU.__init__
 
-    def counted(self, *args):
-        count[0] += 1
-        init(self, *args)
+    def freed(entry):
+        entry[1] = threading.get_ident()
 
-    monkeypatch.setattr(BlockLU, "__init__", counted)
-    return count
+    def recorded(self, pencil, mu):
+        entry = [threading.get_ident(), None]
+        made.append(entry)
+        weakref.finalize(self, freed, entry)
+        init(self, pencil, mu)
+        if mu == fail_at:
+            raise SingularShiftError("planted")
+
+    monkeypatch.setattr(BlockLU, "__init__", recorded)
+    return made
 
 
 @pytest.mark.parametrize("k", [7, 16])
 def test_sif_factors_half_the_poles_on_a_real_pencil_with_a_real_center(
         k, time_delay_bundle, example1_bundle, monkeypatch):
-    count = _count_factorizations(monkeypatch)
+    made = _record_lu_threads(monkeypatch)
     config = SIFConfig(subspace=8, quad_order=k, max_iters=1)
     b = time_delay_bundle
     assert b.pencil.is_real and b.nep.region.center.imag == 0
@@ -254,9 +270,74 @@ def test_sif_factors_half_the_poles_on_a_real_pencil_with_a_real_center(
     for pencil, nep, region, want in [(b.pencil, b.nep, b.nep.region, (k + 1) // 2),
                                       (b.pencil, b.nep, off_axis, k),
                                       (e.pencil, e.nep, e.nep.region, k)]:
-        count[0] = 0
-        sif(pencil, nep, region, config)
-        assert count[0] == want
+        made.clear()
+        result = sif(pencil, nep, region, config)
+        assert len(made) == result.factorizations == want
+        assert result.block_solves == want
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_factors_freed_before_return_on_the_thread_that_built_them(
+        time_delay_bundle, monkeypatch):
+    # SciPy's SuperLU never gives back the memory of a factor freed on
+    # another thread than the one that built it, so each worker frees its own
+    b = time_delay_bundle
+    _use_cpus(monkeypatch, 2)
+    made = _record_lu_threads(monkeypatch)
+    rule = quadrature(b.nep.region.center, b.nep.region.radius, 16)
+    for call in (lambda: sif(b.pencil, b.nep, b.nep.region, SIFConfig(seed=7)),
+                 lambda: apply_filter(b.pencil, rule, np.ones(b.pencil.dim))):
+        made.clear()
+        call()
+        assert len(made) == 8
+        assert all(built == freed for built, freed in made)
+        assert threading.get_ident() not in {built for built, _ in made}
+
+
+def test_singular_pole_named_and_every_factor_freed_on_its_worker(
+        time_delay_bundle, monkeypatch):
+    b = time_delay_bundle
+    _use_cpus(monkeypatch, 2)
+    rule = quadrature(b.nep.region.center, b.nep.region.radius, 16)
+    made = _record_lu_threads(monkeypatch, fail_at=rule.poles[2])
+    want = re.escape(f"quadrature pole 3 of 16 at {rule.poles[2]} hits the "
+                     "spectrum: planted")
+    for call in (lambda: sif(b.pencil, b.nep, b.nep.region, SIFConfig(seed=7)),
+                 lambda: apply_filter(b.pencil, rule, np.ones(b.pencil.dim))):
+        made.clear()
+        with pytest.raises(SingularShiftError, match=want):
+            call()
+        # the failed pole's BlockLU too: its frames are cleared on the worker
+        assert len(made) == 8
+        assert all(built == freed for built, freed in made)
+
+
+def test_sif_identical_for_any_worker_count(time_delay_bundle, monkeypatch):
+    # 8 workers for 8 poles outnumber the cores of a small box, and a short
+    # switch interval makes them interleave often
+    b = time_delay_bundle
+    made = _record_lu_threads(monkeypatch)
+    results, threads = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 8):
+            _use_cpus(monkeypatch, cpus)
+            made.clear()
+            results.append(sif(b.pencil, b.nep, b.nep.region, SIFConfig(seed=7)))
+            threads.append({thread for thread, _ in made})
+    finally:
+        sys.setswitchinterval(interval)
+    one = results[0]
+    for other in results[1:]:
+        assert [p.lam for p in other.eigenpairs] == [p.lam for p in one.eigenpairs]
+        assert (other.iterations, other.subspace) == (one.iterations, one.subspace)
+    # one thread per worker, none of them the caller's
+    assert [len(built) for built in threads] == [1, 2, 8]
+    assert threading.get_ident() not in set().union(*threads)
 
 
 def test_sif_config_validation():
