@@ -19,7 +19,7 @@ from .lawson import (DegreeSpec, DualResult, PoleEvaluationError,
                      write_trace_csv)
 from .pencil import (BlockLU, MatrixPolynomial, SingularShiftError,
                      StructuredPencil, assemble, block_lu, build_pencil,
-                     error_bound, export_pencil, gram_matrix, poly_roots,
+                     error_bound, gram_matrix, poly_roots,
                      verify_linearization)
 from .problems import (ManifestError, Region, ScalarFunction, SplitFormNEP,
                        builtin_problem, constant, example1, exp_affine,

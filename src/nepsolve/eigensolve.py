@@ -133,7 +133,7 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
             V[:, i] = V[:, i - 1].conj()
             continue
         M = pencil.poly(lam[i])
-        solve = _factor_p(M)[0]
+        solve = _factor_p(M)
         x = U[:, i]
         for _ in range(steps if solve else 0):
             y = solve(x)

@@ -36,8 +36,7 @@ __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError"
            "quadrature", "scalar_filter", "shift_invert", "apply_filter",
            "default_shift", "sif", "SUBSPACE_START"]
 
-# a filter block of unspecified width starts with this many columns; every
-# block grows to max(ceil(1.5 c), c + 8) once c Ritz values fall in the region
+# a filter block of unspecified width starts with this many columns (see sif)
 SUBSPACE_START = 16
 
 
@@ -254,9 +253,12 @@ def sif(pencil, nep, region, config):
     pairs at or above ``tol_ghost`` are ghosts. The iteration stops once no
     ghost remains inside the region, every in-region pair is below
     ``tol_residual``, and the in-region count is stable across consecutive
-    iterations. The orthonormal basis of the filtered block, which spans all
-    Ritz vectors whatever their region membership, is carried into the next
-    sweep; on a paired rule (real pencil, real center) it stays real.
+    iterations; a count of 0 also needs the filter's estimated trace, about
+    the in-region count, below 1/2 (``|tr(Y^H U)| / width`` on the random
+    first block ``Y`` and its image ``U``). The orthonormal basis of the
+    filtered block, which spans all Ritz vectors whatever their region
+    membership, is carried into the next sweep; on a paired rule (real
+    pencil, real center) it stays real.
 
     The block starts at ``min(config.subspace, dim)`` columns. After each
     Rayleigh-Ritz step its width becomes at least ``max(ceil(1.5 c), c + 8)``,
@@ -285,6 +287,8 @@ def sif(pencil, nep, region, config):
                 Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1],
                                                  real)])
             U = apply_filter(pencil, rule, Y, lus=lus)
+            if it == 1:  # Hutchinson on the random Y: E[y y^H] = I, 2 I if complex
+                mass = abs(np.vdot(Y, U)) / (Y.shape[1] * (1 if real else 2))
             V = _orth(U)
             # equilibrated left scaling (a diagonal equivalence on the pencil)
             C0V = pencil.apply_C0(V)
@@ -326,7 +330,7 @@ def sif(pencil, nep, region, config):
             # ceil(1.5 c) without floating point
             need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
             done = (ghost_count == 0 and count == prev_count
-                    and (count == 0 or max_sigma < config.tol_residual))
+                    and (max_sigma < config.tol_residual if count else mass < 0.5))
             prev_count = count
             if done:
                 converged = True

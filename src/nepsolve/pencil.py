@@ -17,7 +17,6 @@ module exploits.
 """
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -29,7 +28,7 @@ from .basis import eval_basis
 __all__ = ["MatrixPolynomial", "StructuredPencil", "BlockLU",
            "SingularShiftError", "assemble", "build_pencil",
            "verify_linearization", "block_lu",
-           "gram_matrix", "error_bound", "poly_roots", "export_pencil"]
+           "gram_matrix", "error_bound", "poly_roots"]
 
 # trailing polynomial coefficients below this fraction of the largest are dropped
 TRIM_RTOL = 1e-14
@@ -42,6 +41,8 @@ DENSE_DIM_LIMIT = 5000
 # about 255k-259k where the default COLAMD gives 415k, halving factor and
 # solve time. Partial pivoting (diag_pivot_thresh=1) is unchanged.
 SPARSE_ORDERING = "MMD_AT_PLUS_A"
+# P(mu) is singular where a seeded solve P x = b gives ||P||_1 ||x||_1 / ||b||_1 >= this
+SINGULAR_COND = 1e14
 
 
 class SingularShiftError(Exception):
@@ -284,7 +285,9 @@ class BlockLU:
     Stores the scalar recurrence data, the one block of ``L`` that depends on
     ``mu``, ``-bottom[gamma-1] + mu k_gamma A_gamma`` (the others are
     ``-bottom[i]``), and an LU of ``P(mu)``; each ``solve`` costs forward
-    block recurrences plus one n x n solve.
+    block recurrences plus one n x n solve. ``SingularShiftError`` means a zero
+    pivot, or ``||P(mu)||_1 ||x||_1 / ||b||_1 >= SINGULAR_COND`` (a lower bound
+    on ``kappa_1(P(mu))``) or a non-finite ``x`` for a seeded solve ``P(mu) x = b``.
     """
 
     def __init__(self, pencil, mu):
@@ -296,8 +299,12 @@ class BlockLU:
         self.theta = eval_basis(pencil.poly.basis, [mu])[0]
         self.last = -pencil.bottom[gamma - 1] + (mu * k[gamma]) * A[gamma]
         self.prefactor = complex(np.prod([H[i, i - 1] for i in range(1, gamma)]))
-        self._solve_p, diag = _factor_p(pencil.poly(mu))
-        if self._solve_p is None or diag.min() <= 1e-14 * diag.max():
+        M = pencil.poly(mu)
+        self._solve_p = _factor_p(M)
+        b = np.random.default_rng(0).standard_normal(pencil.n)
+        x = self._solve_p(b) if self._solve_p else np.nan
+        ratio = abs(M).sum(axis=0).max() * np.abs(x).sum() / np.abs(b).sum()
+        if not ratio < SINGULAR_COND:  # nan, from a zero pivot or a bad x, too
             raise SingularShiftError(
                 f"P(mu) is numerically singular at mu={mu}; choose a shift "
                 "away from the spectrum")
@@ -352,24 +359,22 @@ class BlockLU:
 
 
 def _factor_p(M):
-    """LU of ``P`` at a point: ``(solve, |diag U|)``, or ``(None, None)``.
+    """The solve ``b -> P^{-1} b`` of an LU of ``P`` at a point, or ``None``.
 
     A sparse ``M`` goes to SuperLU with ``SPARSE_ORDERING``, a dense one to
-    LAPACK getrf/getrs of its dtype. An exactly zero pivot gives ``None``
-    for ``solve`` and no warning.
+    LAPACK getrf/getrs of its dtype. An exactly zero pivot gives ``None`` and
+    no warning. SuperLU's ``L`` and ``U`` are never read: SciPy would build
+    CSC copies of both and keep them as long as the factor lives.
     """
     if sp.issparse(M):
         try:
-            solver = spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING)
+            return spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING).solve
         except RuntimeError:  # SuperLU met an exactly zero pivot
-            return None, None
-        return solver.solve, np.abs(solver.U.diagonal())
+            return None
     M = _dense(M)
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
     lu, piv, info = getrf(M)
-    if info:
-        return None, None
-    return (lambda b: getrs(lu, piv, b)[0]), np.abs(np.diag(lu))
+    return None if info else (lambda b: getrs(lu, piv, b)[0])
 
 
 def block_lu(pencil, mu):
@@ -420,12 +425,3 @@ def poly_roots(coeffs, basis):
     C0, C1 = StructuredPencil(P).materialize(force=True)
     roots = scipy.linalg.eigvals(C0, C1)
     return roots[np.isfinite(roots)]
-
-
-def export_pencil(pencil, prefix):
-    """Write materialized ``C0``/``C1`` as Matrix Market array files."""
-    C0, C1 = pencil.materialize()
-    paths = (f"{prefix}_C0.mtx", f"{prefix}_C1.mtx")
-    scipy.io.mmwrite(paths[0], C0)
-    scipy.io.mmwrite(paths[1], C1)
-    return paths

@@ -12,13 +12,16 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from nepsolve import (DegreeSpec, MatrixPolynomial, PoleHitError, Region,
-                      SampleSet, SIFConfig, apply_filter, build_basis,
-                      build_pencil, lawson, quadrature,
-                      scalar_filter, shift_invert, sif, solve_dense,
-                      solve_pencil_dense, time_delay2, write_trace_csv)
+                      SampleSet, SIFConfig, SplitFormNEP, apply_filter,
+                      build_basis, build_pencil, constant, exp_affine, lawson,
+                      monomial, quadrature, sample_boundary, scalar_filter,
+                      shift_invert, sif, solve_dense, solve_pencil_dense,
+                      time_delay2, write_trace_csv)
+from nepsolve.eigensolve import refine_eigenvectors
 from nepsolve.filters import SUBSPACE_START, _factor_poles, default_shift
 from nepsolve.pencil import BlockLU, SingularShiftError, assemble
 from util import match_sets, random_poly
@@ -385,6 +388,73 @@ def test_sif_empty_region_converges_empty():
                  SIFConfig(subspace=4, quad_order=8, seed=2, max_iters=6))
     assert result.converged
     assert result.eigenpairs == []
+
+
+@pytest.fixture(scope="module")
+def small_sparse():
+    # an n=100 instance of the criterion-7 family (A tridiagonal, C and D
+    # seeded sparse with 2 entries a row), 6 eigenvalues in the region, fit
+    # at degree 8: a real pencil of dimension 800 with sparse coefficients
+    n = 100
+    rng = np.random.default_rng(1)
+    A = (sp.diags(np.arange(1, n + 1).astype(complex))
+         + sp.diags([0.3 * np.ones(n - 1), 0.3 * np.ones(n - 1)], [-1, 1])).tocsr()
+    C = (sp.random(n, n, density=0.02, random_state=rng).tocsr() * 0.5).astype(complex)
+    D = (sp.random(n, n, density=0.02, random_state=rng).tocsr() * 1e-3).astype(complex)
+    nep = SplitFormNEP(
+        "small_sparse", [constant(1.0), monomial(1, -1.0), exp_affine(-1.0),
+                         monomial(2)],
+        [A, sp.identity(n, format="csr", dtype=complex), C, D], Region(5.5 + 0j, 2.6))
+    samples = SampleSet.from_nep(nep, sample_boundary(nep.region, 60))
+    pencil = build_pencil(assemble(lawson(samples, DegreeSpec((8,) * 4, 8)), nep))
+    return nep, pencil
+
+
+def test_sif_weak_filter_does_not_stop_on_an_empty_start(small_sparse):
+    # at quad_order 4 the first two sweeps see no in-region pair and no ghost;
+    # the filter's trace on the random first block shows the region's mass,
+    # so sif goes on and finds the 6 eigenvalues the default rule finds (to
+    # the accuracy of a stop at tol_residual, not to rounding)
+    nep, pencil = small_sparse
+    weak = sif(pencil, nep, nep.region, SIFConfig(quad_order=4, seed=1))
+    assert [(s.in_region_count, s.ghost_count) for s in weak.trace[:2]] == [(0, 0)] * 2
+    assert weak.converged and len(weak.eigenpairs) == 6
+    full = sif(pencil, nep, nep.region, SIFConfig(seed=1))
+    assert match_sets([p.lam for p in weak.eigenpairs],
+                      [p.lam for p in full.eigenpairs], 1e-5)
+
+
+def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
+    # SciPy builds CSC copies of a SuperLU factor's L and U on first access
+    # and keeps them as long as the factor lives; neither sif's pole factors
+    # nor refine_eigenvectors' may ask for them
+    import nepsolve.pencil
+
+    splu = nepsolve.pencil.spla.splu
+    made, touched = [], []
+
+    class NoCopies:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                touched.append(name)
+                raise AssertionError(f"SuperLU.{name} read")
+            return getattr(self._lu, name)
+
+    def proxy(*args, **kwargs):
+        made.append(None)  # list.append: the poles are factored on workers
+        return NoCopies(splu(*args, **kwargs))
+
+    monkeypatch.setattr(nepsolve.pencil.spla, "splu", proxy)
+    nep, pencil = small_sparse
+    result = sif(pencil, nep, nep.region, SIFConfig(seed=1))
+    assert result.converged and len(made) == result.factorizations == 8
+    lam = np.array([p.lam for p in result.eigenpairs])
+    V = refine_eigenvectors(pencil, lam, np.ones((pencil.n, lam.size)))
+    assert len(made) > 8 and np.isfinite(V).all()
+    assert touched == []
 
 
 def _wrap_poly_as_nep(P):

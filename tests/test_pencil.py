@@ -4,16 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from nepsolve import (BlockLU, MatrixPolynomial, SingularShiftError, assemble,
                       block_lu, build_basis, build_pencil, error_bound,
-                      eval_basis, example1, export_pencil,
-                      extract_nep_eigenpairs, gram_matrix, poly_roots,
-                      shift_invert, solve_dense, verify_linearization)
+                      eval_basis, example1, extract_nep_eigenpairs,
+                      gram_matrix, poly_roots, shift_invert, solve_dense,
+                      verify_linearization)
 from nepsolve.pencil import DENSE_DIM_LIMIT
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (det_poly_roots, eval_monomial, match_sets, monomial_coeffs,
@@ -296,6 +295,24 @@ def test_block_lu_far_shift_succeeds_eigenvalue_shift_fails():
         block_lu(pencil, lam[0])
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_block_lu_raises_at_computed_eigenvalues_in_either_storage(sparse):
+    # one seeded-solve test judges P(mu) singular in both storages: at the
+    # first 5 computed eigenvalues of 30 seeded pencils, P(mu) is singular
+    # only to rounding, so its LU has no exactly zero pivot, yet every shift
+    # raises; a far shift does not
+    for seed in range(30):
+        P = random_poly(np.random.default_rng(seed), 8, 3)
+        lam = solve_dense(*build_pencil(P, trim=False).materialize())
+        if sparse:
+            P = MatrixPolynomial([sp.csr_matrix(A) for A in P.coeffs], P.basis)
+        pencil = build_pencil(P, trim=False)
+        block_lu(pencil, 100.0 + 100.0j)
+        for mu in lam[:5]:
+            with pytest.raises(SingularShiftError):
+                block_lu(pencil, mu)
+
+
 def _random_sparse(rng, n, density):
     A = sp.random(n, n, density=density, format="csr", dtype=complex,
                   random_state=rng,
@@ -442,15 +459,3 @@ def test_time_delay_denominator_pole_free(time_delay_bundle):
     b = time_delay_bundle
     roots = poly_roots(b.xi.denom_coeffs, b.xi.basis)
     assert not np.any(np.abs(roots - b.nep.region.center) <= b.nep.region.radius)
-
-
-# ---------------------------------------------------------------- export
-
-def test_export_pencil_round_trip(tmp_path):
-    rng = np.random.default_rng(38)
-    P = random_poly(rng, 2, 3)
-    pencil = build_pencil(P, trim=False)
-    p0, p1 = export_pencil(pencil, str(tmp_path / "pencil"))
-    C0, C1 = pencil.materialize()
-    assert np.array_equal(scipy.io.mmread(p0), C0)
-    assert np.array_equal(scipy.io.mmread(p1), C1)
