@@ -5,7 +5,8 @@ rational type (k, k) until the fit error target is met (giving up early on a
 degree whose dual bound shows it cannot meet it), check the denominator for
 in-region poles, linearize, and extract eigenpairs either by a dense solve
 (geev on the standard form, QZ when that is ill conditioned) or by filtered
-subspace iteration. ``emit`` serializes the resulting report as JSON or CSV.
+subspace iteration, which runs until its pairs meet the a priori bound or
+stop improving. ``emit`` serializes the resulting report as JSON or CSV.
 """
 
 import argparse
@@ -15,12 +16,11 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolve import (extract_nep_eigenpairs, pole_free_check,
-                         refine_eigenvectors, solve_pencil_dense)
+from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
 from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
 from .pencil import (DENSE_DIM_LIMIT, assemble, build_pencil, error_bound,
@@ -221,13 +221,15 @@ def run(config):
                        "outside": pairs.outside, "factorizations": 0,
                        "block_solves": 0}
     else:
-        result = sif(pencil, nep, region,
-                     SIFConfig(subspace=config.subspace, seed=config.seed))
-        eigenpairs = _refine_above(result.eigenpairs, bound, pencil, nep, region)
+        # sif's residual is scale-free: its target is the bound over |c| + r
+        sif_config = SIFConfig(subspace=config.subspace, seed=config.seed)
+        sif_config = replace(sif_config, tol_residual=min(
+            sif_config.tol_residual, bound / (abs(region.center) + region.radius)))
+        result = sif(pencil, nep, region, sif_config)
+        eigenpairs = result.eigenpairs
         solver_converged = result.converged
         solver_info = {"path": "filter", "iterations": result.iterations,
-                       "subspace": result.subspace,
-                       "stop_reason": "converged" if result.converged else "budget",
+                       "subspace": result.subspace, "stop_reason": result.stop_reason,
                        "factorizations": result.factorizations,
                        "block_solves": result.block_solves}
     solver_info["arithmetic"] = "real" if pencil.is_real else "complex"
@@ -262,21 +264,6 @@ def run(config):
         solver_info=solver_info,
         timings={"fit": t_fit, "pencil": t_pencil, "solve": t_solve},
     )
-
-
-def _refine_above(eigenpairs, bound, pencil, nep, region):
-    # a Ritz vector's leading block can miss the a priori bound that its
-    # eigenvalue meets; one inverse-iteration step on P(lam) mends it, so the
-    # in-region filter pairs above the bound take that step and are
-    # re-extracted
-    weak = [p for p in eigenpairs if p.residual > bound]
-    if not weak:
-        return eigenpairs
-    lam = np.array([p.lam for p in weak])
-    V = refine_eigenvectors(pencil, lam, np.column_stack([p.u for p in weak]))
-    refined = {p.lam: p for p in extract_nep_eigenpairs(
-        (lam, V), pencil.poly.basis, nep, region)}
-    return [refined.get(p.lam, p) for p in eigenpairs]
 
 
 def emit(report, fmt=None, path=None):

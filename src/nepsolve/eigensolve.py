@@ -5,11 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .basis import eval_basis
-from .pencil import DENSE_DIM_LIMIT, _dense, _factor_p
+from .pencil import _dense, _factor_p
 
 __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
@@ -86,8 +85,8 @@ def solve_pencil_dense(pencil, region=None):
     is equilibrated and QZ solves it. A real pencil runs dgetrf/dgecon/dgetrs
     and dgeev or dggev. Either solver gives eigenvalues only; with a
     ``region`` those outside it are dropped and counted. Each kept eigenvalue
-    gets its eigenvector from two steps of :func:`refine_eigenvectors` from a
-    fixed seeded start.
+    gets its eigenvector from :func:`refine_eigenvectors` from a fixed seeded
+    start.
     """
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
@@ -108,23 +107,22 @@ def solve_pencil_dense(pencil, region=None):
     lam = lam[inside]
     # row i starts eigenvalue i, whatever the number of eigenvalues kept
     start = np.random.default_rng(0).standard_normal((lam.size, pencil.n)).T
-    V = refine_eigenvectors(pencil, lam, start, steps=2)
+    V = refine_eigenvectors(pencil, lam, start)
     return PencilPairs(lam, V, path, rcond, int(inside.size - lam.size))
 
 
-def refine_eigenvectors(pencil, lam, U, steps=1):
+def refine_eigenvectors(pencil, lam, U):
     """Pencil eigenvectors for the eigenvalues ``lam`` by inverse iteration.
 
     ``P(lam[i])`` is factored once (SuperLU when it is sparse, LAPACK
     otherwise, as :class:`~nepsolve.pencil.BlockLU` factors it) and
-    ``x <- P(lam[i])^{-1} x / ||x||`` runs ``steps`` times from
-    ``x = U[:, i]``; column i of the result is the unit
-    ``theta(lam[i])[:gamma] (x) x`` the linearization prescribes. An exactly
-    singular ``P(lam[i])`` or a non-finite step gives the SVD null vector
-    instead, except that a sparse one above ``DENSE_DIM_LIMIT`` keeps its last
-    finite ``x``. On a real pencil ``P(conj lam) = conj P(lam)``, so an
-    eigenvalue that is the conjugate of the previous one (geev's order for a
-    pair) takes the conjugate of its vector.
+    ``x <- P(lam[i])^{-1} x / ||x||`` runs twice from ``x = U[:, i]``;
+    column i of the result is the unit ``theta(lam[i])[:gamma] (x) x`` the
+    linearization prescribes. An exactly singular ``P(lam[i])`` or a
+    non-finite step gives the SVD null vector instead. On a real pencil
+    ``P(conj lam) = conj P(lam)``, so an eigenvalue that is the conjugate of
+    the previous one (geev's order for a pair) takes the conjugate of its
+    vector.
     """
     theta = eval_basis(pencil.poly.basis, lam)[:, : pencil.gamma]
     V = np.empty((pencil.dim, lam.size), dtype=complex)
@@ -135,14 +133,14 @@ def refine_eigenvectors(pencil, lam, U, steps=1):
         M = pencil.poly(lam[i])
         solve = _factor_p(M)
         x = U[:, i]
-        for _ in range(steps if solve else 0):
+        for _ in range(2 if solve else 0):
             y = solve(x)
             ny = np.linalg.norm(y)
             if not 0 < ny < np.inf:
                 solve = None
                 break
             x = y / ny
-        if solve is None and (not sp.issparse(M) or pencil.dim <= DENSE_DIM_LIMIT):
+        if solve is None:
             x = _null_vector(M)
         v = np.kron(theta[i], x)
         V[:, i] = v / np.linalg.norm(v)

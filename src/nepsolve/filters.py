@@ -21,7 +21,6 @@ on a real block as ``sum_{j < k/2} 2 Re(g_j S(s_j) Y)``, plus
 
 import os
 import traceback
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -147,7 +146,10 @@ def _factor_poles(pencil, rule):
         poles = poles[: (rule.k + 1) // 2].copy()
         if rule.k % 2:
             poles[-1] = poles[-1].real
-    w = min(len(poles), len(os.sched_getaffinity(0)))
+    # os.sched_getaffinity is Linux-only
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    w = min(len(poles), cpus)
     workers = [ThreadPoolExecutor(max_workers=1) for _ in range(w)]
     owned = [[] for _ in range(w)]  # owned[i] grows and is cleared on worker i only
 
@@ -187,7 +189,9 @@ class SIFConfig:
 
     ``subspace`` is the width the block starts at; the default, ``None``,
     reads ``SUBSPACE_START``. :func:`sif` caps it at the pencil's dimension
-    and grows it from the Ritz count.
+    and grows it from the Ritz count. ``tol_residual`` is the scale-free
+    residual target of every in-region pair (``run`` lowers it to the
+    report's bound over ``|c| + r``); ``tol_ghost`` marks a ghost.
     """
 
     subspace: int = None
@@ -221,20 +225,25 @@ class SIFStep:
 
 @dataclass(frozen=True)
 class SIFResult:
-    """Converged (or flagged partial) eigenpairs with the iteration trace.
+    """Eigenpairs of the last sweep with the iteration trace.
 
-    ``subspace`` is the block width of the last iteration;
-    ``factorizations`` counts the pole factorizations and ``block_solves``
-    the structured solves with them.
+    ``stop_reason`` is ``"converged"``, ``"stalled"`` or ``"budget"`` (see
+    :func:`sif`); only the first counts as converged. ``subspace`` is the
+    block width of the last iteration; ``factorizations`` counts the pole
+    factorizations and ``block_solves`` the structured solves with them.
     """
 
     eigenpairs: list
     trace: tuple
-    converged: bool
+    stop_reason: str
     iterations: int
     subspace: int
     factorizations: int
     block_solves: int
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
 
 def _orth(U):
@@ -250,15 +259,17 @@ def sif(pencil, nep, region, config):
 
     Ritz pairs are classified by the scale-free residual
     ``sigma = ||T(lam) v_1|| / ((|c| + r) ||v_1||)`` (``v_1`` = leading block):
-    pairs at or above ``tol_ghost`` are ghosts. The iteration stops once no
-    ghost remains inside the region, every in-region pair is below
-    ``tol_residual``, and the in-region count is stable across consecutive
-    iterations; a count of 0 also needs the filter's estimated trace, about
-    the in-region count, below 1/2 (``|tr(Y^H U)| / width`` on the random
-    first block ``Y`` and its image ``U``). The orthonormal basis of the
-    filtered block, which spans all Ritz vectors whatever their region
-    membership, is carried into the next sweep; on a paired rule (real
-    pencil, real center) it stays real.
+    pairs at or above ``tol_ghost`` are ghosts. A sweep that leaves no ghost
+    in the region and keeps the previous sweep's in-region count ends the
+    iteration ``"converged"`` when every in-region pair is below
+    ``tol_residual`` (a count of 0 needs the filter's estimated trace, about
+    the in-region count, below 1/2: ``|tr(Y^H U)| / width`` on the random
+    first block ``Y`` and its image ``U``), or ``"stalled"`` when neither the
+    largest nor the smallest in-region sigma fell below the previous sweep's.
+    Otherwise the iteration ends ``"budget"`` after ``max_iters`` sweeps. The
+    orthonormal basis of the filtered block, which spans all Ritz vectors
+    whatever their region membership, is carried into the next sweep; on a
+    paired rule (real pencil, real center) it stays real.
 
     The block starts at ``min(config.subspace, dim)`` columns. After each
     Rayleigh-Ritz step its width becomes at least ``max(ceil(1.5 c), c + 8)``,
@@ -277,9 +288,7 @@ def sif(pencil, nep, region, config):
     Y = _random_block(rng, pencil.dim, width, real)
 
     trace = []
-    converged = False
-    prev_count = None
-    prev_max_sigma = None
+    stop_reason = "budget"
     with _factor_poles(pencil, rule) as lus:
         for it in range(1, config.max_iters + 1):
             width = max(width, need)
@@ -317,24 +326,18 @@ def sif(pencil, nep, region, config):
             min_sigma = float(sigmas_in.min()) if count else float("nan")
             trace.append(SIFStep(it, count, ghost_count, max_sigma, min_sigma))
 
-            # a rise below tol_residual is rounding, not divergence, and one over
-            # a different set of pairs (the count changed) is no rise at all
-            if (it > 2 and count == prev_count and np.isfinite(prev_max_sigma)
-                    and prev_max_sigma * (1 + 1e-8) < max_sigma < np.inf
-                    and max_sigma >= config.tol_residual):
-                warnings.warn(
-                    f"in-region residual increased at iteration {it} "
-                    f"({prev_max_sigma:.3e} -> {max_sigma:.3e})", stacklevel=2)
-            prev_max_sigma = max_sigma
-
             # ceil(1.5 c) without floating point
             need = min(max(-(-3 * inside.size // 2), inside.size + 8), pencil.dim)
-            done = (ghost_count == 0 and count == prev_count
-                    and (max_sigma < config.tol_residual if count else mass < 0.5))
-            prev_count = count
-            if done:
-                converged = True
-                break
+            prev = trace[-2] if it > 1 else None
+            if ghost_count == 0 and prev and count == prev.in_region_count:
+                if max_sigma < config.tol_residual if count else mass < 0.5:
+                    stop_reason = "converged"
+                    break
+                # neither the worst nor the best of the same pairs got closer
+                # (nan, for no pairs, never stalls)
+                if max_sigma >= prev.max_sigma and min_sigma >= prev.min_sigma:
+                    stop_reason = "stalled"
+                    break
             Y = V
         factorizations = len(lus)
 
@@ -342,7 +345,7 @@ def sif(pencil, nep, region, config):
                                         pencil.poly.basis, nep, region)
     # each sweep applies the filter once: one block solve per factored pole
     return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace),
-                     converged=converged, iterations=len(trace), subspace=width,
+                     stop_reason=stop_reason, iterations=len(trace), subspace=width,
                      factorizations=factorizations,
                      block_solves=len(trace) * factorizations)
 

@@ -412,16 +412,10 @@ def error_bound(G, e_max):
 
 def poly_roots(coeffs, basis):
     """Roots of the scalar polynomial ``sum_j c_j theta_j`` via its 1x1-block pencil."""
-    c = np.asarray(coeffs).ravel()
-    top = np.max(np.abs(c)) if c.size else 0.0
-    if top == 0.0:
-        raise ValueError("all-zero coefficient vector has no root set")
-    deg = c.size - 1
-    while deg > 0 and abs(c[deg]) < TRIM_RTOL * top:
-        deg -= 1
-    if deg == 0:
+    P = MatrixPolynomial([np.array([[cj]]) for cj in np.asarray(coeffs).ravel()],
+                         basis).trimmed()
+    if P.degree == 0:
         return np.empty(0, dtype=complex)
-    P = MatrixPolynomial([np.array([[cj]]) for cj in c[: deg + 1]], basis)
     C0, C1 = StructuredPencil(P).materialize(force=True)
     roots = scipy.linalg.eigvals(C0, C1)
     return roots[np.isfinite(roots)]

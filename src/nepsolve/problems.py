@@ -313,6 +313,8 @@ def load_manifest(path):
         raise ManifestError(f"{path}: cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: manifest must be a JSON object")
 
     base = os.path.dirname(os.path.abspath(path))
     for key in ("name", "terms", "matrices", "region"):

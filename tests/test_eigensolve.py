@@ -219,31 +219,11 @@ def test_refine_eigenvectors_exactly_singular_takes_null_vector(sparse):
     lam = np.array([basis.H[0, 0]], dtype=complex)
     assert scipy.sparse.csr_matrix(P(lam[0]))[0, 0] == 0
     V = eigensolve.refine_eigenvectors(build_pencil(P, trim=False), lam,
-                                       np.ones((3, 1)), steps=2)
+                                       np.ones((3, 1)))
     u = V[:3, 0]
     assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0, rel=1e-15)
     assert abs(abs(u[0]) - np.linalg.norm(u)) <= 1e-15
     assert np.abs(u[1:]).max() == 0.0
-
-
-def test_refine_eigenvectors_does_not_densify_a_large_sparse_pencil(monkeypatch):
-    # the exactly singular sparse P of the test above, in a pencil taken as
-    # above DENSE_DIM_LIMIT: no SVD of the densified P, the start is kept
-    basis = build_basis(np.linspace(-1.0, 1.0, 6), 1)
-    P = MatrixPolynomial([scipy.sparse.diags([0.0, 1.0, 2.0]).tocsr(),
-                          scipy.sparse.identity(3, format="csr")], basis)
-    pencil = build_pencil(P, trim=False)
-    lam = np.array([basis.H[0, 0]], dtype=complex)
-
-    def refuse(*_):
-        raise AssertionError("densified")
-
-    monkeypatch.setattr(eigensolve, "DENSE_DIM_LIMIT", pencil.dim - 1)
-    monkeypatch.setattr(eigensolve, "_null_vector", refuse)
-    monkeypatch.setattr(eigensolve, "_dense", refuse)
-    V = eigensolve.refine_eigenvectors(pencil, lam, np.ones((3, 1)), steps=2)
-    assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0, rel=1e-15)
-    assert abs(V[:, 0].sum()) == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
 
 @st.composite

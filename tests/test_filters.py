@@ -283,6 +283,19 @@ def _use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def test_factor_poles_without_sched_getaffinity(time_delay_bundle, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the worker count
+    # falls back to os.cpu_count()
+    b = time_delay_bundle
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    made = _record_lu_threads(monkeypatch)
+    rule = quadrature(b.nep.region.center, b.nep.region.radius, 16)
+    with _factor_poles(b.pencil, rule) as lus:
+        assert len(lus) == 8
+    assert len({built for built, _ in made}) == 3
+
+
 def test_factors_freed_before_return_on_the_thread_that_built_them(
         time_delay_bundle, monkeypatch):
     # SciPy's SuperLU never gives back the memory of a factor freed on
@@ -578,8 +591,7 @@ def test_sif_explicit_width_is_only_a_start(time_delay_bundle, monkeypatch):
 def test_sif_silent_on_a_rise_below_tol_residual(time_delay_bundle):
     # with this seed a ghost at iteration 2 forces a third sweep, where the
     # in-region residual rises by rounding at the same count, far below
-    # tol_residual; that is no divergence, so no warning (which the suite's
-    # filterwarnings would turn into a failure)
+    # tol_residual; the converged check comes first, so that is no stall
     b = time_delay_bundle
     config = SIFConfig(seed=6)
     result = sif(b.pencil, b.nep, b.nep.region, config)
@@ -612,21 +624,24 @@ def _planted_sif(sweeps):
                SIFConfig(subspace=10, seed=3, max_iters=3))
 
 
-def test_sif_warns_on_a_rise_at_a_stable_count():
-    with pytest.warns(UserWarning, match="increased at iteration 3"):
+def test_sif_stalls_on_a_rise_at_a_stable_count():
+    # the same 10 pairs above tol_residual got no closer at iteration 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = _planted_sif([5e-3, 2e-3, 4e-3])
     assert [step.in_region_count for step in result.trace] == [10, 10, 10]
     assert result.trace[2].max_sigma >= SIFConfig().tol_residual
+    assert result.stop_reason == "stalled" and not result.converged
+    assert result.iterations == 3
 
 
 def test_sif_silent_on_a_rise_over_a_changed_count():
     # iteration 2 plants one ghost, so iteration 3 compares 10 pairs with 9
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = _planted_sif([5e-3, np.r_[0.5, np.full(9, 2e-3)], 4e-3])
+    result = _planted_sif([5e-3, np.r_[0.5, np.full(9, 2e-3)], 4e-3])
     trace = result.trace
     assert [step.in_region_count for step in trace] == [10, 9, 10]
     assert trace[2].max_sigma > trace[1].max_sigma >= SIFConfig().tol_residual
+    assert result.stop_reason == "budget" and result.iterations == 3
 
 
 def test_sif_deterministic_under_seed(time_delay_bundle):

@@ -158,6 +158,14 @@ def test_manifest_complex_inline_entries(tmp_path):
     assert np.allclose(nep.matrices[0], np.diag([1j, -1j]))
 
 
+@pytest.mark.parametrize("doc", [5, ["name", "terms", "matrices", "region"]])
+def test_manifest_top_level_must_be_an_object(tmp_path, doc):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="top.json: manifest must be a JSON object"):
+        load_manifest(str(path))
+
+
 def test_manifest_errors_carry_context(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
