@@ -216,7 +216,6 @@ def run(config):
     if solver == "dense":
         pairs = solve_pencil_dense(pencil, region)
         eigenpairs = extract_nep_eigenpairs(pairs, xi.basis, nep, region)
-        solver_converged = True
         solver_info = {"path": pairs.path, "rcond": pairs.rcond,
                        "outside": pairs.outside, "factorizations": 0,
                        "block_solves": 0}
@@ -247,6 +246,9 @@ def run(config):
                 continue
             kept.append(p)
         eigenpairs = kept
+    if solver == "dense":
+        # judged after the pole drop: pairs on in-region poles are not reported
+        solver_converged = all(p.residual <= bound for p in eigenpairs)
 
     return EigenReport(
         problem=nep.name,

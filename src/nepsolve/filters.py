@@ -78,45 +78,25 @@ def scalar_filter(rule, x):
     return complex(vals) if vals.ndim == 0 else vals
 
 
-def shift_invert(pencil, mu, Y, lu=None):
-    """Solve ``(mu C1 - C0) Z = C1 Y`` through the structured factorization."""
-    if lu is None:
-        lu = BlockLU(pencil, mu)
-    elif lu.mu != mu or lu.pencil is not pencil:
-        raise ValueError("supplied factorization does not match shift or pencil")
-    return lu.solve(Y)
+def shift_invert(pencil, mu, Y):
+    """Solve ``(mu C1 - C0) Z = C1 Y`` through a structured factorization at ``mu``."""
+    return BlockLU(pencil, mu).solve(Y)
 
 
-def apply_filter(pencil, rule, Y, lus=None):
-    """Apply the rational filter to the block ``Y``.
+def apply_filter(pencil, rule, Y, terms):
+    """Apply the rational filter to the block ``Y``: ``sum g lu.solve(Y)``.
 
-    ``lus`` may hold pre-built :class:`BlockLU` factorizations, one per
-    factored pole as :func:`_factor_poles` builds them; the weighted sum is
-    accumulated in pole order so results are reproducible. On a paired rule
-    (real pencil, real center) a real ``Y`` gives a real result, and a
-    complex ``Y`` is filtered as the real block ``[Re Y, Im Y]``.
+    ``terms`` are the ``(weight, BlockLU)`` pairs :func:`_factor_poles`
+    yields; they are summed in pole order, so results are reproducible. On a
+    paired rule (real pencil, real center) ``Y`` must be real, and so is the
+    result.
     """
-    if lus is None:
-        with _factor_poles(pencil, rule) as lus:
-            return apply_filter(pencil, rule, Y, lus)
     paired = _paired(pencil, rule)
-    weights = rule.weights
-    if paired:
-        if len(lus) != (rule.k + 1) // 2:
-            raise ValueError("a paired rule takes one factorization per upper-half pole")
-        Y = np.asarray(Y)
-        if np.iscomplexobj(Y):
-            Z = apply_filter(pencil, rule, np.column_stack([Y.real, Y.imag]), lus)
-            half = Z.shape[1] // 2
-            Z = Z[:, :half] + 1j * Z[:, half:]
-            return Z[:, 0] if Y.ndim == 1 else Z
-        # pole k-1-j is the conjugate of pole j and adds the conjugate term;
-        # the on-axis pole of an odd rule is its own partner
-        weights = 2 * weights[: len(lus)]
-        if rule.k % 2:
-            weights[-1] /= 2
-    Z = weights[0] * lus[0].solve(Y)
-    for g, lu in zip(weights[1:], lus[1:]):
+    if paired and np.iscomplexobj(Y):
+        raise ValueError("a paired rule filters a real block only")
+    (g, lu), *rest = terms
+    Z = g * lu.solve(Y)
+    for g, lu in rest:
         Z += g * lu.solve(Y)
     return Z.real if paired else Z
 
@@ -127,25 +107,29 @@ def _paired(pencil, rule):
 
 @contextmanager
 def _factor_poles(pencil, rule):
-    """One factorization per pole, or per upper-half pole on a paired rule.
+    """The filter's pole sum as ``(weight, BlockLU)`` terms, in pole order.
 
-    Poles are paired by index, ``j`` with ``k - 1 - j``: the computed poles
-    are conjugate only to rounding, and the on-axis pole of an odd rule is
-    factored at its real part.
+    Every pole ``s_j`` is factored with its weight ``g_j``, except on a paired
+    rule (real pencil, real center). There pole ``k - 1 - j`` is the
+    conjugate of pole ``j``, so only the first ``ceil(k/2)`` poles are
+    factored, with weights ``2 g_j``; the middle pole of an odd rule is its
+    own partner and is factored at its real part, with weight ``g_m``. Poles
+    are paired by index because the computed poles are conjugate only to
+    rounding.
 
-    A context manager: it yields the list of :class:`BlockLU`, in pole
-    order, and empties it on exit. The poles are factored concurrently on
-    ``w = min(#poles, #usable CPUs)`` single-thread workers, pole ``j`` on
-    worker ``j % w`` (SuperLU releases the GIL). Each factorization is also
-    dropped by the worker that built it, after the caller's references are
-    gone: SciPy's SuperLU never gives back the memory of a factor freed on
-    another thread than the one that built it.
+    A context manager: it yields the list of terms and empties it on exit.
+    The poles are factored concurrently on ``w = min(#poles, #usable CPUs)``
+    single-thread workers, pole ``j`` on worker ``j % w`` (SuperLU releases
+    the GIL). Each factorization is also dropped by the worker that built it,
+    after the caller's references are gone: SciPy's SuperLU never gives back
+    the memory of a factor freed on another thread than the one that built it.
     """
-    poles = rule.poles
+    poles, weights = rule.poles, rule.weights
     if _paired(pencil, rule):
-        poles = poles[: (rule.k + 1) // 2].copy()
+        half = (rule.k + 1) // 2
+        poles, weights = poles[:half].copy(), 2 * weights[:half]
         if rule.k % 2:
-            poles[-1] = poles[-1].real
+            poles[-1], weights[-1] = poles[-1].real, weights[-1] / 2
     # os.sched_getaffinity is Linux-only
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -163,16 +147,16 @@ def _factor_poles(pencil, rule):
                 f"quadrature pole {j + 1} of {rule.k} at {s} hits the "
                 f"spectrum: {exc}") from exc
 
-    lus = []
+    terms = []
     try:
         # the first failing pole in pole order raises, once every worker is done
         futures = [workers[j % w].submit(factor, j, s) for j, s in enumerate(poles)]
         for future in futures:
             future.result()
-        lus.extend(owned[j % w][j // w] for j in range(len(poles)))
-        yield lus
+        terms.extend(zip(weights, (owned[j % w][j // w] for j in range(len(poles)))))
+        yield terms
     finally:
-        lus.clear()
+        terms.clear()
         for worker, own in zip(workers, owned):
             worker.submit(own.clear)
             worker.shutdown()
@@ -289,13 +273,13 @@ def sif(pencil, nep, region, config):
 
     trace = []
     stop_reason = "budget"
-    with _factor_poles(pencil, rule) as lus:
+    with _factor_poles(pencil, rule) as terms:
         for it in range(1, config.max_iters + 1):
             width = max(width, need)
             if Y.shape[1] < width:
                 Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1],
                                                  real)])
-            U = apply_filter(pencil, rule, Y, lus=lus)
+            U = apply_filter(pencil, rule, Y, terms)
             if it == 1:  # Hutchinson on the random Y: E[y y^H] = I, 2 I if complex
                 mass = abs(np.vdot(Y, U)) / (Y.shape[1] * (1 if real else 2))
             V = _orth(U)
@@ -339,7 +323,7 @@ def sif(pencil, nep, region, config):
                     stop_reason = "stalled"
                     break
             Y = V
-        factorizations = len(lus)
+        factorizations = len(terms)
 
     eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
                                         pencil.poly.basis, nep, region)

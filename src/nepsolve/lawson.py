@@ -283,9 +283,6 @@ class RationalApproximant:
     def iterations(self):
         return len(self.trace)
 
-    def __call__(self, points):
-        return evaluate_approximant(self, points)
-
 
 def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.

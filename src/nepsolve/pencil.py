@@ -166,15 +166,12 @@ class StructuredPencil:
 
     def _blocks(self, Y):
         Y = np.asarray(Y, dtype=complex)
-        flat = Y.ndim == 1
-        if flat:
-            Y = Y[:, None]
-        if Y.shape[0] != self.dim:
-            raise ValueError(f"expected {self.dim} rows, got {Y.shape[0]}")
-        return Y.reshape(self.gamma, self.n, Y.shape[1]), flat
+        if Y.ndim != 2 or Y.shape[0] != self.dim:
+            raise ValueError(f"expected a block of {self.dim} rows, got shape {Y.shape}")
+        return Y.reshape(self.gamma, self.n, Y.shape[1])
 
     def apply_C0(self, Y):
-        Yb, flat = self._blocks(Y)
+        Yb = self._blocks(Y)
         out = np.empty_like(Yb)
         for i in range(self.gamma - 1):
             # row block i of H([gamma],[gamma-1])^T (x) I_n
@@ -186,16 +183,14 @@ class StructuredPencil:
         for j in range(1, self.gamma):
             acc += self.bottom[j] @ Yb[j]
         out[self.gamma - 1] = acc
-        res = out.reshape(self.dim, -1)
-        return res[:, 0] if flat else res
+        return out.reshape(self.dim, -1)
 
     def apply_C1(self, Y):
-        Yb, flat = self._blocks(Y)
+        Yb = self._blocks(Y)
         out = np.empty_like(Yb)
         out[: self.gamma - 1] = Yb[: self.gamma - 1]
         out[self.gamma - 1] = self.c1_corner @ Yb[self.gamma - 1]
-        res = out.reshape(self.dim, -1)
-        return res[:, 0] if flat else res
+        return out.reshape(self.dim, -1)
 
     def fro_C0(self):
         top = np.linalg.norm(self.H[: self.gamma, : self.gamma - 1]) ** 2 * self.n
@@ -310,11 +305,11 @@ class BlockLU:
                 "away from the spectrum")
 
     def solve(self, Y):
-        """Return ``Z`` with ``(mu C1 - C0) Z = C1 Y``."""
+        """Return ``Z`` with ``(mu C1 - C0) Z = C1 Y`` for a 2-D block ``Y``."""
         p = self.pencil
         gamma, n = p.gamma, p.n
         H, k, mu = p.H, p.k, self.mu
-        Yb, flat = p._blocks(Y)
+        Yb = p._blocks(Y)
         X = [None] * gamma
         if gamma >= 2:
             X[0] = -Yb[0] / H[1, 0]
@@ -333,8 +328,7 @@ class BlockLU:
         Z[0] = X[gamma - 1]
         for i in range(1, gamma):
             Z[i] = X[i - 1] + (self.theta[i] / self.theta[0]) * X[gamma - 1]
-        res = Z.reshape(p.dim, -1)
-        return res[:, 0] if flat else res
+        return Z.reshape(p.dim, -1)
 
     def materialize_factors(self):
         """Dense ``(L, U)`` with ``L U = (mu C1 - C0) S``; for verification."""

@@ -207,15 +207,13 @@ class SplitFormNEP:
         return np.column_stack([t(x) for t in self.terms])
 
     def apply(self, lam, U):
-        """``T(lam) @ U``, or ``T(lam[k]) @ U[:, k]`` per column for an array ``lam``.
+        """``T(lam[k]) @ U[:, k]`` for each column ``k`` of ``U``.
 
         The terms are evaluated in one ``t_values`` call and each ``E_i`` is
         applied once, to all of ``U``.
         """
         tv = self.t_values(lam)
-        if np.ndim(lam) == 0:
-            tv = tv[0]
-        return sum(tv[..., i] * (E @ U) for i, E in enumerate(self.matrices))
+        return sum(tv[:, i] * (E @ U) for i, E in enumerate(self.matrices))
 
     def matrix(self, lam):
         """Dense ``T(lam)``; intended for small problems and tests."""
@@ -320,12 +318,15 @@ def load_manifest(path):
     for key in ("name", "terms", "matrices", "region"):
         if key not in doc:
             raise ManifestError(f"{path}: missing manifest field {key!r}")
+    for key in ("terms", "matrices"):
+        if not (isinstance(doc[key], list) and all(isinstance(e, dict) for e in doc[key])):
+            raise ManifestError(f"{path}: {key} must be a list of objects")
 
     terms = []
     for i, t in enumerate(doc["terms"]):
         try:
             terms.append(ScalarFunction.from_json(t))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ManifestError(f"{path}: terms[{i}]: {exc}") from exc
 
     matrices = []

@@ -336,19 +336,41 @@ def test_main_stdout_json(capsys):
     assert doc["problem"] == "time_delay2"
 
 
-def test_tracer_targets_exist(monkeypatch):
-    # the benchmark's tracer patches these attributes from outside; a
-    # renamed or removed one would only show up in a traced benchmark run
+def _load_tracer(monkeypatch):
+    # the benchmark's tracer, loaded from its file as the benchmark runs it
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # the benchmark's tracer patches these attributes from outside; a
+    # renamed or removed one would only show up in a traced benchmark run
+    tracer = _load_tracer(monkeypatch)
     targets = tracer._targets()
     assert targets
     for owner, attr, _name, _note in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_tracer_records_the_filter_layers_and_restores_the_originals(monkeypatch):
+    # a traced filter run times the filter, the pole factorizations, the
+    # block solves and the extraction; afterwards every patch is undone
+    tracer = _load_tracer(monkeypatch)
+    before = [getattr(owner, attr) for owner, attr, _, _ in tracer._targets()]
+    spans = tracer.Tracer()
+    with tracer.installed(spans):
+        run(RunConfig(problem="time_delay2", nodes=50, tol=1e-7, max_degree=12,
+                      solver="filter"))
+    after = [getattr(owner, attr) for owner, attr, _, _ in tracer._targets()]
+    assert all(a is b for a, b in zip(before, after))
+    names = {span.name for span in spans.spans}
+    assert {"filters.apply", "pencil.factor", "pencil.block_solve",
+            "eigensolve.extract"} <= names
 
 
 def test_run_example1_recovers_spectrum(monkeypatch):
@@ -463,6 +485,16 @@ def test_filter_stalls_on_a_bound_below_the_pencil_residual():
     solver = report.to_json_dict()["solver"]
     assert solver["stop_reason"] == "stalled" and not solver["converged"]
     assert solver["iterations"] < SIFConfig().max_iters
+    assert report.exit_status == EXIT_SOLVER_MISS
+
+
+def test_dense_pairs_over_the_bound_are_no_solver_success():
+    # the same pencil's eigenpairs, reported by the dense path: each reaches
+    # only 1.05e-8 against a bound of 1.85e-9, so the solver did not converge
+    report = run(RunConfig(problem="example1", nodes=60, tol=1e-8))
+    assert report.solver == "dense" and report.in_region
+    assert min(p.residual for p in report.in_region) > report.bound
+    assert not report.to_json_dict()["solver"]["converged"]
     assert report.exit_status == EXIT_SOLVER_MISS
 
 

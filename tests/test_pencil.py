@@ -1,6 +1,7 @@
 """Linearization, block LU, Gram bound, and scalar rooting tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ def test_materialized_matches_implicit_apply():
     assert pencil.fro_C1() == pytest.approx(np.linalg.norm(C1), rel=1e-12)
 
 
+def test_block_operations_take_2d_blocks_only():
+    # a 1-D block or one of the wrong height is refused with its shape
+    rng = np.random.default_rng(27)
+    pencil = build_pencil(random_poly(rng, 3, 2), trim=False)
+    lu = BlockLU(pencil, 2.0 + 1.0j)
+    for bad in (np.ones(pencil.dim), np.ones((pencil.dim + 1, 2))):
+        for op in (pencil.apply_C0, pencil.apply_C1, lu.solve):
+            with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+                op(bad)
+
+
 def test_materialize_threshold_guard():
     # a linear polynomial with sparse identity coefficients: its pencil is
     # cheap to build but one row above the dense limit
@@ -362,8 +374,7 @@ def test_sparse_shift_invert_matches_dense_oracle(case):
     assert sp.issparse(Pm)
     assert np.all(Pm.diagonal()[zeroed] == 0)
     Zd = np.linalg.solve(M, C1 @ Y)
-    lu = BlockLU(pencil, mu)
-    for Z in (shift_invert(pencil, mu, Y), shift_invert(pencil, mu, Y, lu=lu)):
+    for Z in (shift_invert(pencil, mu, Y), BlockLU(pencil, mu).solve(Y)):
         assert np.linalg.norm(Z - Zd) <= 1e-9 * np.linalg.norm(Zd)
 
 
@@ -384,7 +395,7 @@ def test_exactly_singular_shift_raises(sparse):
     with pytest.raises(SingularShiftError):
         BlockLU(pencil, 1.5 + 0.5j)
     with pytest.raises(SingularShiftError):
-        shift_invert(pencil, 1.5 + 0.5j, np.ones(pencil.dim))
+        shift_invert(pencil, 1.5 + 0.5j, np.ones((pencil.dim, 1)))
 
 
 # ---------------------------------------------------------------- Gram bound

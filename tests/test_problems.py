@@ -166,6 +166,24 @@ def test_manifest_top_level_must_be_an_object(tmp_path, doc):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("terms", 5, "terms must be a list of objects"),
+    ("matrices", [5], "matrices must be a list of objects"),
+    ("terms", ["constant"], "terms must be a list of objects"),
+    ("terms", [{"kind": "constant", "params": 5}], r"terms\[0\]"),
+], ids=["terms_not_a_list", "matrix_not_an_object", "term_not_an_object",
+        "params_not_an_object"])
+def test_manifest_malformed_field_is_named(tmp_path, field, value, message):
+    doc = {"name": "bad", "terms": [{"kind": "constant", "params": {"value": 1}}],
+           "matrices": [{"inline": [[1, 0], [0, 1]]}],
+           "region": {"center": [0, 0], "radius": 1.0}}
+    doc[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=f"malformed.json: {message}"):
+        load_manifest(str(path))
+
+
 def test_manifest_errors_carry_context(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
