@@ -15,8 +15,7 @@ from .filters import (PoleHitError, QuadratureRule, SIFConfig, SIFResult,
                       apply_filter, quadrature, scalar_filter, shift_invert, sif)
 from .lawson import (DegreeSpec, DualResult, PoleEvaluationError,
                      RankDeficiencyError, RationalApproximant, SampleSet,
-                     dual_value, evaluate_approximant, lawson, max_error,
-                     write_trace_csv)
+                     dual_value, evaluate_approximant, lawson, max_error)
 from .pencil import (BlockLU, MatrixPolynomial, SingularShiftError,
                      StructuredPencil, assemble, block_lu, build_pencil,
                      error_bound, gram_matrix, poly_roots,

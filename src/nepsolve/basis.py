@@ -40,10 +40,6 @@ class VABasis:
     k: np.ndarray
     weights: np.ndarray
 
-    @property
-    def m(self):
-        return len(self.nodes)
-
 
 def build_basis(nodes, degree, weights=None):
     """Run the Arnoldi process on ``diag(nodes)`` starting from the ones vector.

@@ -32,8 +32,8 @@ from .eigensolve import extract_nep_eigenpairs
 from .pencil import BlockLU, SingularShiftError
 
 __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError",
-           "quadrature", "scalar_filter", "shift_invert", "apply_filter",
-           "default_shift", "sif", "SUBSPACE_START"]
+           "quadrature", "scalar_filter", "shift_invert", "apply_filter", "sif",
+           "SUBSPACE_START"]
 
 # a filter block of unspecified width starts with this many columns (see sif)
 SUBSPACE_START = 16
@@ -51,7 +51,6 @@ class QuadratureRule:
     poles: np.ndarray
     weights: np.ndarray
     center: complex
-    radius: float
 
 
 def quadrature(center, radius, k):
@@ -64,7 +63,7 @@ def quadrature(center, radius, k):
     phase = np.exp(1j * theta)
     return QuadratureRule(k=k, poles=center + radius * phase,
                           weights=(radius / k) * phase,
-                          center=complex(center), radius=float(radius))
+                          center=complex(center))
 
 
 def scalar_filter(rule, x):
@@ -160,11 +159,6 @@ def _factor_poles(pencil, rule):
         for worker, own in zip(workers, owned):
             worker.submit(own.clear)
             worker.shutdown()
-
-
-def default_shift(region):
-    """Deterministic shift just outside the disk, off the spectrum's usual axes."""
-    return region.center + 1.1 * region.radius * np.exp(1j * np.pi / 7)
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,8 @@ def sif(pencil, nep, region, config):
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
     real = _paired(pencil, rule)
-    sigma_shift = default_shift(region)
+    # deterministic shift just outside the disk, off the spectrum's usual axes
+    sigma_shift = region.center + 1.1 * region.radius * np.exp(1j * np.pi / 7)
     scale = abs(region.center) + region.radius
     row_scale = pencil.equilibration_scale()
     split = (pencil.gamma - 1) * pencil.n

@@ -15,9 +15,8 @@ orthogonal basis (see :mod:`nepsolve.basis`), orthogonalized under the
 current Lawson weights on the active nodes and rebuilt as those weights move.
 """
 
-import csv
 import functools
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -26,8 +25,7 @@ from .basis import build_basis, eval_basis, leading_coeffs
 
 __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
            "LawsonStep", "RankDeficiencyError", "PoleEvaluationError",
-           "dual_value", "lawson", "evaluate_approximant", "max_error",
-           "write_trace_csv"]
+           "dual_value", "lawson", "evaluate_approximant", "max_error"]
 
 # nodes whose Lawson weight falls below this are dropped for good
 WEIGHT_TOL = 1e-12
@@ -426,23 +424,3 @@ def max_error(samples, xi):
     """Maximum squared 2-norm error of ``xi`` over the given sample set."""
     err = samples.values - evaluate_approximant(xi, samples.nodes)
     return float(np.max(np.linalg.norm(err, axis=1)) ** 2)
-
-
-def write_trace_csv(trace, path_or_file):
-    """Write a non-empty trace of :class:`LawsonStep` or ``SIFStep`` records as CSV.
-
-    The header is the record's field names with ``iteration`` as ``iter``;
-    floats are written with ``repr`` so they read back exactly.
-    """
-    names = [f.name for f in fields(trace[0])]
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["iter" if n == "iteration" else n for n in names])
-        for step in trace:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in astuple(step)])
-    finally:
-        if own:
-            fh.close()

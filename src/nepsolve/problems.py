@@ -7,7 +7,9 @@ functions evaluated by exact formulas and the ``E_i`` are constant matrices
 Matrix Market files.
 """
 
+import inspect
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -29,7 +31,6 @@ class ManifestError(Exception):
 
 def _stable_expm1(z):
     # exp(z)-1 without cancellation for z near 0 (or near 2*pi*i*k on the real part)
-    z = np.asarray(z, dtype=complex)
     re, im = z.real, z.imag
     real = np.expm1(re) * np.cos(im) - 2.0 * np.sin(im / 2.0) ** 2
     imag = np.exp(re) * np.sin(im)
@@ -38,9 +39,25 @@ def _stable_expm1(z):
 
 def _sqrt_upper(z):
     # principal sqrt; points exactly on the cut take the limit from above
-    z = np.asarray(z, dtype=complex)
     im = np.where(z.imag == 0.0, 0.0, z.imag)  # turn -0.0 into +0.0
     return np.sqrt(z.real + 1j * im)
+
+
+def _monomial(x, power, scale=1.0):
+    if not (isinstance(power, numbers.Real) and float(power).is_integer()):
+        raise ValueError(f"power must be an integer, got {power!r}")
+    return complex(scale) * x ** int(power)
+
+
+# formula(x, **params) of each term kind, on a complex array x
+_FORMULAS = {
+    "constant": lambda x, value: np.full(x.shape, complex(value)),
+    "monomial": _monomial,
+    "exp_affine": lambda x, alpha, beta=0.0: np.exp(complex(alpha) * x + complex(beta)),
+    "exp_quadratic": lambda x, alpha=1.0: np.exp(1j * complex(alpha) * x ** 2),
+    "expm1": _stable_expm1,
+    "sqrt_shift": lambda x, shift: 1j * _sqrt_upper(x - complex(shift)),
+}
 
 
 class ScalarFunction:
@@ -49,38 +66,29 @@ class ScalarFunction:
     ``kind`` selects the formula, ``params`` its numeric parameters:
 
     - ``constant``:       value
-    - ``monomial``:       scale * x**power
+    - ``monomial``:       scale * x**power, with an integer power
     - ``exp_affine``:     exp(alpha*x + beta)
     - ``exp_quadratic``:  exp(1j*alpha*x**2)
     - ``expm1``:          exp(x) - 1
     - ``sqrt_shift``:     1j * sqrt(x - shift), principal branch
     """
 
-    _KINDS = ("constant", "monomial", "exp_affine", "exp_quadratic", "expm1",
-              "sqrt_shift")
-
     def __init__(self, kind, **params):
-        if kind not in self._KINDS:
+        if kind not in _FORMULAS:
             raise ValueError(f"unknown scalar function kind {kind!r}")
+        try:
+            inspect.signature(_FORMULAS[kind]).bind(None, **params)
+            for name, v in params.items():
+                if not isinstance(v, numbers.Number) or isinstance(v, bool):
+                    raise TypeError(f"parameter {name!r} must be a number, got {v!r}")
+            _FORMULAS[kind](np.empty(0, dtype=complex), **params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} term: {exc}") from None
         self.kind = kind
         self.params = params
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=complex)
-        p = self.params
-        if self.kind == "constant":
-            return np.full(x.shape, complex(p["value"]))
-        if self.kind == "monomial":
-            return complex(p.get("scale", 1.0)) * x ** int(p["power"])
-        if self.kind == "exp_affine":
-            return np.exp(complex(p["alpha"]) * x + complex(p.get("beta", 0.0)))
-        if self.kind == "exp_quadratic":
-            return np.exp(1j * complex(p.get("alpha", 1.0)) * x ** 2)
-        if self.kind == "expm1":
-            return _stable_expm1(x)
-        if self.kind == "sqrt_shift":
-            return 1j * _sqrt_upper(x - complex(p["shift"]))
-        raise AssertionError(self.kind)
+        return _FORMULAS[self.kind](np.asarray(x, dtype=complex), **self.params)
 
     def __eq__(self, other):
         return (isinstance(other, ScalarFunction) and self.kind == other.kind
@@ -135,7 +143,9 @@ def _num_to_json(v):
 
 def _num_from_json(v):
     if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
+        if len(v) != 2:
+            raise ValueError(f"a complex number is [re, im], got {v!r}")
+        return complex(*v)
     return v
 
 
@@ -170,9 +180,10 @@ class Region:
 
     @classmethod
     def from_json(cls, obj):
-        c = obj["center"]
-        center = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-        return cls(center, float(obj["radius"]), bool(obj.get("half_disk", False)))
+        half_disk = obj.get("half_disk", False)
+        if not isinstance(half_disk, bool):
+            raise TypeError(f"half_disk must be true or false, got {half_disk!r}")
+        return cls(complex(_num_from_json(obj["center"])), float(obj["radius"]), half_disk)
 
 
 @dataclass
@@ -271,23 +282,11 @@ def hadeler(n=200, b0=100.0):
 _BUILTINS = {"example1": example1, "time_delay2": time_delay2, "hadeler": hadeler}
 
 
-def builtin_problem(name, **kwargs):
+def builtin_problem(name):
     """Instantiate a built-in problem by name."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown built-in problem {name!r}; "
-                         f"available: {sorted(_BUILTINS)}") from None
-    return factory(**kwargs)
-
-
-def _parse_inline_matrix(rows):
-    def entry(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
-
-    return np.array([[entry(v) for v in row] for row in rows], dtype=complex)
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown built-in problem {name!r}; available: {sorted(_BUILTINS)}")
+    return _BUILTINS[name]()
 
 
 def load_manifest(path):
@@ -333,10 +332,13 @@ def load_manifest(path):
     for i, spec in enumerate(doc["matrices"]):
         if "inline" in spec:
             try:
-                matrices.append(_parse_inline_matrix(spec["inline"]))
-            except (TypeError, ValueError, IndexError) as exc:
+                matrices.append(np.array([[complex(_num_from_json(v)) for v in row]
+                                          for row in spec["inline"]], dtype=complex))
+            except (TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}: matrices[{i}]: bad inline matrix: {exc}") from exc
         elif "path" in spec:
+            if not isinstance(spec["path"], str):
+                raise ManifestError(f"{path}: matrices[{i}]: path must be a string")
             mpath = os.path.join(base, spec["path"])
             try:
                 M = scipy.io.mmread(mpath)
@@ -353,7 +355,7 @@ def load_manifest(path):
         raise ManifestError(f"{path}: {len(terms)} terms but {len(matrices)} matrices")
     try:
         region = Region.from_json(doc["region"])
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ManifestError(f"{path}: region: {exc}") from exc
     try:
         return SplitFormNEP(doc["name"], terms, matrices, region)

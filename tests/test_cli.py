@@ -5,11 +5,13 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import nepsolve
 from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
                       run, sample_boundary, save_manifest)
 from nepsolve import cli
@@ -355,6 +357,14 @@ def test_tracer_targets_exist(monkeypatch):
     assert targets
     for owner, attr, _name, _note in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(nepsolve.__path__)])
+def test_every_exported_name_resolves(module):
+    # a deleted function must not leave its name behind in __all__
+    mod = importlib.import_module(f"nepsolve.{module}")
+    assert mod.__all__
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_tracer_records_the_filter_layers_and_restores_the_originals(monkeypatch):

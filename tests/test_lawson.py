@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import io
 
 import numpy as np
 import pytest
@@ -10,8 +9,7 @@ import pytest
 from nepsolve import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
                       RationalApproximant, SampleSet, build_basis, dual_value,
                       eval_basis, evaluate_approximant, example1, hadeler,
-                      lawson, max_error, sample_boundary, time_delay2,
-                      write_trace_csv)
+                      lawson, max_error, sample_boundary, time_delay2)
 from nepsolve.problems import Region
 from util import dual_oracle, eval_monomial, monomial_coeffs, random_nodes
 
@@ -335,17 +333,3 @@ def test_too_few_nodes_rejected():
     samples = SampleSet(nodes, np.ones((6, 1)))
     with pytest.raises(ValueError, match="nodes"):
         lawson(samples, DegreeSpec((3,), 3))
-
-
-def test_trace_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(20)
-    samples, spec = random_problem(rng)
-    xi = lawson(samples, spec, max_iters=5)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(xi.trace, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "iter,d_w,e_xi,gap,active_nodes"
-    assert len(lines) == len(xi.trace) + 1
-    first = lines[1].split(",")
-    assert float(first[1]) == xi.trace[0].d_w
-    assert int(first[4]) == xi.trace[0].active_nodes

@@ -171,8 +171,29 @@ def test_manifest_top_level_must_be_an_object(tmp_path, doc):
     ("matrices", [5], "matrices must be a list of objects"),
     ("terms", ["constant"], "terms must be a list of objects"),
     ("terms", [{"kind": "constant", "params": 5}], r"terms\[0\]"),
+    ("terms", [{"kind": "constant", "params": {}}],
+     r"terms\[0\]: constant term: missing a required argument: 'value'"),
+    ("terms", [{"kind": "constant", "params": {"value": "abc"}}],
+     r"terms\[0\]: constant term: parameter 'value' must be a number"),
+    ("terms", [{"kind": "monomial", "params": {"power": 2.5}}],
+     r"terms\[0\]: monomial term: power must be an integer, got 2.5"),
+    ("terms", [{"kind": "monomial", "params": {"power": 1, "scal": 3}}],
+     r"terms\[0\]: monomial term: .*unexpected keyword argument 'scal'"),
+    ("terms", [{"kind": "constant", "params": {"value": [1, 2, 3]}}],
+     r"terms\[0\]: a complex number is \[re, im\], got \[1, 2, 3\]"),
+    ("region", {"center": [0, 0, 9], "radius": 1.0},
+     r"region: a complex number is \[re, im\]"),
+    ("matrices", [{"inline": [[[1, 2, 3], 0], [0, 1]]}],
+     r"matrices\[0\]: bad inline matrix: a complex number is \[re, im\]"),
+    ("region", {"center": [0, 0], "radius": 1.0, "half_disk": "false"},
+     "region: half_disk must be true or false, got 'false'"),
+    ("matrices", [{"path": 5}], r"matrices\[0\]: path must be a string"),
+    ("region", 5, "region: "),
 ], ids=["terms_not_a_list", "matrix_not_an_object", "term_not_an_object",
-        "params_not_an_object"])
+        "params_not_an_object", "param_missing", "param_not_a_number",
+        "power_not_an_integer", "param_unknown", "number_of_three_parts",
+        "center_of_three_parts", "inline_entry_of_three_parts",
+        "half_disk_a_string", "path_not_a_string", "region_not_an_object"])
 def test_manifest_malformed_field_is_named(tmp_path, field, value, message):
     doc = {"name": "bad", "terms": [{"kind": "constant", "params": {"value": 1}}],
            "matrices": [{"inline": [[1, 0], [0, 1]]}],
@@ -268,6 +289,34 @@ def _split_form_case(draw):
     c = complex(*rng.uniform(-10, 10, 2))
     region = Region(c, float(rng.uniform(0.1, 10)), draw(st.booleans()))
     return SplitFormNEP("random", terms, matrices, region)
+
+
+@st.composite
+def _terms_and_region(draw):
+    """Random term parameters, each kind with every parameter it takes, and a region."""
+    num = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.complex_numbers(allow_nan=False, allow_infinity=False))
+    terms = draw(st.lists(st.one_of(
+        st.builds(constant, num),
+        st.builds(monomial, st.integers(-6, 6), num),
+        st.builds(exp_affine, num, num),
+        st.builds(exp_quadratic, num),
+        st.just(expm1_term()),
+        st.builds(sqrt_shift, num)), min_size=1, max_size=6))
+    region = Region(draw(st.complex_numbers(allow_nan=False, allow_infinity=False)),
+                    draw(st.floats(min_value=1e-300, max_value=1e300)), draw(st.booleans()))
+    return terms, region
+
+
+@settings(max_examples=60, deadline=None)
+@given(_terms_and_region())
+def test_manifest_round_trip_keeps_term_parameters_and_region(tmp_path_factory, case):
+    terms, region = case
+    nep = SplitFormNEP("params", terms, [np.eye(1, dtype=complex)] * len(terms), region)
+    path = save_manifest(nep, str(tmp_path_factory.mktemp("p") / "nep.json"))
+    back = load_manifest(path)
+    assert back.region == region
+    assert back.terms == terms
 
 
 @settings(max_examples=60, deadline=None)
