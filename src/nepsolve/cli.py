@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -25,11 +24,10 @@ from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
 from .pencil import (DENSE_DIM_LIMIT, assemble, build_pencil, error_bound,
                      gram_matrix, poly_roots)
-from .problems import Region, builtin_problem, load_manifest, sample_boundary
+from .problems import (ManifestError, Region, builtin_problem, load_manifest,
+                       sample_boundary)
 
 __all__ = ["RunConfig", "EigenReport", "run", "emit", "main"]
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_FIT_MISS = 2
@@ -102,8 +100,9 @@ class EigenReport:
     solver_converged: bool
     # ``path`` (geev, qz or filter); on the dense paths the corner's rcond
     # and the count of eigenvalues ``outside`` the region, on the filter path
-    # iterations, subspace and stop_reason; on both ``arithmetic`` and the
-    # filter's pole ``factorizations`` and ``block_solves`` (0 when dense)
+    # iterations, subspace and stop_reason; on both ``arithmetic``, the
+    # filter's pole ``factorizations`` and ``block_solves`` (0 when dense) and
+    # the count of pairs dropped as sitting ``on_poles`` of the fit
     solver_info: dict
     timings: dict
 
@@ -234,18 +233,13 @@ def run(config):
     solver_info["arithmetic"] = "real" if pencil.is_real else "complex"
     t_solve = time.perf_counter() - t0
 
-    if not pole_free:
-        # where q* vanishes inside the region the polynomial and rational
-        # spectra differ: pencil eigenvalues sitting on an in-region pole are
-        # artifacts of the surrogate, not eigenvalues of the problem
-        kept = []
-        for p in eigenpairs:
-            if np.min(np.abs(in_region_poles - p.lam)) < pole_guard:
-                log.info("dropping eigenvalue %s: coincides with a pole of the fit",
-                         p.lam)
-                continue
-            kept.append(p)
-        eigenpairs = kept
+    # where q* vanishes inside the region the polynomial and rational spectra
+    # differ: pencil eigenvalues sitting on an in-region pole are artifacts
+    # of the surrogate, not eigenvalues of the problem
+    kept = [p for p in eigenpairs
+            if np.all(np.abs(in_region_poles - p.lam) >= pole_guard)]
+    solver_info["on_poles"] = len(eigenpairs) - len(kept)
+    eigenpairs = kept
     if solver == "dense":
         # judged after the pole drop: pairs on in-region poles are not reported
         solver_converged = all(p.residual <= bound for p in eigenpairs)
@@ -339,8 +333,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    config = RunConfig(**vars(args))
-    report = run(config)
+    try:
+        config = RunConfig(**vars(args))
+        report = run(config)
+    except (ValueError, ManifestError) as exc:  # rejected input
+        print(f"nepsolve: error: {exc}", file=sys.stderr)
+        return 1
     if config.out is None:
         print(emit(report))
     else:

@@ -1,6 +1,5 @@
 """Dense eigenpair extraction, region filtering, and residual checks."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +13,6 @@ __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
            "pole_free_check"]
 
-log = logging.getLogger(__name__)
-
-HUGE_EIGENVALUE_FACTOR = 1e12
 # the corner K of C1 is inverted to give a standard eigenproblem when its
 # reciprocal condition number (LAPACK gecon, 1-norm) is at least this; a
 # worse-conditioned or singular corner sends the pencil to QZ
@@ -83,10 +79,11 @@ def solve_pencil_dense(pencil, region=None):
     multiplied by ``K^{-1}`` and geev solves the standard problem
     ``C1^{-1} C0``; otherwise the pencil is materialized, its bottom block row
     is equilibrated and QZ solves it. A real pencil runs dgetrf/dgecon/dgetrs
-    and dgeev or dggev. Either solver gives eigenvalues only; with a
-    ``region`` those outside it are dropped and counted. Each kept eigenvalue
-    gets its eigenvector from :func:`refine_eigenvectors` from a fixed seeded
-    start.
+    and dgeev or dggev. Either solver gives eigenvalues only. Those inside
+    the ``region`` are kept, or without one those with
+    ``||theta(lam)[:gamma]|| <= 1e10 |theta_0|``; the other finite ones are
+    counted in ``outside``. Each kept eigenvalue gets its eigenvector from
+    :func:`refine_eigenvectors` from a fixed seeded start.
     """
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
@@ -103,12 +100,18 @@ def solve_pencil_dense(pencil, region=None):
         C0 = pencil._dense_C0()
         C0[split:] = getrs(lu, piv, C0[split:])[0]
         lam, path = solve_dense(C0), "geev"
-    inside = np.ones(lam.size, dtype=bool) if region is None else region.contains(lam)
-    lam = lam[inside]
+    if region is None:
+        # beyond the screen theta(lam) (x) u has a negligible leading block:
+        # lam comes from a small leading coefficient, far from the fit
+        theta = eval_basis(pencil.poly.basis, lam)[:, : pencil.gamma]
+        keep = np.linalg.norm(theta, axis=1) <= 1e10 * np.abs(theta[:, 0])
+    else:
+        keep = region.contains(lam)
+    lam = lam[keep]
     # row i starts eigenvalue i, whatever the number of eigenvalues kept
     start = np.random.default_rng(0).standard_normal((lam.size, pencil.n)).T
     V = refine_eigenvectors(pencil, lam, start)
-    return PencilPairs(lam, V, path, rcond, int(inside.size - lam.size))
+    return PencilPairs(lam, V, path, rcond, int(keep.size - lam.size))
 
 
 def refine_eigenvectors(pencil, lam, U):
@@ -157,30 +160,21 @@ def extract_nep_eigenpairs(pairs, basis, nep, region):
 
     ``pairs`` is ``(lam, V)`` as returned by :func:`solve_pencil_dense`:
     eigenvalues in ``lam``, pencil eigenvectors in the columns of ``V``.
-    Eigenvalues of absurd magnitude (artifacts of a singular leading
-    coefficient) and bottom-dominated eigenvectors are dropped; everything
-    else is reported with its region flag and ``consistency``, which is
-    ``max_i ||v_i - theta_i(lam) v_1|| / ||v||`` over the trailing blocks.
-    Results are sorted by real then imaginary part.
+    Every pair is reported, with its region flag and ``consistency``, which
+    is ``max_i ||v_i - theta_i(lam) v_1|| / ||v||`` over the trailing
+    blocks; which pairs to pass is the solver's choice. Results are sorted
+    by real then imaginary part.
     """
     lam, V = pairs
     n = nep.n
     gamma, rest = divmod(V.shape[0], n)
     if rest:
         raise ValueError("vector length must be a multiple of the block size")
-    cutoff = HUGE_EIGENVALUE_FACTOR * (1.0 + abs(region.center) + region.radius)
     lam = np.asarray(lam, dtype=complex)
-    finite = np.abs(lam) <= cutoff
     vnorm = np.linalg.norm(V, axis=0)
-    if np.any(vnorm[finite] == 0):
-        raise ValueError("zero vector")
     unorm = np.linalg.norm(V[:n], axis=0)
-    bottom = finite & (unorm < 1e-10 * vnorm)
-    for z in lam[bottom]:
-        log.info("skipping bottom-dominated eigenvector at lam=%s", complex(z))
-    keep = finite & ~bottom
-    if not keep.all():  # V is copied only when a column goes
-        lam, V, vnorm, unorm = lam[keep], V[:, keep], vnorm[keep], unorm[keep]
+    if np.any(unorm == 0):
+        raise ValueError("an eigenvector's leading block is zero")
     U = V[:n]
     theta = eval_basis(basis, lam)
     consistency = np.zeros(lam.size)

@@ -239,12 +239,7 @@ class StructuredPencil:
         if self.gamma == 1:
             return 1.0
         top = float(np.abs(self.H[: self.gamma, : self.gamma - 1]).max())
-        bot = 0.0
-        for B in self.bottom:
-            if sp.issparse(B):
-                bot = max(bot, float(np.abs(B.data).max()) if B.nnz else 0.0)
-            else:
-                bot = max(bot, float(np.abs(B).max()))
+        bot = max(abs(B).max() for B in self.bottom)
         return top / bot if bot > 0 and top > 0 else 1.0
 
 

@@ -81,8 +81,10 @@ class ScalarFunction:
             for name, v in params.items():
                 if not isinstance(v, numbers.Number) or isinstance(v, bool):
                     raise TypeError(f"parameter {name!r} must be a number, got {v!r}")
+                if not np.isfinite(complex(v)):  # np.isfinite(2**64) is a TypeError
+                    raise ValueError(f"parameter {name!r} must be finite, got {v!r}")
             _FORMULAS[kind](np.empty(0, dtype=complex), **params)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{kind} term: {exc}") from None
         self.kind = kind
         self.params = params
@@ -332,8 +334,8 @@ def load_manifest(path):
     for i, spec in enumerate(doc["matrices"]):
         if "inline" in spec:
             try:
-                matrices.append(np.array([[complex(_num_from_json(v)) for v in row]
-                                          for row in spec["inline"]], dtype=complex))
+                M = np.array([[complex(_num_from_json(v)) for v in row]
+                              for row in spec["inline"]], dtype=complex)
             except (TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}: matrices[{i}]: bad inline matrix: {exc}") from exc
         elif "path" in spec:
@@ -346,10 +348,12 @@ def load_manifest(path):
                 raise ManifestError(f"{mpath}: cannot read matrix file: {exc}") from exc
             except ValueError as exc:
                 raise ManifestError(f"{mpath}: Matrix Market parse error: {exc}") from exc
-            matrices.append(M.tocsr().astype(complex) if sp.issparse(M)
-                            else np.asarray(M, dtype=complex))
+            M = (M.tocsr() if sp.issparse(M) else np.asarray(M)).astype(complex)
         else:
             raise ManifestError(f"{path}: matrices[{i}]: needs 'path' or 'inline'")
+        if not np.isfinite(M.data if sp.issparse(M) else M).all():
+            raise ManifestError(f"{path}: matrices[{i}]: entries must be finite")
+        matrices.append(M)
 
     if len(terms) != len(matrices):
         raise ManifestError(f"{path}: {len(terms)} terms but {len(matrices)} matrices")

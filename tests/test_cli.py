@@ -60,7 +60,7 @@ def test_report_json_schema(time_delay_report):
     assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev",
                              "rcond": rcond, "outside": outside,
                              "factorizations": 0, "block_solves": 0,
-                             "arithmetic": "real"}
+                             "arithmetic": "real", "on_poles": 0}
     # the dense path reports the in-region pairs and counts the others
     assert all(row["in_region"] for row in doc["eigen"])
     assert isinstance(outside, int) and outside > 0
@@ -432,7 +432,8 @@ def test_run_hadeler_filter_path():
         "kind": "filter", "converged": True, "path": "filter",
         "iterations": report.solver_info["iterations"], "subspace": 60,
         "stop_reason": "converged", "factorizations": 8,
-        "block_solves": 8 * report.solver_info["iterations"], "arithmetic": "real"}
+        "block_solves": 8 * report.solver_info["iterations"], "arithmetic": "real",
+        "on_poles": 0}
     assert 1 <= report.solver_info["iterations"] <= 30
     inreg = report.in_region
     assert len(inreg) > 0
@@ -516,7 +517,8 @@ def test_filter_budget_reported_and_exit_status(monkeypatch):
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": False, "path": "filter",
         "iterations": 1, "subspace": 3, "stop_reason": "budget",
-        "factorizations": 8, "block_solves": 8, "arithmetic": "real"}
+        "factorizations": 8, "block_solves": 8, "arithmetic": "real",
+        "on_poles": 0}
     assert report.exit_status == EXIT_SOLVER_MISS
 
 
@@ -553,3 +555,41 @@ def test_in_region_pole_exit_status(monkeypatch, tmp_path):
                            max_degree=3))
     assert not report.pole_free
     assert report.exit_status == EXIT_FIT_MISS
+
+
+@pytest.mark.parametrize("solver", ["dense", "filter"])
+def test_pair_on_an_in_region_pole_is_dropped_and_counted(solver, monkeypatch,
+                                                          tmp_path):
+    # a pole of the fit at a computed eigenvalue: on either path that pair
+    # is an artifact of the surrogate, left out of the report and counted
+    args = ["--problem", "time_delay2", "--nodes", "40", "--tol", "1e-6",
+            "--max-degree", "10", "--solver", solver]
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    lam = complex(doc["eigen"][0]["re"], doc["eigen"][0]["im"])
+    poly_roots = cli.poly_roots
+    monkeypatch.setattr(cli, "poly_roots",
+                        lambda coeffs, basis: np.append(poly_roots(coeffs, basis), lam))
+    assert main(args + ["--out", str(out)]) == EXIT_POLES
+    dropped = json.loads(out.read_text())
+    assert dropped["solver"]["on_poles"] == 1
+    assert len(dropped["eigen"]) == len(doc["eigen"]) - 1
+    assert lam not in [complex(row["re"], row["im"]) for row in dropped["eigen"]]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "example1", "--tol=-1"], "tol must be positive and finite"),
+    (["--problem", "nosuch"], "unknown built-in problem 'nosuch'"),
+    (["--manifest", "missing.json"], "missing.json: cannot read manifest"),
+    (["--manifest", "broken.json"], "broken.json:1: invalid JSON"),
+], ids=["negative_tol", "unknown_problem", "missing_manifest", "malformed_manifest"])
+def test_rejected_input_is_one_line_and_exit_1(args, message, capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{not json")
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("nepsolve: error: ") and err.count("\n") == 1
+    assert message in err

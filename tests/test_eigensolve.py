@@ -120,6 +120,30 @@ def test_well_conditioned_corner_takes_geev(monkeypatch):
             1e-13 * np.linalg.norm(V[:, i])
 
 
+def _screened(pencil, lam):
+    # the region-free screen: the leading block of theta(lam) (x) u is not
+    # negligible, ||theta(lam)[:gamma]|| <= 1e10 |theta_0|
+    theta = eval_basis(pencil.poly.basis, lam)[:, : pencil.gamma]
+    return lam[np.linalg.norm(theta, axis=1) <= 1e10 * np.abs(theta[:, 0])]
+
+
+@pytest.mark.parametrize("bundle", ["example1_bundle", "time_delay_bundle",
+                                    "hadeler_bundle"])
+def test_region_free_screen_keeps_and_counts(bundle, request, monkeypatch):
+    # without a region the dense solve keeps the eigenvalues that pass the
+    # screen and counts the rest; with one, the in-region eigenvalues are
+    # the same
+    b = request.getfixturevalue(bundle)
+    calls = _record_solve_dense(monkeypatch)
+    lam_region, _ = solve_pencil_dense(b.pencil, b.nep.region)
+    [(_, lam_all)] = calls
+    lam, _ = b.pairs
+    np.testing.assert_array_equal(lam, _screened(b.pencil, lam_all))
+    assert b.pairs.outside == lam_all.size - lam.size > 0
+    np.testing.assert_array_equal(lam[b.nep.region.contains(lam)], lam_region)
+    assert lam_region.size > 0
+
+
 def test_refined_eigenvectors_stay_near_geev(monkeypatch, time_delay_bundle,
                                              hadeler_bundle):
     # the in-region vectors from inverse iteration on P(lam) are the
@@ -129,7 +153,7 @@ def test_refined_eigenvectors_stay_near_geev(monkeypatch, time_delay_bundle,
         lam, V = solve_pencil_dense(bundle.pencil)
         [(qz, lam_geev)] = calls
         assert not qz
-        np.testing.assert_array_equal(lam, lam_geev)
+        np.testing.assert_array_equal(lam, _screened(bundle.pencil, lam_geev))
         C0, C1 = bundle.pencil.materialize(force=True)
         ref, V_ref = scipy.linalg.eig(np.linalg.solve(C1, C0))
         n = bundle.nep.n
@@ -428,8 +452,8 @@ def test_normalized_residual_zero_denominator():
 def _extraction_case(draw):
     # a random dense or sparse split form, basis and set of pencil eigenpairs;
     # some eigenvalues lie outside the region, one may be huge, some columns
-    # have a negligible leading block and some a leading block that is zero
-    # but for its last entry
+    # have a tiny leading block and some a leading block that is zero but
+    # for its last entry: extraction reports them all
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, s, gamma, p = (draw(st.integers(1, 5)), draw(st.integers(1, 3)),
                       draw(st.integers(1, 4)), draw(st.integers(0, 8)))
@@ -460,10 +484,8 @@ def test_extract_matches_per_pair_oracle(case):
     lam, V, basis, nep = case
     region = nep.region
     out = extract_nep_eigenpairs((lam, V), basis, nep, region)
-    want = [(complex(z), eigenpair_oracle(z, V[:, i], basis, nep, region))
-            for i, z in enumerate(lam)]
-    want = sorted(((z, o) for z, o in want if o is not None),
-                  key=lambda zo: (zo[0].real, zo[0].imag))
+    want = sorted(((complex(z), eigenpair_oracle(z, V[:, i], basis, nep))
+                   for i, z in enumerate(lam)), key=lambda zo: (zo[0].real, zo[0].imag))
     assert [p.lam for p in out] == [z for z, _ in want]
     for p, (z, (u, res, nres, consistency)) in zip(out, want):
         assert p.in_region == bool(region.contains(z))
@@ -473,18 +495,25 @@ def test_extract_matches_per_pair_oracle(case):
         assert p.consistency == pytest.approx(consistency, rel=1e-12, abs=1e-15)
 
 
-def test_extract_skips_bottom_dominated_and_huge():
+def test_extract_keeps_huge_and_tiny_leading_block_rejects_zero():
+    # which pairs to report is the solver's choice: extraction keeps a huge
+    # eigenvalue and a tiny leading block, and only a zero one is an error
     rng = np.random.default_rng(43)
     nep = example1()
     P = random_poly(rng, 2, 3)
-    v_bad = np.zeros(6, dtype=complex)
-    v_bad[2:] = rng.standard_normal(4)
+    v_tiny = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v_tiny[:2] *= 1e-14
     v_ok = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    pairs = (np.array([0.5 + 0.1j, 1e15, 0.2j]), np.column_stack([v_bad, v_ok, v_ok]))
+    pairs = (np.array([0.5 + 0.1j, 1e15, 0.2j]), np.column_stack([v_tiny, v_ok, v_ok]))
     out = extract_nep_eigenpairs(pairs, P.basis, nep, nep.region)
-    assert len(out) == 1
-    assert out[0].lam == 0.2j
-    assert abs(np.linalg.norm(out[0].u) - 1.0) < 1e-14
+    assert [p.lam for p in out] == [0.2j, 0.5 + 0.1j, 1e15]
+    for p in out:
+        assert abs(np.linalg.norm(p.u) - 1.0) < 1e-14
+    v_zero = v_tiny.copy()
+    v_zero[:2] = 0.0
+    with pytest.raises(ValueError, match="leading block is zero"):
+        extract_nep_eigenpairs((pairs[0], np.column_stack([v_zero, v_ok, v_ok])),
+                               P.basis, nep, nep.region)
 
 
 def test_extract_sorted_and_normalized_deterministically():

@@ -265,13 +265,16 @@ def test_recover_consistency_matches_bruteforce():
     assert pair.consistency == pytest.approx(brute, rel=1e-12)
 
 
-def test_recover_flags_bottom_dominated(caplog):
+def test_recover_keeps_tiny_leading_block_rejects_zero():
+    # a bottom-dominated vector is reported, its leading block normalized;
+    # only a zero leading block has no eigenvector to give
     basis = build_basis(np.linspace(-1, 1, 8), 2)
-    v = np.zeros(4, dtype=complex)
-    v[2:] = 1.0
-    with caplog.at_level("INFO", logger="nepsolve.eigensolve"):
-        assert _extract(basis, 2, 0.1, v) == []
-    assert "bottom-dominated" in caplog.text
+    v = np.array([1e-13, -1e-13, 1.0, 1.0], dtype=complex)
+    [pair] = _extract(basis, 2, 0.1, v)
+    np.testing.assert_allclose(pair.u, np.array([1.0, -1.0]) / np.sqrt(2), rtol=1e-15)
+    v[:2] = 0.0
+    with pytest.raises(ValueError, match="leading block is zero"):
+        _extract(basis, 2, 0.1, v)
 
 
 def test_end_to_end_consistency_on_time_delay(time_delay_bundle):

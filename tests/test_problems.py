@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +76,13 @@ def test_sqrt_shift_branch_cut_from_above():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         ScalarFunction("cosine")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), complex(1, float("-inf"))])
+def test_non_finite_parameter_rejected(value):
+    # a term is checked when it is made, so no manifest is ever written for it
+    with pytest.raises(ValueError, match="parameter 'value' must be finite"):
+        constant(value)
 
 
 # ------------------------------------------------------------ built-ins
@@ -189,18 +197,27 @@ def test_manifest_top_level_must_be_an_object(tmp_path, doc):
      "region: half_disk must be true or false, got 'false'"),
     ("matrices", [{"path": 5}], r"matrices\[0\]: path must be a string"),
     ("region", 5, "region: "),
+    ("terms", [{"kind": "constant", "params": {"value": float("nan")}}],
+     r"terms\[0\]: constant term: parameter 'value' must be finite, got nan"),
+    ("matrices", [{"inline": [[float("inf"), 0], [0, 1]]}],
+     r"matrices\[0\]: entries must be finite"),
+    ("matrices", [{"inline": [[[1, float("-inf")], 0], [0, 1]]}],
+     r"matrices\[0\]: entries must be finite"),
+    ("matrices", [{"path": "nan.mtx"}], r"matrices\[0\]: entries must be finite"),
 ], ids=["terms_not_a_list", "matrix_not_an_object", "term_not_an_object",
         "params_not_an_object", "param_missing", "param_not_a_number",
         "power_not_an_integer", "param_unknown", "number_of_three_parts",
         "center_of_three_parts", "inline_entry_of_three_parts",
-        "half_disk_a_string", "path_not_a_string", "region_not_an_object"])
+        "half_disk_a_string", "path_not_a_string", "region_not_an_object",
+        "param_nan", "inline_inf", "inline_complex_inf", "matrix_market_nan"])
 def test_manifest_malformed_field_is_named(tmp_path, field, value, message):
     doc = {"name": "bad", "terms": [{"kind": "constant", "params": {"value": 1}}],
            "matrices": [{"inline": [[1, 0], [0, 1]]}],
            "region": {"center": [0, 0], "radius": 1.0}}
     doc[field] = value
+    scipy.io.mmwrite(tmp_path / "nan.mtx", sp.csr_matrix([[np.nan, 0], [0, 1.0]]))
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))  # non-finite floats as NaN / Infinity
     with pytest.raises(ManifestError, match=f"malformed.json: {message}"):
         load_manifest(str(path))
 

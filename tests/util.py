@@ -4,7 +4,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from nepsolve import MatrixPolynomial, build_basis, eval_basis
-from nepsolve.eigensolve import HUGE_EIGENVALUE_FACTOR
 
 
 def monomial_coeffs(basis):
@@ -175,23 +174,18 @@ def cluster_points(points, radius):
     return [np.array(cl) for cl in clusters]
 
 
-def eigenpair_oracle(lam, v, basis, nep, region):
+def eigenpair_oracle(lam, v, basis, nep):
     """One pencil eigenpair turned into a problem eigenpair, term by term.
 
-    Returns ``(u, residual, normalized_residual, consistency)`` for the pair,
-    or ``None`` where extraction drops it (huge ``lam`` or negligible leading
-    block). Residuals use the dense ``T(lam)`` and the 1-norms of the dense
-    ``E_i``; consistency is the explicit loop over trailing blocks.
+    Returns ``(u, residual, normalized_residual, consistency)`` for the pair.
+    Residuals use the dense ``T(lam)`` and the 1-norms of the dense ``E_i``;
+    consistency is the explicit loop over trailing blocks.
     """
     lam = complex(lam)
     n = nep.n
-    if abs(lam) > HUGE_EIGENVALUE_FACTOR * (1 + abs(region.center) + region.radius):
-        return None
     v = np.asarray(v, dtype=complex)
     vnorm = np.linalg.norm(v)
     u = v[:n]
-    if np.linalg.norm(u) < 1e-10 * vnorm:
-        return None
     theta = eval_basis(basis, [lam])[0]
     consistency = 0.0
     for i in range(1, v.size // n):
