@@ -100,9 +100,10 @@ class EigenReport:
     solver_converged: bool
     # ``path`` (geev, qz or filter); on the dense paths the corner's rcond
     # and the count of eigenvalues ``outside`` the region, on the filter path
-    # iterations, subspace and stop_reason; on both ``arithmetic``, the
-    # filter's pole ``factorizations`` and ``block_solves`` (0 when dense) and
-    # the count of pairs dropped as sitting ``on_poles`` of the fit
+    # iterations, subspace, stop_reason and the last sweep's in-region
+    # ``ghosts``; on both ``arithmetic``, the filter's pole ``factorizations``
+    # and ``block_solves`` (0 when dense) and the count of pairs dropped as
+    # sitting ``on_poles`` of the fit
     solver_info: dict
     timings: dict
 
@@ -228,6 +229,7 @@ def run(config):
         solver_converged = result.converged
         solver_info = {"path": "filter", "iterations": result.iterations,
                        "subspace": result.subspace, "stop_reason": result.stop_reason,
+                       "ghosts": result.trace[-1].ghost_count,
                        "factorizations": result.factorizations,
                        "block_solves": result.block_solves}
     solver_info["arithmetic"] = "real" if pencil.is_real else "complex"

@@ -1,8 +1,8 @@
 """Matrix polynomial assembly and its structured pencil linearization.
 
 From a fit ``xi = [p_1..p_s]/q`` and split-form matrices ``E_i`` we form
-``P(x) = sum_j theta_j(x) A_j`` with ``A_j = sum_i a_{i,j} E_i`` and linearize
-it into the gamma*n x gamma*n pencil
+``P(x) = sum_i p_i(x) E_i = sum_j theta_j(x) A_j`` with ``A_j = sum_i a_{i,j} E_i``
+and linearize it into the gamma*n x gamma*n pencil
 
     C0 = [[ H([gamma],[gamma-1])^T (x) I_n                          ],
           [ -k_{gamma-1} [A_0..A_{gamma-1}]
@@ -10,10 +10,12 @@ it into the gamma*n x gamma*n pencil
     C1 = diag(I_{(gamma-1)n}, k_gamma A_gamma),
 
 which satisfies ``(C0 - x C1)(theta(x) (x) I_n) = -k_{gamma-1} e_gamma (x) P(x)``
-so the finite spectrum of ``P`` transfers to the pencil. The pencil is kept in
-implicit block form; a column permutation turns ``mu C1 - C0`` into a block LU
-product whose only n x n solve involves ``P(mu)``, which is what the filter
-module exploits.
+so the finite spectrum of ``P`` transfers to the pencil. Only scalar tables
+are stored: a bottom block ``sum_i beta_{i,j} E_i`` of ``C0`` is never kept,
+and a product with the bottom row mixes the blocks with scalars first, then
+costs one product per ``E_i``. A column permutation turns ``mu C1 - C0`` into
+a block LU product whose only n x n solve involves ``P(mu)``, which is what
+the filter module exploits.
 """
 
 import numpy as np
@@ -60,83 +62,84 @@ def _fro(A):
 
 
 class MatrixPolynomial:
-    """Coefficients ``A_0..A_gamma`` of a matrix polynomial in a given basis."""
+    """``P(x) = sum_i p_i(x) E_i`` with ``p_i = sum_j table[i, j] theta_j(x)``."""
 
-    def __init__(self, coeffs, basis):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        shapes = {A.shape for A in coeffs}
+    def __init__(self, mats, table, basis):
+        mats = list(mats)
+        table = np.asarray(table)
+        if (table.ndim != 2 or table.shape[0] != len(mats)
+                or not 0 < table.shape[1] <= basis.degree + 1):
+            raise ValueError("need an s x (gamma+1) table for s matrices, "
+                             "gamma at most the basis degree")
+        shapes = {E.shape for E in mats}
         if len(shapes) != 1 or any(a != b for a, b in shapes):
-            raise ValueError("coefficients must share a square shape")
-        if len(coeffs) - 1 > basis.degree:
-            raise ValueError("more coefficients than basis polynomials")
-        self.coeffs = coeffs
+            raise ValueError("matrices must share a square shape")
+        self.mats = mats
+        self.table = table
         self.basis = basis
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return self.table.shape[1] - 1
 
     @property
     def n(self):
-        return self.coeffs[0].shape[0]
+        return self.mats[0].shape[0]
+
+    def combine(self, w):
+        """``sum_i w[i] E_i``; sparse if every ``E_i`` is sparse."""
+        return sum(wi * E for wi, E in zip(w, self.mats))
+
+    def apply(self, W, Yb):
+        """``sum_i E_i (sum_j W[i, j] Yb[j])``: one product per ``E_i``."""
+        return sum(E @ Z for E, Z in zip(self.mats, np.tensordot(W, Yb, axes=1)))
 
     def __call__(self, x):
-        """Evaluate ``P(x)``; sparse if every coefficient is sparse."""
+        """Evaluate ``P(x)``; sparse if every ``E_i`` is sparse."""
         theta = eval_basis(self.basis, [x])[0]
-        acc = theta[0] * self.coeffs[0]
-        for j in range(1, self.degree + 1):
-            acc = acc + theta[j] * self.coeffs[j]
-        return acc
+        return self.combine(self.table @ theta[: self.degree + 1])
 
     def trimmed(self):
-        """Drop trailing coefficients that are negligible in Frobenius norm."""
-        norms = [_fro(A) for A in self.coeffs]
+        """Drop trailing coefficients ``A_j`` that are negligible in Frobenius norm."""
+        norms = [_fro(self.combine(a)) for a in self.table.T]
         top = max(norms)
         if top == 0.0:
             raise ValueError("all coefficients vanish")
         deg = self.degree
         while deg > 0 and norms[deg] < TRIM_RTOL * top:
             deg -= 1
-        return MatrixPolynomial(self.coeffs[: deg + 1], self.basis)
+        return MatrixPolynomial(self.mats, self.table[:, : deg + 1], self.basis)
 
 
 def assemble(xi, nep):
-    """Combine fit numerators with split-form matrices: ``A_j = sum_i a_{i,j} E_i``.
+    """The fit's polynomial ``sum_i p_i(x) E_i``; table row i holds ``p_i``.
 
     Coefficients run up to the basis degree; entries beyond a numerator's own
-    degree contribute zero. They are real when the fit is real (see
+    degree are zero. Table and matrices are real when the fit is real (see
     :func:`~nepsolve.lawson.lawson`) and every ``E_i`` has a zero imaginary
-    part, complex otherwise.
+    part; otherwise the table has the fit's dtype.
     """
     if nep.s != len(xi.numer_coeffs):
         raise ValueError(f"fit has {len(xi.numer_coeffs)} components, "
                          f"problem has {nep.s} terms")
-    gamma = xi.basis.degree
-    n = nep.n
     mats = nep.matrices
     real = (not any(np.iscomplexobj(a) for a in xi.numer_coeffs)
             and not any(np.any((E.data if sp.issparse(E) else E).imag) for E in mats))
     if real:
         mats = [E.real for E in mats]
-    dtype = float if real else complex
-    coeffs = []
-    for j in range(gamma + 1):
-        acc = None
-        for a, E in zip(xi.numer_coeffs, mats):
-            if j >= a.size or a[j] == 0:
-                continue
-            acc = a[j] * E if acc is None else acc + a[j] * E
-        if acc is None:
-            acc = (sp.csr_matrix((n, n), dtype=dtype)
-                   if sp.issparse(mats[0]) else np.zeros((n, n), dtype=dtype))
-        coeffs.append(acc)
-    return MatrixPolynomial(coeffs, xi.basis)
+    table = np.zeros((nep.s, xi.basis.degree + 1),
+                     dtype=np.result_type(*xi.numer_coeffs))
+    for row, a in zip(table, xi.numer_coeffs):
+        row[: a.size] = a
+    return MatrixPolynomial(mats, table, xi.basis)
 
 
 class StructuredPencil:
-    """Implicit block form of ``(C0, C1)`` with on-demand dense materialization."""
+    """Implicit block form of ``(C0, C1)`` with on-demand dense materialization.
+
+    Bottom block ``j`` of ``C0`` is ``sum_i beta[i, j] E_i``; of the n x n
+    blocks only ``C1``'s corner ``K = sum_i corner[i] E_i`` is kept.
+    """
 
     def __init__(self, poly):
         gamma = poly.degree
@@ -147,12 +150,15 @@ class StructuredPencil:
         self.gamma = gamma
         self.H = poly.basis.H
         self.k = poly.basis.k
-        A = poly.coeffs
+        T = poly.table
         kg, kg1 = self.k[gamma], self.k[gamma - 1]
-        # bottom block row of C0 and the trailing block of C1
-        self.bottom = [-kg1 * A[j] + (kg * self.H[j, gamma - 1]) * A[gamma]
-                       for j in range(gamma)]
-        self.c1_corner = kg * A[gamma]
+        self.beta = (-kg1 * T[:, :gamma]
+                     + np.outer(T[:, gamma], kg * self.H[:gamma, gamma - 1]))
+        self.corner = kg * T[:, gamma]
+        self.c1_corner = poly.combine(self.corner)
+
+    def _bottom(self):  # the bottom block row of C0, one block at a time
+        return (self.poly.combine(b) for b in self.beta.T)
 
     @property
     def dim(self):
@@ -160,9 +166,9 @@ class StructuredPencil:
 
     @property
     def is_real(self):
-        """Whether ``C0`` and ``C1`` are real: a real basis and real coefficients."""
-        return not (np.iscomplexobj(self.H)
-                    or any(np.iscomplexobj(B) for B in self.bottom))
+        """Whether ``C0`` and ``C1`` are real: a real basis, table and matrices."""
+        return not (np.iscomplexobj(self.H) or np.iscomplexobj(self.beta)
+                    or any(np.iscomplexobj(E) for E in self.poly.mats))
 
     def _blocks(self, Y):
         Y = np.asarray(Y, dtype=complex)
@@ -172,18 +178,10 @@ class StructuredPencil:
 
     def apply_C0(self, Y):
         Yb = self._blocks(Y)
-        out = np.empty_like(Yb)
-        for i in range(self.gamma - 1):
-            # row block i of H([gamma],[gamma-1])^T (x) I_n
-            acc = self.H[0, i] * Yb[0]
-            for j in range(1, i + 2):
-                acc += self.H[j, i] * Yb[j]
-            out[i] = acc
-        acc = self.bottom[0] @ Yb[0]
-        for j in range(1, self.gamma):
-            acc += self.bottom[j] @ Yb[j]
-        out[self.gamma - 1] = acc
-        return out.reshape(self.dim, -1)
+        # the top block rows are H([gamma],[gamma-1])^T (x) I_n
+        top = np.tensordot(self.H[: self.gamma, : self.gamma - 1].T, Yb, axes=1)
+        bottom = self.poly.apply(self.beta, Yb)
+        return np.concatenate([top.reshape(-1, Yb.shape[2]), bottom])
 
     def apply_C1(self, Y):
         Yb = self._blocks(Y)
@@ -194,7 +192,7 @@ class StructuredPencil:
 
     def fro_C0(self):
         top = np.linalg.norm(self.H[: self.gamma, : self.gamma - 1]) ** 2 * self.n
-        return float(np.sqrt(top + sum(_fro(B) ** 2 for B in self.bottom)))
+        return float(np.sqrt(top + sum(_fro(B) ** 2 for B in self._bottom())))
 
     def fro_C1(self):
         return float(np.sqrt((self.gamma - 1) * self.n + _fro(self.c1_corner) ** 2))
@@ -216,7 +214,7 @@ class StructuredPencil:
         Ht = self.H[: self.gamma, : self.gamma - 1].T
         return np.vstack([
             np.kron(Ht, np.eye(self.n)),
-            np.hstack([_dense(B) for B in self.bottom]),
+            np.hstack([_dense(B) for B in self._bottom()]),
         ])
 
     def permutation(self):
@@ -239,7 +237,7 @@ class StructuredPencil:
         if self.gamma == 1:
             return 1.0
         top = float(np.abs(self.H[: self.gamma, : self.gamma - 1]).max())
-        bot = max(abs(B).max() for B in self.bottom)
+        bot = max(abs(B).max() for B in self._bottom())
         return top / bot if bot > 0 and top > 0 else 1.0
 
 
@@ -272,10 +270,10 @@ def verify_linearization(pencil, x0):
 class BlockLU:
     """Factorization of ``(mu C1 - C0) S`` supporting structured solves.
 
-    Stores the scalar recurrence data, the one block of ``L`` that depends on
-    ``mu``, ``-bottom[gamma-1] + mu k_gamma A_gamma`` (the others are
-    ``-bottom[i]``), and an LU of ``P(mu)``; each ``solve`` costs forward
-    block recurrences plus one n x n solve. ``SingularShiftError`` means a zero
+    Stores the scalar recurrence data, the table ``W`` of the bottom block
+    row of ``L`` (block ``j < gamma-1`` is ``-sum_i W[i, j] E_i``) and an LU
+    of ``P(mu)``; each ``solve`` costs forward block recurrences, one product
+    per ``E_i`` and one n x n solve. ``SingularShiftError`` means a zero
     pivot, or ``||P(mu)||_1 ||x||_1 / ||b||_1 >= SINGULAR_COND`` (a lower bound
     on ``kappa_1(P(mu))``) or a non-finite ``x`` for a seeded solve ``P(mu) x = b``.
     """
@@ -285,9 +283,12 @@ class BlockLU:
         self.pencil = pencil
         self.mu = mu
         gamma = pencil.gamma
-        H, k, A = pencil.H, pencil.k, pencil.poly.coeffs
+        H = pencil.H
         self.theta = eval_basis(pencil.poly.basis, [mu])[0]
-        self.last = -pencil.bottom[gamma - 1] + (mu * k[gamma]) * A[gamma]
+        # column j < gamma-1 weighs X_j, column gamma-1 the block Y_{gamma-1}
+        self.W = np.column_stack([pencil.beta[:, 1:], pencil.corner]).astype(complex)
+        if gamma >= 2:
+            self.W[:, gamma - 2] -= mu * pencil.corner
         self.prefactor = complex(np.prod([H[i, i - 1] for i in range(1, gamma)]))
         M = pencil.poly(mu)
         self._solve_p = _factor_p(M)
@@ -302,10 +303,9 @@ class BlockLU:
     def solve(self, Y):
         """Return ``Z`` with ``(mu C1 - C0) Z = C1 Y`` for a 2-D block ``Y``."""
         p = self.pencil
-        gamma, n = p.gamma, p.n
-        H, k, mu = p.H, p.k, self.mu
+        gamma, H, mu = p.gamma, p.H, self.mu
         Yb = p._blocks(Y)
-        X = [None] * gamma
+        X = np.empty_like(Yb)
         if gamma >= 2:
             X[0] = -Yb[0] / H[1, 0]
         for i in range(1, gamma - 1):
@@ -313,13 +313,9 @@ class BlockLU:
             for j in range(i - 1):
                 acc += H[j + 1, i] * X[j]
             X[i] = -acc / H[i + 1, i]
-        rhs = k[gamma] * (p.poly.coeffs[gamma] @ Yb[gamma - 1])
-        for i in range(1, gamma - 1):
-            rhs = rhs + p.bottom[i] @ X[i - 1]
-        if gamma >= 2:
-            rhs = rhs - self.last @ X[gamma - 2]
-        X[gamma - 1] = self._solve_p(self.prefactor * rhs)
-        Z = np.empty((gamma, n, Yb.shape[2]), dtype=complex)
+        X[gamma - 1] = Yb[gamma - 1]  # W's last column weighs Y_{gamma-1}
+        X[gamma - 1] = self._solve_p(self.prefactor * p.poly.apply(self.W, X))
+        Z = np.empty_like(X)
         Z[0] = X[gamma - 1]
         for i in range(1, gamma):
             Z[i] = X[i - 1] + (self.theta[i] / self.theta[0]) * X[gamma - 1]
@@ -336,9 +332,8 @@ class BlockLU:
             for j in range(1, i + 1):
                 coeff = (mu if j == i - 1 else 0.0) - H[j, i - 1]
                 L[(i - 1) * n: i * n, (j - 1) * n: j * n] = coeff * eye
-        for j in range(1, gamma):
-            blk = self.last if j == gamma - 1 else -p.bottom[j]
-            L[(gamma - 1) * n:, (j - 1) * n: j * n] = _dense(blk)
+            L[(gamma - 1) * n:, (i - 1) * n: i * n] = \
+                -_dense(p.poly.combine(self.W[:, i - 1]))
         L[(gamma - 1) * n:, (gamma - 1) * n:] = k[gamma - 1] * _dense(p.poly(mu))
         U = np.eye(p.dim, dtype=complex)
         for i in range(1, gamma):
@@ -401,7 +396,7 @@ def error_bound(G, e_max):
 
 def poly_roots(coeffs, basis):
     """Roots of the scalar polynomial ``sum_j c_j theta_j`` via its 1x1-block pencil."""
-    P = MatrixPolynomial([np.array([[cj]]) for cj in np.asarray(coeffs).ravel()],
+    P = MatrixPolynomial([np.eye(1)], np.asarray(coeffs).reshape(1, -1),
                          basis).trimmed()
     if P.degree == 0:
         return np.empty(0, dtype=complex)

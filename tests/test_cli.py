@@ -349,6 +349,35 @@ def _load_tracer(monkeypatch):
     return tracer
 
 
+def test_report_dump_compare_matches_eigenvalues_as_sets(monkeypatch, tmp_path, capsys):
+    # tools/report_dump.py --compare pairs eigenvalues whatever their order,
+    # prints each differing path, and fails only on an exact value
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool extends it
+    path = pathlib.Path(__file__).parents[1] / "tools" / "report_dump.py"
+    spec = importlib.util.spec_from_file_location("report_dump", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    rows = [{"re": 1.0, "im": 2.0, "residual": 1e-12},
+            {"re": -1.0, "im": 0.5, "residual": 2e-12}]
+    a = {"run": {"eigen": rows, "poles": [[0.5, 1.0], [3.0, 0.0]],
+                 "solver": {"iterations": 2}}}
+    b = {"run": {"eigen": [dict(rows[1], residual=3e-12), rows[0]],
+                 "poles": [[3.0, 0.0], [0.5, 1.0]],
+                 "solver": {"iterations": 2, "ghosts": 0}}}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert dump.compare(pa, pb) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "run.solver.ghosts: only in B",
+        "run.eigen[*].residual: max relative difference 3.333e-01 "
+        "(max absolute 1.000e-12)"]
+    b["run"]["solver"]["iterations"] = 3
+    pb.write_text(json.dumps(b))
+    assert dump.compare(pa, pb) == 1
+    assert "run.solver.iterations: 2 != 3" in capsys.readouterr().out
+
+
 def test_tracer_targets_exist(monkeypatch):
     # the benchmark's tracer patches these attributes from outside; a
     # renamed or removed one would only show up in a traced benchmark run
@@ -431,7 +460,7 @@ def test_run_hadeler_filter_path():
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": True, "path": "filter",
         "iterations": report.solver_info["iterations"], "subspace": 60,
-        "stop_reason": "converged", "factorizations": 8,
+        "stop_reason": "converged", "ghosts": 0, "factorizations": 8,
         "block_solves": 8 * report.solver_info["iterations"], "arithmetic": "real",
         "on_poles": 0}
     assert 1 <= report.solver_info["iterations"] <= 30
@@ -510,15 +539,17 @@ def test_dense_pairs_over_the_bound_are_no_solver_success():
 
 
 def test_filter_budget_reported_and_exit_status(monkeypatch):
-    # one sweep cannot show a stable in-region count
+    # one sweep cannot show a stable in-region count; the in-region ghosts it
+    # leaves are dropped, and counted
     monkeypatch.setattr(cli, "SIFConfig", functools.partial(SIFConfig, max_iters=1))
     report = run(RunConfig(problem="time_delay2", nodes=40, tol=1e-6,
                            max_degree=10, solver="filter", subspace=3))
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": False, "path": "filter",
-        "iterations": 1, "subspace": 3, "stop_reason": "budget",
+        "iterations": 1, "subspace": 3, "stop_reason": "budget", "ghosts": 3,
         "factorizations": 8, "block_solves": 8, "arithmetic": "real",
         "on_poles": 0}
+    assert report.eigenpairs == []
     assert report.exit_status == EXIT_SOLVER_MISS
 
 

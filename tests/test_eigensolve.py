@@ -15,9 +15,8 @@ from nepsolve import (Region, assemble, build_basis, build_pencil, eval_basis,
                       solve_pencil_dense)
 from nepsolve import eigensolve
 from nepsolve.lawson import DegreeSpec, RationalApproximant, SampleSet
-from nepsolve.pencil import MatrixPolynomial
 from nepsolve.problems import SplitFormNEP, constant, exp_affine, monomial
-from util import (det_poly_roots, eigenpair_oracle, random_nodes,
+from util import (coeff_poly, det_poly_roots, eigenpair_oracle, random_nodes,
                   random_poly)
 
 
@@ -41,7 +40,7 @@ def test_pencil_of_linear_polynomial_matches_direct_eigensolve():
     # x I - A expressed in the basis
     coeffs = [(basis.H[0, 0] * np.eye(4) - A) / theta0,
               basis.H[1, 0] * np.eye(4) / theta0]
-    pencil = build_pencil(MatrixPolynomial(coeffs, basis))
+    pencil = build_pencil(coeff_poly(coeffs, basis))
     lam = solve_dense(*pencil.materialize())
     ref = np.sort_complex(np.linalg.eigvals(A))
     assert np.abs(np.sort_complex(lam) - ref).max() < 1e-10 * max(1, np.abs(ref).max())
@@ -89,7 +88,7 @@ def test_singular_leading_coefficient_takes_qz(monkeypatch):
     P = random_poly(rng, 3, 3)
     # a rank-one leading coefficient makes the corner of C1 singular
     a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    P.coeffs[-1] = np.outer(a, b)
+    P.mats[-1] = np.outer(a, b)
     calls = _record_solve_dense(monkeypatch)
     lam, _ = solve_pencil_dense(build_pencil(P, trim=False))
     assert [qz for qz, _ in calls] == [True]
@@ -207,7 +206,7 @@ def test_refine_eigenvectors_sparse_matches_dense(monkeypatch):
     # coefficients, LAPACK on dense ones, to the same vectors
     rng = np.random.default_rng(62)
     P = random_poly(rng, 5, 3)
-    sparse = MatrixPolynomial([scipy.sparse.csr_matrix(A) for A in P.coeffs], P.basis)
+    sparse = coeff_poly([scipy.sparse.csr_matrix(A) for A in P.mats], P.basis)
     pencil, sparse_pencil = build_pencil(P, trim=False), build_pencil(sparse, trim=False)
     lam, V = scipy.linalg.eig(*pencil.materialize(force=True))
     lam = lam[:6]
@@ -239,7 +238,7 @@ def test_refine_eigenvectors_exactly_singular_takes_null_vector(sparse):
     coeffs = [np.diag([0.0, 1.0, 2.0]), np.eye(3)]
     if sparse:
         coeffs = [scipy.sparse.csr_matrix(A) for A in coeffs]
-    P = MatrixPolynomial(coeffs, basis)
+    P = coeff_poly(coeffs, basis)
     lam = np.array([basis.H[0, 0]], dtype=complex)
     assert scipy.sparse.csr_matrix(P(lam[0]))[0, 0] == 0
     V = eigensolve.refine_eigenvectors(build_pencil(P, trim=False), lam,
@@ -275,7 +274,7 @@ def _dense_case(draw):
     center = complex(draw(st.floats(-1.5, 1.5)),
                      0.0 if on_axis else draw(st.floats(-1.5, 1.5)))
     region = Region(center, draw(st.floats(0.2, 3.0)))
-    return MatrixPolynomial(coeffs, basis), region, rank_one
+    return coeff_poly(coeffs, basis), region, rank_one
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,7 +305,7 @@ def test_solve_pencil_dense_in_region_property(case):
         u = V[: P.n, i] / theta[i, 0]
         assert np.linalg.norm(V[:, i] - np.kron(theta[i, : pencil.gamma], u)) <= \
             1e-13 * np.linalg.norm(V[:, i])
-        scale = sum(abs(t) * np.linalg.norm(A) for t, A in zip(theta[i], P.coeffs))
+        scale = sum(abs(t) * np.linalg.norm(A) for t, A in zip(theta[i], P.mats))
         assert np.linalg.norm(P(lam[i]) @ u) <= 1e-10 * scale * np.linalg.norm(u)
 
 

@@ -53,6 +53,17 @@ def random_nodes(rng, m, center=0.0, radius=1.0, on_circle=False):
     return center + pts
 
 
+def coeff_poly(coeffs, basis):
+    """``sum_j theta_j A_j`` as a split form: ``E_j = A_j`` and an identity table."""
+    return MatrixPolynomial(coeffs, np.eye(len(coeffs)), basis)
+
+
+def coeff_matrices(P):
+    """Dense ``A_j = sum_i table[i, j] E_i`` of a split form, entry by entry."""
+    mats = [E.toarray() if sp.issparse(E) else np.asarray(E) for E in P.mats]
+    return [sum(t * E for t, E in zip(col, mats)) for col in P.table.T]
+
+
 def random_poly(rng, n, gamma, m=None, node_scale=1.0):
     """Random matrix polynomial in a basis on random disk nodes."""
     m = m or max(3 * gamma + 4, 8)
@@ -60,7 +71,7 @@ def random_poly(rng, n, gamma, m=None, node_scale=1.0):
     basis = build_basis(nodes, gamma)
     coeffs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
               for _ in range(gamma + 1)]
-    return MatrixPolynomial(coeffs, basis)
+    return coeff_poly(coeffs, basis)
 
 
 def det_poly_roots(P, dps=40):
@@ -81,9 +92,8 @@ def det_poly_roots(P, dps=40):
     with mp.workdps(dps):
         H = [[mp.mpc(P.basis.H[i, j]) for j in range(gamma)]
              for i in range(gamma + 1)]
-        A = [mp.matrix([[mp.mpc(np.asarray(P.coeffs[j])[r, c])
-                         for c in range(n)] for r in range(n)])
-             for j in range(gamma + 1)]
+        A = [mp.matrix([[mp.mpc(Aj[r, c]) for c in range(n)] for r in range(n)])
+             for Aj in coeff_matrices(P)]
         theta0 = mp.mpc(P.basis.Q[0, 0])
 
         def theta_at(z):

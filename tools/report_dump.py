@@ -3,20 +3,33 @@
 Usage (from the root of a checkout)::
 
     python3 tools/report_dump.py OUT.json
+    python3 tools/report_dump.py --compare A.json B.json
 
-Writes one JSON object to ``OUT.json``: for each named configuration, the
-report ``emit(run(config))`` without its ``timings`` and with a manifest's
-path cut to its file name. The configurations are the benchmark workloads
-W1, W2 and W3 at seeds 1 and 5 (built by ``perfbench/workloads.py``) and
-seven built-in runs across the dense and filter paths. A change that must
-not move the report is checked by diffing this file from the parent
-checkout against the one from the change.
+The first form writes one JSON object to ``OUT.json``: for each named
+configuration, the report ``emit(run(config))`` without its ``timings`` and
+with a manifest's path cut to its file name. The configurations are the
+benchmark workloads W1, W2 and W3 at seeds 1 and 5 (built by
+``perfbench/workloads.py``) and six built-in runs across the dense and
+filter paths. A change that must not move the report is checked by
+comparing this file from the parent checkout with the one from the change.
+
+The second form compares two such files. Eigenvalues (``eigen`` rows by
+``re + i im``, and ``[re, im]`` lists such as ``poles`` and ``zeros``) are
+matched as sets, by a least-distance assignment; everything else by key or
+position. It prints each key path that differs, list positions shown as
+``*``: for numbers the largest relative and absolute differences (of
+``|lam_a - lam_b|`` for a matched eigenvalue), for anything else both
+values. A key present on one side only is printed as such. It exits 1 when
+an int, str, bool or ``None``, or a list length, differs, and 0 otherwise.
 """
 
 import json
 import os
 import sys
 import tempfile
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -62,7 +75,77 @@ def main(out):
         fh.write("\n")
 
 
+def _point(item):
+    """The eigenvalue an ``eigen`` row or an ``[re, im]`` pair holds, or None."""
+    if isinstance(item, dict) and {"re", "im"} <= set(item):
+        return complex(item["re"], item["im"])
+    if (isinstance(item, list) and len(item) == 2
+            and all(isinstance(v, float) for v in item)):
+        return complex(*item)
+    return None
+
+
+def _note(floats, key, a, b):
+    """Keep the largest relative and absolute difference seen under ``key``."""
+    if a == b or (a != a and b != b):  # equal, or both nan
+        diff = (0.0, 0.0)
+    else:
+        diff = (abs(a - b) / max(abs(a), abs(b)), abs(a - b))
+    old = floats.get(key, (0.0, 0.0))
+    floats[key] = (max(old[0], diff[0]), max(old[1], diff[1]))
+
+
+def _walk(a, b, path, floats, exact):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() | b.keys():
+            if key not in b or key not in a:
+                side = "A" if key in a else "B"
+                exact.append((f"{path}.{key}", f"only in {side}", False))
+            else:
+                _walk(a[key], b[key], f"{path}.{key}", floats, exact)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            exact.append((f"{path}.length", f"{len(a)} != {len(b)}", True))
+            return
+        pa, pb = [_point(x) for x in a], [_point(x) for x in b]
+        if a and None not in pa + pb:
+            # eigenvalues: pair the two sets, then compare the pairs
+            rows, cols = linear_sum_assignment(np.abs(np.subtract.outer(pa, pb)))
+            b = [b[j] for j in cols]
+            for i in rows:
+                key = f"{path}[*].lam" if isinstance(a[i], dict) else f"{path}[*]"
+                _note(floats, key, pa[i], _point(b[i]))
+                if isinstance(a[i], dict):
+                    _walk({k: v for k, v in a[i].items() if k not in ("re", "im")},
+                          {k: v for k, v in b[i].items() if k not in ("re", "im")},
+                          f"{path}[*]", floats, exact)
+            return
+        for x, y in zip(a, b):
+            _walk(x, y, f"{path}[*]", floats, exact)
+    elif all(isinstance(v, float) for v in (a, b)):
+        _note(floats, path, a, b)
+    elif a != b or type(a) is not type(b):
+        exact.append((path, f"{a!r} != {b!r}", True))
+
+
+def compare(path_a, path_b):
+    """Print what differs between two dumps; 1 if any exact value does, else 0."""
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    floats, exact = {}, []
+    _walk(a, b, "", floats, exact)
+    for key, what, _ in sorted(exact):
+        print(f"{key[1:]}: {what}")
+    for key, (rel, absolute) in sorted(floats.items()):
+        if rel:
+            print(f"{key[1:]}: max relative difference {rel:.3e} "
+                  f"(max absolute {absolute:.3e})")
+    return int(any(fails for *_, fails in exact))
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     main(sys.argv[1])
