@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .basis import build_basis
 from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
 from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
@@ -102,8 +103,8 @@ class EigenReport:
     # and the count of eigenvalues ``outside`` the region, on the filter path
     # iterations, subspace, stop_reason and the last sweep's in-region
     # ``ghosts``; on both ``arithmetic``, the filter's pole ``factorizations``
-    # and ``block_solves`` (0 when dense) and the count of pairs dropped as
-    # sitting ``on_poles`` of the fit
+    # and ``block_solves`` (0 when dense), and the counts of pairs dropped
+    # ``on_poles`` of the fit and of reported pairs ``over_bound``
     solver_info: dict
     timings: dict
 
@@ -177,12 +178,15 @@ def run(config):
     last = min(config.max_degree, (samples.m - 2) // 2)
     t0 = time.perf_counter()
     escalation = []
+    # each degree's first sweep shares this nested basis, one column per degree
+    basis = build_basis(samples.nodes, 0)
     for k in range(1, last + 1):
+        basis = basis.extend(k)
         # every degree but the last may give up once it provably misses tol;
         # the last one is never given up, so a fit miss still reports its
         # best fit
         xi = lawson(samples, DegreeSpec((k,) * nep.s, k),
-                    target=None if k == last else config.tol)
+                    target=None if k == last else config.tol, basis=basis)
         # each step carries its proof: best error and largest dual bound
         sqrt_e = float(np.sqrt(xi.e_max))
         escalation.append({"degree": k, "sweeps": xi.iterations,
@@ -242,9 +246,10 @@ def run(config):
             if np.all(np.abs(in_region_poles - p.lam) >= pole_guard)]
     solver_info["on_poles"] = len(eigenpairs) - len(kept)
     eigenpairs = kept
+    # judged after the pole drop: pairs on in-region poles are not reported
+    solver_info["over_bound"] = sum(not p.residual <= bound for p in eigenpairs)
     if solver == "dense":
-        # judged after the pole drop: pairs on in-region poles are not reported
-        solver_converged = all(p.residual <= bound for p in eigenpairs)
+        solver_converged = solver_info["over_bound"] == 0
 
     return EigenReport(
         problem=nep.name,

@@ -282,7 +282,7 @@ class RationalApproximant:
         return len(self.trace)
 
 
-def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
+def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.
 
     Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently),
@@ -291,7 +291,9 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
     ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex. Each sweep runs
     in a basis orthogonalized under the weights on the active nodes, rebuilt
     every ``REBASIS_EVERY`` sweeps and on every node drop, so the weighted QR
-    factors stay well conditioned as the weights concentrate. At most
+    factors stay well conditioned as the weights concentrate. The first sweep
+    runs in ``basis`` if given, ``build_basis(samples.nodes, spec.max_degree)``,
+    which the degree escalation extends once per degree and shares. At most
     ``max_iters`` sweeps run, one ``dual_value`` call each; running out is
     reported as ``stop_reason="budget"`` on the result, not as an error.
 
@@ -332,11 +334,12 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
             f"need at least {spec.min_nodes()} nodes for type "
             f"{spec.numerator}/{spec.denominator}, got {m}")
 
+    if basis is not None and basis.degree != spec.max_degree:
+        raise ValueError(f"basis degree {basis.degree} is not {spec.max_degree}")
     active = np.arange(m)
     sub = samples
     pair = samples.conj_pair
     w = np.full(m, 1.0 / m)
-    basis = None
     # below this the fit interpolates the data to working precision and the
     # duality gap is pure rounding noise
     vscale = float(np.max(np.linalg.norm(samples.values, axis=1)))
@@ -355,7 +358,7 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None):
             w = w / w.sum()
             sub = SampleSet(samples.nodes[active], samples.values[active])
             basis = None
-        if basis is None or it % REBASIS_EVERY == 0:
+        if basis is None or (it and it % REBASIS_EVERY == 0):
             basis = build_basis(sub.nodes, spec.max_degree, weights=w)
         dres = dual_value(sub, w, spec, basis)
         err_norms = np.linalg.norm(sub.values - dres.node_values, axis=1)

@@ -91,8 +91,11 @@ class MatrixPolynomial:
         return sum(wi * E for wi, E in zip(w, self.mats))
 
     def apply(self, W, Yb):
-        """``sum_i E_i (sum_j W[i, j] Yb[j])``: one product per ``E_i``."""
-        return sum(E @ Z for E, Z in zip(self.mats, np.tensordot(W, Yb, axes=1)))
+        """``sum_i E_i (sum_j W[i, j] Yb[j])``: one product per ``E_i``, a real
+        GEMM on the block seen as real where ``E_i`` is real and dense."""
+        return sum((E @ Z.view(float)).view(complex)
+                   if isinstance(E, np.ndarray) and E.dtype == float and Z.dtype == complex
+                   else E @ Z for E, Z in zip(self.mats, np.tensordot(W, Yb, axes=1)))
 
     def __call__(self, x):
         """Evaluate ``P(x)``; sparse if every ``E_i`` is sparse."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nepsolve import BreakdownError, build_basis, eval_basis, leading_coeffs
 from util import eval_monomial, monomial_coeffs, random_nodes
@@ -167,3 +168,63 @@ def test_breakdown_on_clustered_nodes():
     nodes = base + np.arange(12) * 1e-17 * 1j + np.arange(12) * 5e-16
     with pytest.raises((BreakdownError, ValueError)):
         build_basis(nodes, 9)
+
+
+@st.composite
+def _extension_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["disk", "real_line", "clustered"]))
+    if kind == "disk":
+        nodes = random_nodes(rng, m, center=rng.uniform(-2, 2), radius=rng.uniform(0.1, 5))
+    elif kind == "real_line":
+        nodes = np.sort(rng.uniform(-3, 3, m)).astype(complex)
+    else:  # a few tight clusters, which support only a few degrees
+        centres = random_nodes(rng, draw(st.integers(1, 4)))
+        spread = draw(st.sampled_from([1e-14, 1e-12, 1e-9]))
+        nodes = centres[rng.integers(0, centres.size, m)] + spread * rng.permutation(m)
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.uniform(1e-3, 1.0, m)
+        weights /= weights.sum()
+    d1 = draw(st.integers(0, m - 2))
+    d2 = draw(st.integers(d1 + 1, m - 1))
+    return nodes, weights, d1, d2
+
+
+def _outcome(make):
+    # a tight cluster can overflow k below the breakdown degree; the
+    # overflow is compared with the rest, not raised on the way to d2
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return make()
+        except BreakdownError as exc:
+            return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_extension_case())
+def test_extended_basis_equals_the_basis_built_at_once(case):
+    # column j+1 depends only on columns 0..j, the nodes and the weights, so a
+    # basis extended from d1 to d2 is the one built at d2, bit for bit, and a
+    # breakdown comes at the same degree either way
+    nodes, weights, d1, d2 = case
+    direct = _outcome(lambda: build_basis(nodes, d2, weights))
+    extended = _outcome(lambda: build_basis(nodes, d1, weights).extend(d2))
+    if isinstance(direct, str):
+        assert extended == direct
+        return
+    assert extended.degree == direct.degree == d2
+    for name in ("Q", "H", "k", "weights", "nodes"):
+        assert np.array_equal(getattr(extended, name), getattr(direct, name),
+                              equal_nan=True), name
+
+
+def test_extend_rejects_a_lower_or_unsupported_degree():
+    b = build_basis(np.arange(4.0), 2)
+    with pytest.raises(ValueError, match="below the basis degree 2"):
+        b.extend(1)
+    with pytest.raises(ValueError, match="below the basis degree 0"):
+        build_basis(np.arange(4.0), -1)
+    with pytest.raises(ValueError, match="nodes"):
+        b.extend(4)

@@ -14,7 +14,7 @@ import pytest
 import nepsolve
 from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
                       run, sample_boundary, save_manifest)
-from nepsolve import cli
+from nepsolve import VABasis, build_basis, cli
 from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
                           build_parser, main)
 from nepsolve.eigensolve import STANDARD_FORM_RCOND
@@ -60,7 +60,8 @@ def test_report_json_schema(time_delay_report):
     assert doc["solver"] == {"kind": "dense", "converged": True, "path": "geev",
                              "rcond": rcond, "outside": outside,
                              "factorizations": 0, "block_solves": 0,
-                             "arithmetic": "real", "on_poles": 0}
+                             "arithmetic": "real", "on_poles": 0,
+                             "over_bound": 0}
     # the dense path reports the in-region pairs and counts the others
     assert all(row["in_region"] for row in doc["eigen"])
     assert isinstance(outside, int) and outside > 0
@@ -257,6 +258,55 @@ def test_escalation_matches_full_fits_on_benchmark_configs(
     escalation = _check_escalation_matches_full_fits(report)
     # the give-up rule's sweep budget on the benchmark's fits
     assert sum(step["sweeps"] for step in escalation) <= max_sweeps
+
+
+@pytest.mark.parametrize("overrides", [
+    # the benchmark's example1_escalate: 28 degrees, one fit rebuilds its basis
+    {},
+    # a tiny half-disk, where the uniform basis at the cap degree (99)
+    # overflows its leading coefficients
+    {"center": 0j, "radius": 1e-3, "half_disk": True, "nodes": 201, "max_degree": 99},
+])
+def test_escalation_extends_one_shared_basis_one_degree_at_a_time(monkeypatch,
+                                                                  overrides):
+    # every column of every basis is made by VABasis.extend; those made for
+    # a Lawson rebuild under its weights are told apart by the wrapper
+    calls, fit_bases, rebuilding = [], [], []
+    extend = VABasis.extend
+
+    def counted_extend(basis, degree):
+        calls.append((basis.degree, degree, bool(rebuilding)))
+        return extend(basis, degree)
+
+    def rebuild(*args, **kwargs):
+        rebuilding.append(True)
+        try:
+            return build_basis(*args, **kwargs)
+        finally:
+            rebuilding.pop()
+
+    def fit(samples, spec, **kwargs):
+        fit_bases.append(kwargs["basis"])
+        return lawson(samples, spec, **kwargs)
+
+    monkeypatch.setattr(VABasis, "extend", counted_extend)
+    monkeypatch.setattr(importlib.import_module("nepsolve.lawson"), "build_basis",
+                        rebuild)
+    monkeypatch.setattr(cli, "lawson", fit)
+    config = {"problem": "example1", "nodes": 100, "tol": 1e-10, "max_degree": 30}
+    report = run(RunConfig(**{**config, **overrides}))
+    last = report.fit.degrees.denominator
+    tried = list(range(1, last + 1))
+    assert [step["degree"] for step in report.escalation] == tried
+    # one extension by one column per degree tried, after the degree-0 start
+    assert [(d0, d) for d0, d, rebuilt in calls if not rebuilt and d > d0] == \
+        [(k - 1, k) for k in tried]
+    # each degree's first sweep ran in the shared basis, grown to its degree
+    assert [b.degree for b in fit_bases] == tried
+    assert all(np.array_equal(a.Q, b.Q[:, : a.degree + 1])
+               for a, b in zip(fit_bases, fit_bases[1:]))
+    # no basis in the run, rebuilt or shared, went past the degree it stopped at
+    assert max(d for _, d, _ in calls) == last
 
 
 def test_config_validation():
@@ -462,7 +512,7 @@ def test_run_hadeler_filter_path():
         "iterations": report.solver_info["iterations"], "subspace": 60,
         "stop_reason": "converged", "ghosts": 0, "factorizations": 8,
         "block_solves": 8 * report.solver_info["iterations"], "arithmetic": "real",
-        "on_poles": 0}
+        "on_poles": 0, "over_bound": 0}
     assert 1 <= report.solver_info["iterations"] <= 30
     inreg = report.in_region
     assert len(inreg) > 0
@@ -525,6 +575,8 @@ def test_filter_stalls_on_a_bound_below_the_pencil_residual():
     solver = report.to_json_dict()["solver"]
     assert solver["stop_reason"] == "stalled" and not solver["converged"]
     assert solver["iterations"] < SIFConfig().max_iters
+    assert solver["over_bound"] == sum(p.residual > report.bound
+                                       for p in report.eigenpairs) >= 1
     assert report.exit_status == EXIT_SOLVER_MISS
 
 
@@ -534,8 +586,21 @@ def test_dense_pairs_over_the_bound_are_no_solver_success():
     report = run(RunConfig(problem="example1", nodes=60, tol=1e-8))
     assert report.solver == "dense" and report.in_region
     assert min(p.residual for p in report.in_region) > report.bound
-    assert not report.to_json_dict()["solver"]["converged"]
+    solver = report.to_json_dict()["solver"]
+    assert not solver["converged"]
+    # the report says how many pairs miss the bound: here every one
+    assert solver["over_bound"] == len(report.eigenpairs) >= 1
     assert report.exit_status == EXIT_SOLVER_MISS
+
+
+def test_benchmark_hadeler_pairs_are_within_the_bound(tmp_path):
+    # the hadeler100_dense workload: every reported pair meets the bound
+    manifest = save_manifest(hadeler(n=100), str(tmp_path / "hadeler.json"))
+    report = run(RunConfig(manifest=manifest, nodes=50, tol=1e-10, max_degree=6))
+    solver = report.to_json_dict()["solver"]
+    assert solver["kind"] == "dense" and solver["converged"]
+    assert solver["over_bound"] == 0 and len(report.eigenpairs) == 5
+    assert report.exit_status == EXIT_OK
 
 
 def test_filter_budget_reported_and_exit_status(monkeypatch):
@@ -548,7 +613,7 @@ def test_filter_budget_reported_and_exit_status(monkeypatch):
         "kind": "filter", "converged": False, "path": "filter",
         "iterations": 1, "subspace": 3, "stop_reason": "budget", "ghosts": 3,
         "factorizations": 8, "block_solves": 8, "arithmetic": "real",
-        "on_poles": 0}
+        "on_poles": 0, "over_bound": 0}
     assert report.eigenpairs == []
     assert report.exit_status == EXIT_SOLVER_MISS
 

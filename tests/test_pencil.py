@@ -204,6 +204,29 @@ def test_block_operations_take_2d_blocks_only():
                 op(bad)
 
 
+@pytest.mark.parametrize("complex_table", [False, True])
+def test_apply_matches_the_complex_product(complex_table):
+    # a real dense E_i takes a complex block as a real one of twice the
+    # columns; the oracle is the complex GEMM with each E_i made complex
+    rng = np.random.default_rng(28)
+    n, gamma, c = 30, 4, 5
+    mats = [rng.standard_normal((n, n)),
+            sp.csr_matrix(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)),
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+    P = MatrixPolynomial(mats, np.ones((3, 2)), build_basis(random_nodes(rng, 8), 1))
+    W = rng.standard_normal((3, gamma)) + complex_table * 1j * rng.standard_normal((3, gamma))
+    # a non-contiguous block, so the reshaped view is not the caller's memory
+    Yb = (rng.standard_normal((c, n, gamma))
+          + 1j * rng.standard_normal((c, n, gamma))).transpose(2, 1, 0)
+    dense = [np.asarray(E.toarray() if sp.issparse(E) else E, dtype=complex) for E in mats]
+    Z = np.tensordot(W, Yb, axes=1)
+    want = sum(E @ Zi for E, Zi in zip(dense, Z))
+    scale = sum(np.abs(E) @ np.abs(Zi) for E, Zi in zip(dense, Z))
+    got = P.apply(W, Yb)
+    assert got.shape == (n, c) and got.dtype == complex
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
 @st.composite
 def _split_form_case(draw):
     """A split form with a general table: s matrices, s != gamma + 1 allowed."""
