@@ -181,7 +181,10 @@ def run(config):
     # each degree's first sweep shares this nested basis, one column per degree
     basis = build_basis(samples.nodes, 0)
     for k in range(1, last + 1):
-        basis = basis.extend(k)
+        with np.errstate(over="ignore"):
+            basis = basis.extend(k)
+        if k > 1 and not np.isfinite(basis.k[-1]):
+            break  # degree k - 1, the last with finite k_j, is a fit miss
         # every degree but the last may give up once it provably misses tol;
         # the last one is never given up, so a fit miss still reports its
         # best fit

@@ -134,7 +134,7 @@ def refine_eigenvectors(pencil, lam, U):
             V[:, i] = V[:, i - 1].conj()
             continue
         M = pencil.poly(lam[i])
-        solve = _factor_p(M)
+        solve = _factor_p(M, pencil.poly.ordering)
         x = U[:, i]
         for _ in range(2 if solve else 0):
             y = solve(x)

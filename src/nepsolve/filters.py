@@ -108,21 +108,8 @@ def _paired(pencil, rule):
 def _factor_poles(pencil, rule):
     """The filter's pole sum as ``(weight, BlockLU)`` terms, in pole order.
 
-    Every pole ``s_j`` is factored with its weight ``g_j``, except on a paired
-    rule (real pencil, real center). There pole ``k - 1 - j`` is the
-    conjugate of pole ``j``, so only the first ``ceil(k/2)`` poles are
-    factored, with weights ``2 g_j``; the middle pole of an odd rule is its
-    own partner and is factored at its real part, with weight ``g_m``. Poles
-    are paired by index because the computed poles are conjugate only to
-    rounding.
-
     A context manager: it yields the list of terms and empties it on exit.
-    The poles are factored concurrently on ``w = min(#poles, #usable CPUs)``
-    single-thread workers, pole ``j`` on worker ``j % w`` (SuperLU releases
-    the GIL). Each factorization is also dropped by the worker that built it,
-    after the caller's references are gone: SciPy's SuperLU never gives back
-    the memory of a factor freed on another thread than the one that built it.
-    """
+    Pole ``j`` is factored, and freed, on worker ``j % w`` (see README)."""
     poles, weights = rule.poles, rule.weights
     if _paired(pencil, rule):
         half = (rule.k + 1) // 2
@@ -133,6 +120,7 @@ def _factor_poles(pencil, rule):
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     w = min(len(poles), cpus)
+    pencil.poly.ordering  # computed here, once, before the workers share it
     workers = [ThreadPoolExecutor(max_workers=1) for _ in range(w)]
     owned = [[] for _ in range(w)]  # owned[i] grows and is cleared on worker i only
 

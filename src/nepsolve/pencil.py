@@ -18,6 +18,8 @@ a block LU product whose only n x n solve involves ``P(mu)``, which is what
 the filter module exploits.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -41,7 +43,8 @@ DENSE_DIM_LIMIT = 5000
 # A + A^T. P(mu) is structurally near-symmetric, and on the n=1000
 # tridiagonal-plus-random criterion-7 family this keeps nnz(L+U) per pole at
 # about 255k-259k where the default COLAMD gives 415k, halving factor and
-# solve time. Partial pivoting (diag_pivot_thresh=1) is unchanged.
+# solve time. It is computed once per polynomial (MatrixPolynomial.ordering):
+# inside each LU it would take about 40% of the time. Pivoting is unchanged.
 SPARSE_ORDERING = "MMD_AT_PLUS_A"
 # P(mu) is singular where a seeded solve P x = b gives ||P||_1 ||x||_1 / ||b||_1 >= this
 SINGULAR_COND = 1e14
@@ -85,6 +88,19 @@ class MatrixPolynomial:
     @property
     def n(self):
         return self.mats[0].shape[0]
+
+    @functools.cached_property
+    def ordering(self):
+        """``o`` for which SuperLU factors every ``P(x)[o][:, o]`` unordered, or
+        ``None`` unless every ``E_i`` is sparse: the ``SPARSE_ORDERING`` of the
+        pattern ``sum_i |E_i|``, from an ILU of it plus a dominant diagonal."""
+        if not all(sp.issparse(E) for E in self.mats):
+            return None
+        A = sum(abs(E) for E in self.mats)
+        A = (A + (1.0 + A.sum()) * sp.identity(self.n)).tocsc()
+        # SuperLU moves column i to position perm_c[i]
+        return np.argsort(spla.spilu(A, drop_tol=1, fill_factor=1,
+                                     permc_spec=SPARSE_ORDERING).perm_c)
 
     def combine(self, w):
         """``sum_i w[i] E_i``; sparse if every ``E_i`` is sparse."""
@@ -294,7 +310,7 @@ class BlockLU:
             self.W[:, gamma - 2] -= mu * pencil.corner
         self.prefactor = complex(np.prod([H[i, i - 1] for i in range(1, gamma)]))
         M = pencil.poly(mu)
-        self._solve_p = _factor_p(M)
+        self._solve_p = _factor_p(M, pencil.poly.ordering)
         b = np.random.default_rng(0).standard_normal(pencil.n)
         x = self._solve_p(b) if self._solve_p else np.nan
         ratio = abs(M).sum(axis=0).max() * np.abs(x).sum() / np.abs(b).sum()
@@ -345,19 +361,22 @@ class BlockLU:
         return L, U
 
 
-def _factor_p(M):
+def _factor_p(M, order):
     """The solve ``b -> P^{-1} b`` of an LU of ``P`` at a point, or ``None``.
 
-    A sparse ``M`` goes to SuperLU with ``SPARSE_ORDERING``, a dense one to
+    A sparse ``M`` goes to SuperLU as ``M[order][:, order]``, ``order`` its
+    polynomial's ``ordering``, so it is not ordered again; a dense one to
     LAPACK getrf/getrs of its dtype. An exactly zero pivot gives ``None`` and
     no warning. SuperLU's ``L`` and ``U`` are never read: SciPy would build
     CSC copies of both and keep them as long as the factor lives.
     """
     if sp.issparse(M):
+        back = np.argsort(order)
         try:
-            return spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING).solve
+            lu = spla.splu(M.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
         except RuntimeError:  # SuperLU met an exactly zero pivot
             return None
+        return lambda b: lu.solve(b[order])[back]  # holds no copy of M
     M = _dense(M)
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
     lu, piv, info = getrf(M)

@@ -309,6 +309,27 @@ def test_escalation_extends_one_shared_basis_one_degree_at_a_time(monkeypatch,
     assert max(d for _, d, _ in calls) == last
 
 
+def test_escalation_ends_before_the_leading_coefficients_overflow(monkeypatch):
+    # on a tiny half-disk the shared basis's k_j grow about like (2/r)^j and
+    # overflow at degree 99: the run reports the fit at the last degree with
+    # finite k_j as a fit miss, where it used to fail on a non-finite pencil
+    fit_bases = []
+
+    def fit(samples, spec, **kwargs):
+        fit_bases.append(kwargs["basis"])
+        return lawson(samples, spec, **kwargs)
+
+    monkeypatch.setattr(cli, "lawson", fit)
+    report = run(RunConfig(problem="example1", center=0j, radius=1e-3,
+                           half_disk=True, nodes=201, max_degree=99, tol=1e-17))
+    assert report.exit_status == EXIT_FIT_MISS
+    last = report.fit.degrees.denominator
+    assert [step["degree"] for step in report.escalation] == list(range(1, last + 1))
+    assert fit_bases[-1].degree == last and np.isfinite(fit_bases[-1].k).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(fit_bases[-1].extend(last + 1).k[-1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig()  # neither problem nor manifest

@@ -462,6 +462,32 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
     assert touched == []
 
 
+def test_pole_factors_reuse_the_polynomial_ordering(small_sparse, monkeypatch):
+    # the sparse ordering is computed once, before the workers start; every
+    # pole LU factors P(s_j) already in that order
+    import nepsolve.pencil
+
+    splu, spilu = nepsolve.pencil.spla.splu, nepsolve.pencil.spla.spilu
+    specs, orderings = [], []
+
+    def recorded(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)  # list.append: the poles are factored on workers
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    def ordered(*args, **kwargs):
+        orderings.append(threading.current_thread())
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(nepsolve.pencil.spla, "splu", recorded)
+    monkeypatch.setattr(nepsolve.pencil.spla, "spilu", ordered)
+    nep, pencil = small_sparse
+    pencil.poly.__dict__.pop("ordering", None)  # a fresh cache
+    result = sif(pencil, nep, nep.region, SIFConfig(seed=1))
+    assert result.converged and result.factorizations == 8
+    assert specs == ["NATURAL"] * 8
+    assert orderings == [threading.current_thread()]
+
+
 def _wrap_poly_as_nep(P):
     # use the polynomial itself as an exact split form for residual purposes
     from nepsolve.problems import Region as R_, SplitFormNEP, constant, monomial

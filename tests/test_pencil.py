@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from nepsolve import (BlockLU, MatrixPolynomial, SingularShiftError, assemble,
@@ -14,7 +15,7 @@ from nepsolve import (BlockLU, MatrixPolynomial, SingularShiftError, assemble,
                       eval_basis, example1, extract_nep_eigenpairs,
                       gram_matrix, poly_roots, shift_invert, solve_dense,
                       verify_linearization)
-from nepsolve.pencil import DENSE_DIM_LIMIT
+from nepsolve.pencil import DENSE_DIM_LIMIT, SPARSE_ORDERING, _factor_p
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (coeff_matrices, coeff_poly, det_poly_roots, eval_monomial,
                   match_sets, monomial_coeffs, random_nodes, random_poly)
@@ -486,6 +487,64 @@ def test_exactly_singular_shift_raises(sparse):
         BlockLU(pencil, 1.5 + 0.5j)
     with pytest.raises(SingularShiftError):
         shift_invert(pencil, 1.5 + 0.5j, np.ones((pencil.dim, 1)))
+
+
+@st.composite
+def _ordering_case(draw):
+    """s = 1..4 random sparse E_i, real or complex, a table, a point; with
+    ``vanish`` the table's last row is zero, so p_s(mu) = 0, and only E_s
+    has an entry at (0, n-1), so P(mu) has a strict subset of the pattern."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 0.3))
+    real = draw(st.booleans())
+    vanish = draw(st.booleans()) and s > 1 and n > 1
+    gamma = draw(st.integers(1, 4))
+    basis = build_basis(random_nodes(rng, max(3 * gamma + 4, 8)), gamma)
+    corner = sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(n, n))
+    mats = []
+    for i in range(s):
+        A = _random_sparse(rng, n, density) + sp.diags(rng.standard_normal(n))
+        A = A + corner if vanish and i == s - 1 else A - A.multiply(corner)
+        A = (A.real if real else A).tocsr()
+        A.eliminate_zeros()
+        mats.append(A)
+    table = rng.standard_normal((s, gamma + 1))
+    if not real:
+        table = table + 1j * rng.standard_normal((s, gamma + 1))
+    if vanish:
+        table[-1] = 0.0
+    P = MatrixPolynomial(mats, table, basis)
+    return P, complex(rng.standard_normal(), rng.standard_normal()), vanish
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ordering_case())
+def test_shared_ordering_matches_a_per_call_ordering(case):
+    # P(mu) factored in the polynomial's one ordering solves as SuperLU's
+    # own SPARSE_ORDERING of P(mu) does, also where P(mu)'s pattern is
+    # smaller than the polynomial's
+    P, mu, vanish = case
+    M = P(mu)
+    pattern = sum(abs(E) for E in P.mats)
+    assert sp.issparse(M) and (M.nnz < pattern.nnz or not vanish)
+    assume(np.linalg.cond(M.toarray()) < 1e3)
+    b = np.random.default_rng(0).standard_normal((P.n, 2))
+    want = spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING).solve(b)
+    got = _factor_p(M, P.ordering)(b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_ordering_only_for_all_sparse_matrices():
+    rng = np.random.default_rng(34)
+    basis = build_basis(random_nodes(rng, 8), 1)
+    sparse = [_random_sparse(rng, 5, 0.4) + sp.identity(5) for _ in range(2)]
+    dense = [A.toarray() for A in sparse]
+    table = rng.standard_normal((2, 2))
+    assert MatrixPolynomial(sparse, table, basis).ordering is not None
+    assert MatrixPolynomial(dense, table, basis).ordering is None
+    assert MatrixPolynomial([sparse[0], dense[1]], table, basis).ordering is None
 
 
 # ---------------------------------------------------------------- Gram bound

@@ -9,9 +9,11 @@ The first form writes one JSON object to ``OUT.json``: for each named
 configuration, the report ``emit(run(config))`` without its ``timings`` and
 with a manifest's path cut to its file name. The configurations are the
 benchmark workloads W1, W2 and W3 at seeds 1 and 5 (built by
-``perfbench/workloads.py``) and six built-in runs across the dense and
-filter paths. A change that must not move the report is checked by
-comparing this file from the parent checkout with the one from the change.
+``perfbench/workloads.py``), six built-in runs across the dense and
+filter paths, and the criterion-7 family at n = 100 on the dense path,
+whose inverse iteration factors sparse ``P(lam)``. A change that must not
+move the report is checked by comparing this file from the parent checkout
+with the one from the change.
 
 The second form compares two such files. Eigenvalues (``eigen`` rows by
 ``re + i im``, and ``[re, im]`` lists such as ``poles`` and ``zeros``) are
@@ -29,6 +31,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,6 +56,24 @@ WORKLOADS = {"W1": workloads.prepare_example1, "W2": workloads.prepare_hadeler10
 SEEDS = (1, 5)
 
 
+def sparse100_dense(workdir):
+    """The criterion-7 problem at n = 100, two random entries a row in C and D."""
+    n = 100
+    A = (sp.diags(np.arange(1, n + 1).astype(complex))
+         + sp.diags([0.3 * np.ones(n - 1), 0.3 * np.ones(n - 1)], [-1, 1])).tocsr()
+    C = (sp.random(n, n, density=0.02, random_state=7).tocsr() * 0.5).astype(complex)
+    D = (sp.random(n, n, density=0.02, random_state=8).tocsr() * 1e-3).astype(complex)
+    nep = nepsolve.SplitFormNEP(
+        name="synthetic_sparse",
+        terms=[nepsolve.constant(1.0), nepsolve.monomial(1, -1.0),
+               nepsolve.exp_affine(-1.0), nepsolve.monomial(2)],
+        matrices=[A, sp.identity(n, format="csr", dtype=complex), C, D],
+        region=nepsolve.Region(5.5 + 0j, 2.6))
+    path = nepsolve.save_manifest(nep, os.path.join(workdir, "sparse100.json"))
+    return nepsolve.RunConfig(manifest=path, nodes=60, tol=1e-9, max_degree=8,
+                              solver="dense")
+
+
 def report_doc(config):
     doc = json.loads(nepsolve.emit(nepsolve.run(config), fmt="json"))
     del doc["timings"]
@@ -70,6 +91,8 @@ def main(out):
                 docs[f"{name}_seed{seed}"] = report_doc(prepare(workdir, seed).config)
     for name, fields in BUILTIN.items():
         docs[name] = report_doc(nepsolve.RunConfig(**fields))
+    with tempfile.TemporaryDirectory() as workdir:
+        docs["sparse100_dense"] = report_doc(sparse100_dense(workdir))
     with open(out, "w") as fh:
         json.dump(docs, fh, indent=2)
         fh.write("\n")
