@@ -19,6 +19,7 @@ on a real block as ``sum_{j < k/2} 2 Re(g_j S(s_j) Y)``, plus
 ``S(s) = (s C1 - C0)^{-1} C1``.
 """
 
+import functools
 import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -83,20 +84,32 @@ def shift_invert(pencil, mu, Y):
 
 
 def apply_filter(pencil, rule, Y, terms):
-    """Apply the rational filter to the block ``Y``: ``sum g lu.solve(Y)``.
+    """Apply the rational filter to the block ``Y``: ``sum_j g_j Z_j``.
 
-    ``terms`` are the ``(weight, BlockLU)`` pairs :func:`_factor_poles`
-    yields; they are summed in pole order, so results are reproducible. On a
+    ``terms`` are the ``(weight, worker, solve)`` triples :func:`_factor_poles`
+    yields. Pole ``j``'s block solve ``Z_j`` runs on the worker that owns its
+    factor, at most one solve per worker at a time, into an output block
+    allocated here and reused once its term is added. The terms are added
+    here in pole order, so results do not depend on the worker count. On a
     paired rule (real pencil, real center) ``Y`` must be real, and so is the
     result.
     """
     paired = _paired(pencil, rule)
     if paired and np.iscomplexobj(Y):
         raise ValueError("a paired rule filters a real block only")
-    (g, lu), *rest = terms
-    Z = g * lu.solve(Y)
-    for g, lu in rest:
-        Z += g * lu.solve(Y)
+    Y = np.asarray(Y, dtype=complex)  # once, not once per pole
+    w = len({worker for _, worker, _ in terms})
+    futures = [worker.submit(solve, Y, np.empty_like(Y)) for _, worker, solve in terms[:w]]
+    for j, (g, _, _) in enumerate(terms):
+        out = futures[j].result()
+        np.multiply(g, out, out=out)  # g * Z_j, in place
+        if j:
+            Z += out
+        else:
+            Z = out.copy()
+        if j + w < len(terms):  # pole j + w is on pole j's worker
+            _, worker, solve = terms[j + w]
+            futures.append(worker.submit(solve, Y, out))
     return Z.real if paired else Z
 
 
@@ -106,10 +119,12 @@ def _paired(pencil, rule):
 
 @contextmanager
 def _factor_poles(pencil, rule):
-    """The filter's pole sum as ``(weight, BlockLU)`` terms, in pole order.
+    """The filter's pole sum as ``(weight, worker, solve)`` terms, in pole order.
 
-    A context manager: it yields the list of terms and empties it on exit.
-    Pole ``j`` is factored, and freed, on worker ``j % w`` (see README)."""
+    A context manager: it yields the list of terms once every pole is
+    factored, and empties it on exit. Pole ``j`` is factored, solved with and
+    freed on worker ``j % w`` (see README): ``worker.submit(solve, Y, out)``
+    runs ``BlockLU.solve(Y, out)`` with its factor there."""
     poles, weights = rule.poles, rule.weights
     if _paired(pencil, rule):
         half = (rule.k + 1) // 2
@@ -134,13 +149,21 @@ def _factor_poles(pencil, rule):
                 f"quadrature pole {j + 1} of {rule.k} at {s} hits the "
                 f"spectrum: {exc}") from exc
 
+    def solve(j, Y, out):
+        try:
+            return owned[j % w][j // w].solve(Y, out)
+        except Exception as exc:
+            traceback.clear_frames(exc.__traceback__)  # its frames hold the BlockLU
+            raise
+
     terms = []
     try:
         # the first failing pole in pole order raises, once every worker is done
         futures = [workers[j % w].submit(factor, j, s) for j, s in enumerate(poles)]
         for future in futures:
             future.result()
-        terms.extend(zip(weights, (owned[j % w][j // w] for j in range(len(poles)))))
+        terms.extend((g, workers[j % w], functools.partial(solve, j))
+                     for j, g in enumerate(weights))
         yield terms
     finally:
         terms.clear()
@@ -223,25 +246,9 @@ def _orth(U):
 def sif(pencil, nep, region, config):
     """Subspace iteration with the rational filter on a structured pencil.
 
-    Ritz pairs are classified by the scale-free residual
-    ``sigma = ||T(lam) v_1|| / ((|c| + r) ||v_1||)`` (``v_1`` = leading block):
-    pairs at or above ``tol_ghost`` are ghosts. A sweep that leaves no ghost
-    in the region and keeps the previous sweep's in-region count ends the
-    iteration ``"converged"`` when every in-region pair is below
-    ``tol_residual`` (a count of 0 needs the filter's estimated trace, about
-    the in-region count, below 1/2: ``|tr(Y^H U)| / width`` on the random
-    first block ``Y`` and its image ``U``), or ``"stalled"`` when neither the
-    largest nor the smallest in-region sigma fell below the previous sweep's.
-    Otherwise the iteration ends ``"budget"`` after ``max_iters`` sweeps. The
-    orthonormal basis of the filtered block, which spans all Ritz vectors
-    whatever their region membership, is carried into the next sweep; on a
-    paired rule (real pencil, real center) it stays real.
-
-    The block starts at ``min(config.subspace, dim)`` columns. After each
-    Rayleigh-Ritz step its width becomes at least ``max(ceil(1.5 c), c + 8)``,
-    capped at ``dim``, where ``c`` counts the Ritz values inside the region,
-    ghosts included; the carried basis is topped up with fresh seeded random
-    columns, real on a paired rule, to that width. The block never shrinks.
+    The residual ``sigma`` of each Ritz pair, the ghost, the three stop
+    reasons and the block's growth are as described in the README. The
+    orthonormal basis of the filtered block is carried into the next sweep.
     """
     rule = quadrature(region.center, region.radius, config.quad_order)
     real = _paired(pencil, rule)

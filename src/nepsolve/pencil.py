@@ -319,12 +319,15 @@ class BlockLU:
                 f"P(mu) is numerically singular at mu={mu}; choose a shift "
                 "away from the spectrum")
 
-    def solve(self, Y):
-        """Return ``Z`` with ``(mu C1 - C0) Z = C1 Y`` for a 2-D block ``Y``."""
+    def solve(self, Y, out=None):
+        """Return ``Z`` with ``(mu C1 - C0) Z = C1 Y`` for a 2-D block ``Y``.
+
+        ``Z`` is written into ``out`` when given, a complex array of ``Y``'s
+        shape, in place of the recurrence's blocks ``X``."""
         p = self.pencil
         gamma, H, mu = p.gamma, p.H, self.mu
         Yb = p._blocks(Y)
-        X = np.empty_like(Yb)
+        X = np.empty_like(Yb) if out is None else out.reshape(Yb.shape)
         if gamma >= 2:
             X[0] = -Yb[0] / H[1, 0]
         for i in range(1, gamma - 1):
@@ -333,12 +336,11 @@ class BlockLU:
                 acc += H[j + 1, i] * X[j]
             X[i] = -acc / H[i + 1, i]
         X[gamma - 1] = Yb[gamma - 1]  # W's last column weighs Y_{gamma-1}
-        X[gamma - 1] = self._solve_p(self.prefactor * p.poly.apply(self.W, X))
-        Z = np.empty_like(X)
-        Z[0] = X[gamma - 1]
-        for i in range(1, gamma):
-            Z[i] = X[i - 1] + (self.theta[i] / self.theta[0]) * X[gamma - 1]
-        return Z.reshape(p.dim, -1)
+        last = self._solve_p(self.prefactor * p.poly.apply(self.W, X))
+        for i in range(gamma - 1, 0, -1):  # Z_i needs X_{i-1}: overwrite from the end
+            X[i] = X[i - 1] + (self.theta[i] / self.theta[0]) * last
+        X[0] = last
+        return X.reshape(p.dim, -1)
 
     def materialize_factors(self):
         """Dense ``(L, U)`` with ``L U = (mu C1 - C0) S``; for verification."""

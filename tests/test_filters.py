@@ -22,7 +22,7 @@ from nepsolve import (DegreeSpec, PoleHitError, Region,
                       time_delay2)
 from nepsolve.eigensolve import refine_eigenvectors
 from nepsolve.filters import SUBSPACE_START, _factor_poles
-from nepsolve.pencil import BlockLU, SingularShiftError, assemble
+from nepsolve.pencil import BlockLU, SingularShiftError, assemble, block_lu
 from util import coeff_poly, match_sets, random_poly
 
 
@@ -346,6 +346,90 @@ def test_sif_identical_for_any_worker_count(time_delay_bundle, monkeypatch):
     # one thread per worker, none of them the caller's
     assert [len(built) for built in threads] == [1, 2, 8]
     assert threading.get_ident() not in set().union(*threads)
+
+
+def _record_solve_threads(monkeypatch):
+    # one (building thread, solving thread) entry per BlockLU.solve call
+    init, solve = BlockLU.__init__, BlockLU.solve
+    ran = []
+
+    def built(self, pencil, mu):
+        self.built_on = threading.get_ident()
+        init(self, pencil, mu)
+
+    def solved(self, Y, out=None):
+        ran.append((self.built_on, threading.get_ident()))
+        return solve(self, Y, out)
+
+    monkeypatch.setattr(BlockLU, "__init__", built)
+    monkeypatch.setattr(BlockLU, "solve", solved)
+    return ran
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_pole_solves_run_on_the_worker_that_built_the_factor(
+        cpus, time_delay_bundle, example1_bundle, monkeypatch):
+    # the solves run on the pole workers, and the terms are still added on
+    # the caller in pole order: bit for bit the sum computed on the caller
+    _use_cpus(monkeypatch, cpus)
+    ran = _record_solve_threads(monkeypatch)
+    rng = np.random.default_rng(24)
+    for b, paired in [(time_delay_bundle, True), (example1_bundle, False)]:
+        rule = quadrature(b.nep.region.center, b.nep.region.radius, 16)
+        Y = rng.standard_normal((b.pencil.dim, 5))
+        if not paired:
+            Y = Y + 1j * rng.standard_normal(Y.shape)
+        weights, poles = ((2 * rule.weights[:8], rule.poles[:8]) if paired
+                          else (rule.weights, rule.poles))
+        want = weights[0] * block_lu(b.pencil, poles[0]).solve(Y)
+        for g, s in zip(weights[1:], poles[1:]):
+            want += g * block_lu(b.pencil, s).solve(Y)
+        ran.clear()
+        got = _filtered(b.pencil, rule, Y)
+        assert np.array_equal(got, want.real if paired else want)
+        assert len(ran) == len(poles)
+        assert all(built == solved for built, solved in ran)
+        assert threading.get_ident() not in {solved for _, solved in ran}
+
+
+def test_failed_pole_solve_raises_and_every_factor_is_freed_on_its_worker(
+        time_delay_bundle, monkeypatch):
+    b = time_delay_bundle
+    _use_cpus(monkeypatch, 2)
+    rule = quadrature(b.nep.region.center, b.nep.region.radius, 16)
+    made = _record_lu_threads(monkeypatch)
+    solve, calls = BlockLU.solve, []
+
+    def planted(self, Y, out=None):
+        calls.append(None)  # list.append: the solves run on workers
+        if self.mu == rule.poles[4] and len(calls) > fail_after:
+            raise RuntimeError("planted")
+        return solve(self, Y, out)
+
+    monkeypatch.setattr(BlockLU, "solve", planted)
+    before = threading.active_count()
+    # in the first application, and in sif's second sweep
+    for fail_after, call in [
+            (0, lambda: _filtered(b.pencil, rule, np.ones((b.pencil.dim, 1)))),
+            (8, lambda: sif(b.pencil, b.nep, b.nep.region, SIFConfig(seed=7)))]:
+        made.clear()
+        calls.clear()
+        with pytest.raises(RuntimeError, match="planted"):
+            call()
+        assert threading.active_count() == before
+        assert len(made) == 8
+        assert all(built == freed for built, freed in made)
+
+
+def test_block_lu_solve_writes_into_out(time_delay_bundle):
+    pencil = time_delay_bundle.pencil
+    lu = BlockLU(pencil, 1.5 + 0.5j)
+    Y = np.random.default_rng(25).standard_normal((pencil.dim, 3))
+    for buf in (np.empty((pencil.dim, 3), dtype=complex),
+                np.empty((3, pencil.dim), dtype=complex).T):
+        Z = lu.solve(Y, out=buf)
+        assert np.shares_memory(Z, buf)
+        assert np.array_equal(buf, lu.solve(Y))
 
 
 def test_sif_config_validation():
