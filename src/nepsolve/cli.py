@@ -6,13 +6,12 @@ degree whose dual bound shows it cannot meet it), check the denominator for
 in-region poles, linearize, and extract eigenpairs either by a dense solve
 (geev on the standard form, QZ when that is ill conditioned) or by filtered
 subspace iteration, which runs until its pairs meet the a priori bound or
-stop improving. ``emit`` serializes the resulting report as JSON or CSV.
+stop improving. ``emit`` serializes the resulting report as JSON.
 """
 
 import argparse
-import csv
-import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -52,7 +51,6 @@ class RunConfig:
     subspace: int = None
     seed: int = 0
     out: str = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if (self.problem is None) == (self.manifest is None):
@@ -60,19 +58,18 @@ class RunConfig:
         # written so that nan fails too
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        # a (k, k) fit needs 2k + 2 nodes, so the smallest, (1, 1), needs 4
-        if self.nodes < 4:
-            raise ValueError("nodes must be at least 4")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.subspace is not None and self.subspace < 1:
-            raise ValueError("subspace must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        # a (k, k) fit needs 2k + 2 nodes, so the smallest, (1, 1), needs 4;
+        # a float count would sample off the circle; bool is an int subclass
+        for name, low in (("nodes", 4), ("max_degree", 1), ("subspace", 1), ("seed", 0)):
+            val = getattr(self, name)
+            if val is None and name == "subspace":
+                continue
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            if val < low:
+                raise ValueError(f"{name} must be at least {low}")
 
     def to_json(self):
         out = {}
@@ -272,29 +269,9 @@ def run(config):
     )
 
 
-def emit(report, fmt=None, path=None):
-    """Write the report as JSON or CSV; returns the text when no path is given."""
-    fmt = fmt or report.config.fmt
-    if fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=2)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        doc = report.to_json_dict()
-        for key in ("sqrt_e", "gap"):
-            buf.write(f"# {key}={doc['approx'][key]!r}\n")
-        buf.write(f"# bound={report.bound!r}\n")
-        buf.write(f"# pole_free={report.pole_free}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["re", "im", "residual", "normalized_residual",
-                         "in_region", "consistency"])
-        for row in doc["eigen"]:
-            writer.writerow([repr(row["re"]), repr(row["im"]),
-                             repr(row["residual"]),
-                             repr(row["normalized_residual"]),
-                             row["in_region"], repr(row["consistency"])])
-        text = buf.getvalue()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def emit(report, path=None):
+    """Write the report as JSON; returns the text when no path is given."""
+    text = json.dumps(report.to_json_dict(), indent=2)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
@@ -336,8 +313,6 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: print to stdout)")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default=RunConfig.fmt)
     return parser
 
 
@@ -345,19 +320,26 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig(**vars(args))
+        out = config.out
+        # an --out that cannot be written fails before the solve, not after it
+        if out is not None and os.path.isdir(out):
+            raise ValueError(f"{out}: cannot write report: it is a directory")
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"{out}: cannot write report: no such directory")
         report = run(config)
-    except (ValueError, ManifestError) as exc:  # rejected input
+        if out is not None:
+            emit(report, path=out)
+    except (ValueError, ManifestError, OSError) as exc:  # rejected input, failed write
         print(f"nepsolve: error: {exc}", file=sys.stderr)
         return 1
-    if config.out is None:
+    if out is None:
         print(emit(report))
     else:
-        emit(report, path=config.out)
         n_in = len(report.in_region)
         print(f"{report.problem}: degree {report.fit.degrees.denominator}, "
               f"sqrt_e={np.sqrt(report.fit.e_max):.3e}, "
               f"{n_in} in-region eigenvalue(s), "
-              f"report written to {config.out}", file=sys.stderr)
+              f"report written to {out}", file=sys.stderr)
     return report.exit_status
 
 

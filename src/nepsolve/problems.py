@@ -228,14 +228,6 @@ class SplitFormNEP:
         tv = self.t_values(lam)
         return sum(tv[:, i] * (E @ U) for i, E in enumerate(self.matrices))
 
-    def matrix(self, lam):
-        """Dense ``T(lam)``; intended for small problems and tests."""
-        tv = self.t_values(lam)[0]
-        acc = np.zeros((self.n, self.n), dtype=complex)
-        for ti, E in zip(tv, self.matrices):
-            acc += ti * (E.toarray() if sp.issparse(E) else np.asarray(E))
-        return acc
-
     def norm1_terms(self):
         """Column-sum norms ``norm(E_i, 1)`` of the coefficient matrices."""
         return np.array([abs(E).sum(axis=0).max() for E in self.matrices], dtype=float)

@@ -129,28 +129,13 @@ def test_hadeler150_dense_report_is_valid_json(tmp_path):
     assert len(doc["eigen"]) + doc["solver"]["outside"] == 900
 
 
-def test_emit_json_csv_agree_to_17_digits(time_delay_report, tmp_path):
-    jpath = emit(time_delay_report, fmt="json", path=str(tmp_path / "r.json"))
-    cpath = emit(time_delay_report, fmt="csv", path=str(tmp_path / "r.csv"))
-    with open(jpath) as fh:
-        doc = json.load(fh)
-    with open(cpath) as fh:
-        lines = fh.readlines()
-    rows = [l for l in lines if not l.startswith("#")]
-    header = rows[0].strip().split(",")
-    assert header == ["re", "im", "residual", "normalized_residual",
-                      "in_region", "consistency"]
-    assert len(rows) - 1 == len(doc["eigen"])
-    for line, jrow in zip(rows[1:], doc["eigen"]):
-        parts = line.strip().split(",")
-        assert float(parts[0]) == jrow["re"]
-        assert float(parts[1]) == jrow["im"]
-        assert float(parts[2]) == jrow["residual"]
-    # scalar fields present in the csv metadata
-    meta = [l for l in lines if l.startswith("#")]
-    assert any("sqrt_e=" in l for l in meta)
-    assert any("gap=" in l for l in meta)
-    assert any("bound=" in l for l in meta)
+def test_emit_writes_the_text_it_returns(time_delay_report, tmp_path):
+    path = str(tmp_path / "r.json")
+    assert emit(time_delay_report, path=path) == path
+    text = emit(time_delay_report)
+    with open(path) as fh:
+        assert fh.read() == text
+    assert json.loads(text) == time_delay_report.to_json_dict()
 
 
 def test_empty_spectrum_report_is_valid(tmp_path):
@@ -165,17 +150,13 @@ def test_empty_spectrum_report_is_valid(tmp_path):
     config = RunConfig(manifest=str(mpath), nodes=30, tol=1e-8, max_degree=4)
     report = run(config)
     assert report.in_region == []
-    doc_out = json.loads(emit(report, fmt="json"))
+    doc_out = json.loads(emit(report))
     assert not any(r["in_region"] for r in doc_out["eigen"])
-    # a report with no eigenpairs at all still emits valid files
+    # a report with no eigenpairs at all still emits a valid document
     import dataclasses
 
     bare = dataclasses.replace(report, eigenpairs=[])
-    out = emit(bare, fmt="csv", path=str(tmp_path / "empty.csv"))
-    with open(out) as fh:
-        rows = [l for l in fh if not l.startswith("#")]
-    assert len(rows) == 1  # header only
-    assert json.loads(emit(bare, fmt="json"))["eigen"] == []
+    assert json.loads(emit(bare))["eigen"] == []
 
 
 def test_degree_exhaustion_flagged(tmp_path):
@@ -189,7 +170,7 @@ def test_degree_exhaustion_flagged(tmp_path):
     assert [step["degree"] for step in report.escalation] == [1, 2, 3]
     assert report.escalation[-1]["stop_reason"] != "unreachable"
     assert report.fit.iterations == report.escalation[-1]["sweeps"] <= 500
-    assert emit(report, fmt="json")
+    assert emit(report)
 
 
 def test_run_time_delay_fit_converges(time_delay_report):
@@ -340,8 +321,6 @@ def test_config_validation():
             RunConfig(problem="x", tol=tol)
     with pytest.raises(ValueError):
         RunConfig(problem="x", solver="qz")
-    with pytest.raises(ValueError, match="format"):
-        RunConfig(problem="x", fmt="xml")
     with pytest.raises(ValueError, match="seed"):
         RunConfig(problem="x", seed=-1)
     with pytest.raises(ValueError, match="subspace"):
@@ -351,6 +330,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="nodes"):
             RunConfig(problem="x", nodes=nodes)
     RunConfig(problem="x", nodes=4)
+    # counts must be integers: nodes=60.5 would sample off the circle, the
+    # others would fail deep in the pipeline
+    for field in ("nodes", "max_degree", "subspace", "seed"):
+        for bad in (60.5, 7.0, True, "8"):
+            with pytest.raises(ValueError, match=field):
+                RunConfig(problem="x", **{field: bad})
+        RunConfig(problem="x", **{field: np.int64(60)})
 
 
 @pytest.mark.parametrize("override, field", [
@@ -373,15 +359,15 @@ def test_parser_flags():
     args = parser.parse_args([
         "--problem", "hadeler", "--center=-30,0", "--radius", "11.5",
         "--nodes", "50", "--tol", "1e-10", "--max-degree", "8",
-        "--solver", "filter", "--subspace", "60", "--seed", "3",
-        "--format", "csv"])
+        "--solver", "filter", "--subspace", "60", "--seed", "3"])
     assert args.problem == "hadeler"
     assert args.center == complex(-30, 0)
     assert args.subspace == 60
-    assert args.fmt == "csv"
     assert args.half_disk is False
-    # the filter's quadrature order and shift are not command-line options
-    for flag in (["--filter-order", "8"], ["--shift", "1.5,2.5"]):
+    # the filter's quadrature order and shift are not command-line options,
+    # and JSON is the only report format
+    for flag in (["--filter-order", "8"], ["--shift", "1.5,2.5"],
+                 ["--format", "csv"]):
         with pytest.raises(SystemExit):
             parser.parse_args(["--problem", "hadeler"] + flag)
 
@@ -506,7 +492,7 @@ def test_run_example1_recovers_spectrum(monkeypatch):
     assert report.exit_status == EXIT_OK
     # at the interpolation floor the duality gap is rounding noise, so the
     # report leaves it out
-    approx = json.loads(emit(report, fmt="json"))["approx"]
+    approx = json.loads(emit(report))["approx"]
     assert approx["stop_reason"] == "interp_floor"
     assert approx["converged"] is True and approx["gap"] is None
     # exp(i x^2) is not conjugate-symmetric, so the fit and pencil stay complex
@@ -710,3 +696,43 @@ def test_rejected_input_is_one_line_and_exit_1(args, message, capsys, tmp_path,
     assert out == "" and "Traceback" not in err
     assert err.startswith("nepsolve: error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("nosuch/r.json", "no such directory"),
+    (".", "it is a directory"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_out_fails_before_the_solve(name, message, capsys, tmp_path,
+                                               monkeypatch):
+    def no_run(config):
+        pytest.fail("run() was called for an --out that cannot be written")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = str(tmp_path / name)
+    assert main(["--problem", "example1", "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"nepsolve: error: {out}: cannot write "
+                                       f"report: {message}\n")
+
+
+def test_failed_report_write_is_one_line_and_exit_1(time_delay_report, capsys,
+                                                    tmp_path, monkeypatch):
+    # the name passes the checks made before the solve, but open() fails
+    monkeypatch.setattr(cli, "run", lambda config: time_delay_report)
+    out = str(tmp_path / ("x" * 300))
+    assert main(["--problem", "time_delay2", "--out", out]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith("nepsolve: error: ") and err.count("\n") == 1
+    assert out in err
+
+
+def test_src_lines_skips_blanks_comments_and_docstrings():
+    path = pathlib.Path(__file__).parents[1] / "tools" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    source = ('"""Module doc."""\n\nimport os  # why\n\n\ndef f():\n'
+              '    """Doc\n    more."""\n    # note\n    return ("a"\n'
+              '            "b")\n')
+    # code: import, def and the two lines of the return
+    assert src_lines.count(source) == (11, 4)

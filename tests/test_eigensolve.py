@@ -404,7 +404,7 @@ def test_residual_matches_bruteforce_and_grows():
     nep = example1()
     lam = 0.7 + 0.3j
     u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    T = nep.matrix(lam)
+    T = nep.apply(lam, np.eye(nep.n))
     want = np.linalg.norm(T @ u) / np.linalg.norm(u)
     assert _extract_one(nep, lam, u).residual == pytest.approx(want, rel=1e-12)
     exact = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -435,7 +435,8 @@ def test_normalized_residual_values():
     lam2 = 0.4 - 0.2j
     tv = np.abs(nep2.t_values(lam2)[0])
     denom = tv[0] * 3.0 + tv[1] * 2.0  # 1-norms: diag -> 3, ones -> 2
-    want = np.linalg.norm(nep2.matrix(lam2) @ v) / (denom * np.linalg.norm(v))
+    want = (np.linalg.norm(nep2.apply(lam2, np.eye(nep2.n)) @ v)
+            / (denom * np.linalg.norm(v)))
     assert _extract_one(nep2, lam2, v).normalized_residual == \
         pytest.approx(want, rel=1e-12)
 

@@ -89,18 +89,18 @@ def test_non_finite_parameter_rejected(value):
 
 def test_example1_singular_points():
     nep = example1()
-    assert abs(np.linalg.det(nep.matrix(0.0))) < 1e-14
-    assert abs(np.linalg.det(nep.matrix(np.sqrt(2 * np.pi)))) < 1e-13
-    assert np.linalg.norm(nep.matrix(1.0) @ np.array([1.0, -1.0])) > 0.1
+    assert abs(np.linalg.det(nep.apply(0.0, np.eye(nep.n)))) < 1e-14
+    assert abs(np.linalg.det(nep.apply(np.sqrt(2 * np.pi), np.eye(nep.n)))) < 1e-13
+    assert np.linalg.norm(nep.apply(1.0, np.eye(nep.n)) @ np.array([1.0, -1.0])) > 0.1
 
 
 def test_time_delay2_structure():
     nep = time_delay2()
     B0 = np.array([[-5.0, 1.0], [2.0, -6.0]])
     A1 = np.array([[2.0, -1.0], [-4.0, 1.0]])
-    assert np.allclose(nep.matrix(0.0), -B0 + A1)
+    assert np.allclose(nep.apply(0.0, np.eye(nep.n)), -B0 + A1)
     # finite for sizable |x|
-    assert np.isfinite(nep.matrix(25.0 + 3.0j)).all()
+    assert np.isfinite(nep.apply(25.0 + 3.0j, np.eye(nep.n))).all()
     assert nep.s == 3 and nep.n == 2
 
 
@@ -150,7 +150,7 @@ def test_manifest_inline_identity(tmp_path):
     path.write_text(json.dumps(doc))
     nep = load_manifest(str(path))
     assert nep.n == 2 and nep.s == 1
-    assert np.allclose(nep.matrix(0.3 + 1j), np.eye(2))
+    assert np.allclose(nep.apply(0.3 + 1j, np.eye(nep.n)), np.eye(2))
 
 
 def test_manifest_complex_inline_entries(tmp_path):

@@ -204,7 +204,10 @@ def eigenpair_oracle(lam, v, basis, nep):
     u = u / np.linalg.norm(u)
     k = np.nonzero(np.abs(u) > 1e-12 * np.abs(u).max())[0][0]
     u = u * (abs(u[k]) / u[k])
-    r = np.linalg.norm(nep.matrix(lam) @ u)
+    # dense T(lam), not nep.apply, which the extraction under test uses
+    T = sum(ti * (E.toarray() if sp.issparse(E) else E)
+            for ti, E in zip(nep.t_values(lam)[0], nep.matrices))
+    r = np.linalg.norm(T @ u)
     scale = sum(abs(complex(t(lam))) * np.abs(E.toarray() if sp.issparse(E) else E)
                 .sum(axis=0).max() for t, E in zip(nep.terms, nep.matrices))
     return u, r, r / scale, consistency

@@ -75,7 +75,7 @@ def sparse100_dense(workdir):
 
 
 def report_doc(config):
-    doc = json.loads(nepsolve.emit(nepsolve.run(config), fmt="json"))
+    doc = json.loads(nepsolve.emit(nepsolve.run(config)))
     del doc["timings"]
     if doc["config"]["manifest"] is not None:
         doc["config"]["manifest"] = os.path.basename(doc["config"]["manifest"])
