@@ -341,7 +341,3 @@ def main(argv=None):
               f"{n_in} in-region eigenvalue(s), "
               f"report written to {out}", file=sys.stderr)
     return report.exit_status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

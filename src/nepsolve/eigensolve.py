@@ -3,8 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .basis import eval_basis
 from .pencil import _dense, _factor_p
@@ -14,7 +12,7 @@ __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "pole_free_check"]
 
 # the corner K of C1 is inverted to give a standard eigenproblem when its
-# reciprocal condition number (LAPACK gecon, 1-norm) is at least this; a
+# reciprocal condition number 1 / (||K||_1 ||K^{-1}||_1) is at least this; a
 # worse-conditioned or singular corner sends the pencil to QZ
 STANDARD_FORM_RCOND = 1e-4
 
@@ -26,8 +24,8 @@ class EigensolverError(Exception):
 class PencilPairs(tuple):
     """``(lam, V)`` from :func:`solve_pencil_dense`.
 
-    ``path`` is ``"geev"`` or ``"qz"``; ``rcond`` is the reciprocal condition
-    number of the corner ``K`` of ``C1`` that chose it (0 for a singular one);
+    ``path`` is ``"geev"`` or ``"qz"``; ``rcond``, the exact 1-norm reciprocal
+    condition number of the corner ``K`` of ``C1``, chose it (0 if singular);
     ``outside`` counts the finite eigenvalues dropped as outside the region.
     """
 
@@ -54,16 +52,19 @@ class Eigenpair:
 def solve_dense(C0, C1=None):
     """Finite eigenvalues of ``C0 v = lam C1 v``, or of ``C0 v = lam v``.
 
-    With ``C1`` the generalized problem goes to the platform QZ (LAPACK
-    ggev); without it the standard problem goes to LAPACK geev. Neither is
+    With ``C1`` the generalized problem goes to SciPy's QZ (LAPACK ggev);
+    without it the standard problem goes to numpy's LAPACK geev. Neither is
     asked for eigenvectors. Infinite eigenvalues (singular ``C1``
-    directions) are dropped.
+    directions) are dropped; the rest are complex.
     """
     C0 = np.asarray(C0)
     if (C0.ndim != 2 or C0.shape[0] != C0.shape[1]
             or (C1 is not None and np.shape(C1) != C0.shape)):
         raise ValueError("pencil matrices must be square and of equal shape")
     try:
+        if C1 is None:  # geev: every eigenvalue finite, real ones as a real array
+            return np.linalg.eigvals(C0).astype(complex)
+        import scipy.linalg
         lam = scipy.linalg.eigvals(C0, C1)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed to converge: {exc}") from exc
@@ -78,19 +79,20 @@ def solve_pencil_dense(pencil, region=None):
     (``rcond(K) >= STANDARD_FORM_RCOND``) the bottom block row of ``C0`` is
     multiplied by ``K^{-1}`` and geev solves the standard problem
     ``C1^{-1} C0``; otherwise the pencil is materialized, its bottom block row
-    is equilibrated and QZ solves it. A real pencil runs dgetrf/dgecon/dgetrs
-    and dgeev or dggev. Either solver gives eigenvalues only. Those inside
-    the ``region`` are kept, or without one those with
+    is equilibrated and QZ solves it. Either solver gives eigenvalues only.
+    Those inside the ``region`` are kept, or without one those with
     ``||theta(lam)[:gamma]|| <= 1e10 |theta_0|``; the other finite ones are
     counted in ``outside``. Each kept eigenvalue gets its eigenvector from
     :func:`refine_eigenvectors` from a fixed seeded start.
     """
     split = (pencil.gamma - 1) * pencil.n
     K = _dense(pencil.c1_corner)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (K,))
-    lu, piv, info = getrf(K)
-    rcond = float(gecon(lu, np.linalg.norm(K, 1))[0]) if info == 0 else 0.0
-    if rcond < STANDARD_FORM_RCOND:
+    try:
+        Kinv = np.linalg.inv(K)
+        rcond = float(1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(Kinv, 1)))
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        rcond = 0.0
+    if not rcond >= STANDARD_FORM_RCOND:
         C0, C1 = pencil.materialize(force=True)
         c = pencil.equilibration_scale()
         C0[split:] *= c
@@ -98,7 +100,7 @@ def solve_pencil_dense(pencil, region=None):
         lam, path = solve_dense(C0, C1), "qz"
     else:
         C0 = pencil._dense_C0()
-        C0[split:] = getrs(lu, piv, C0[split:])[0]
+        C0[split:] = Kinv @ C0[split:]
         lam, path = solve_dense(C0), "geev"
     if region is None:
         # beyond the screen theta(lam) (x) u has a negligible leading block:
@@ -117,7 +119,7 @@ def solve_pencil_dense(pencil, region=None):
 def refine_eigenvectors(pencil, lam, U):
     """Pencil eigenvectors for the eigenvalues ``lam`` by inverse iteration.
 
-    ``P(lam[i])`` is factored once (SuperLU when it is sparse, LAPACK
+    ``P(lam[i])`` is factored once (SuperLU when it is sparse, an inverse
     otherwise, as :class:`~nepsolve.pencil.BlockLU` factors it) and
     ``x <- P(lam[i])^{-1} x / ||x||`` runs twice from ``x = U[:, i]``;
     column i of the result is the unit ``theta(lam[i])[:gamma] (x) x`` the

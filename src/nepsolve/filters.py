@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .eigensolve import extract_nep_eigenpairs
 from .pencil import BlockLU, SingularShiftError
@@ -250,6 +249,7 @@ def sif(pencil, nep, region, config):
     reasons and the block's growth are as described in the README. The
     orthonormal basis of the filtered block is carried into the next sweep.
     """
+    import scipy.linalg
     rule = quadrature(region.center, region.radius, config.quad_order)
     real = _paired(pencil, rule)
     # deterministic shift just outside the disk, off the spectrum's usual axes

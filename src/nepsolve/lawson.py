@@ -19,7 +19,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .basis import build_basis, eval_basis, leading_coeffs
 
@@ -137,9 +136,10 @@ class SampleSet:
 class DualResult:
     """Dual objective value and the fit at the nodes; coefficients on demand.
 
-    ``numer_coeffs`` and ``denom_coeffs`` are recovered by triangular solves
-    the first time they are read, so a caller that needs only ``d_value`` and
-    ``node_values`` (every Lawson sweep) does not pay for them.
+    ``numer_coeffs`` and ``denom_coeffs`` are recovered by solves with the
+    triangular factors (``numpy.linalg.solve``, whose LU of a triangular R is
+    R itself) the first time they are read, so a caller that needs only
+    ``d_value`` and ``node_values`` (every Lawson sweep) does not pay for them.
     """
 
     def __init__(self, d_value, node_values, Rq, bhat, numer_rhs):
@@ -151,11 +151,11 @@ class DualResult:
 
     @functools.cached_property
     def denom_coeffs(self):
-        return scipy.linalg.solve_triangular(self._Rq, self._bhat)
+        return np.linalg.solve(self._Rq, self._bhat)
 
     @functools.cached_property
     def numer_coeffs(self):
-        return tuple(scipy.linalg.solve_triangular(Rp, rhs)
+        return tuple(np.linalg.solve(Rp, rhs)
                      for Rp, rhs in self._numer_rhs)
 
 

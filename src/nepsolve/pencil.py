@@ -19,13 +19,9 @@ the filter module exploits.
 """
 
 import functools
+import sys
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-# LAPACK's own LU: an exactly singular matrix gives info > 0, not a warning
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .basis import eval_basis
 
@@ -48,18 +44,25 @@ DENSE_DIM_LIMIT = 5000
 SPARSE_ORDERING = "MMD_AT_PLUS_A"
 # P(mu) is singular where a seeded solve P x = b gives ||P||_1 ||x||_1 / ||b||_1 >= this
 SINGULAR_COND = 1e14
+# poly_roots runs QZ, not geev, where |corner| <= this * max|bottom row| (README)
+ROOTS_QZ_RATIO = 1e-10
 
 
 class SingularShiftError(Exception):
     """Raised when a shift makes the polynomial numerically singular."""
 
 
+def _issparse(A):
+    # a sparse A exists only once scipy.sparse is loaded: never import it here
+    return "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(A)
+
+
 def _dense(A):
-    return A.toarray() if sp.issparse(A) else np.asarray(A)
+    return A.toarray() if _issparse(A) else np.asarray(A)
 
 
 def _fro(A):
-    if sp.issparse(A):
+    if _issparse(A):
         return float(np.sqrt((np.abs(A.data) ** 2).sum())) if A.nnz else 0.0
     return float(np.linalg.norm(A, "fro"))
 
@@ -94,13 +97,14 @@ class MatrixPolynomial:
         """``o`` for which SuperLU factors every ``P(x)[o][:, o]`` unordered, or
         ``None`` unless every ``E_i`` is sparse: the ``SPARSE_ORDERING`` of the
         pattern ``sum_i |E_i|``, from an ILU of it plus a dominant diagonal."""
-        if not all(sp.issparse(E) for E in self.mats):
+        if not all(_issparse(E) for E in self.mats):
             return None
+        import scipy.sparse.linalg
         A = sum(abs(E) for E in self.mats)
-        A = (A + (1.0 + A.sum()) * sp.identity(self.n)).tocsc()
+        A = (A + (1.0 + A.sum()) * scipy.sparse.identity(self.n)).tocsc()
         # SuperLU moves column i to position perm_c[i]
-        return np.argsort(spla.spilu(A, drop_tol=1, fill_factor=1,
-                                     permc_spec=SPARSE_ORDERING).perm_c)
+        return np.argsort(scipy.sparse.linalg.spilu(
+            A, drop_tol=1, fill_factor=1, permc_spec=SPARSE_ORDERING).perm_c)
 
     def combine(self, w):
         """``sum_i w[i] E_i``; sparse if every ``E_i`` is sparse."""
@@ -143,7 +147,7 @@ def assemble(xi, nep):
                          f"problem has {nep.s} terms")
     mats = nep.matrices
     real = (not any(np.iscomplexobj(a) for a in xi.numer_coeffs)
-            and not any(np.any((E.data if sp.issparse(E) else E).imag) for E in mats))
+            and not any(np.any((E.data if _issparse(E) else E).imag) for E in mats))
     if real:
         mats = [E.real for E in mats]
     table = np.zeros((nep.s, xi.basis.degree + 1),
@@ -368,21 +372,24 @@ def _factor_p(M, order):
 
     A sparse ``M`` goes to SuperLU as ``M[order][:, order]``, ``order`` its
     polynomial's ``ordering``, so it is not ordered again; a dense one to
-    LAPACK getrf/getrs of its dtype. An exactly zero pivot gives ``None`` and
-    no warning. SuperLU's ``L`` and ``U`` are never read: SciPy would build
-    CSC copies of both and keep them as long as the factor lives.
+    ``numpy.linalg.inv``, so each solve is one product. An exactly zero
+    pivot gives ``None`` and no warning. SuperLU's ``L`` and ``U`` are never
+    read: SciPy would build CSC copies of both and keep them as long as the
+    factor lives.
     """
-    if sp.issparse(M):
+    if _issparse(M):
+        import scipy.sparse.linalg as spla
         back = np.argsort(order)
         try:
             lu = spla.splu(M.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
         except RuntimeError:  # SuperLU met an exactly zero pivot
             return None
         return lambda b: lu.solve(b[order])[back]  # holds no copy of M
-    M = _dense(M)
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
-    lu, piv, info = getrf(M)
-    return None if info else (lambda b: getrs(lu, piv, b)[0])
+    try:
+        Minv = np.linalg.inv(_dense(M))
+    except np.linalg.LinAlgError:
+        return None
+    return lambda b: Minv @ b
 
 
 def block_lu(pencil, mu):
@@ -402,7 +409,8 @@ def gram_matrix(nep):
     for i in range(s):
         for j in range(s):
             Ei, Ej = nep.matrices[i], nep.matrices[j]
-            if sp.issparse(Ei) or sp.issparse(Ej):
+            if _issparse(Ei) or _issparse(Ej):
+                import scipy.sparse as sp
                 G[i, j] = sp.csr_matrix(Ei).conj().multiply(sp.csr_matrix(Ej)).sum()
             else:
                 G[i, j] = np.vdot(Ei, Ej)
@@ -419,11 +427,15 @@ def error_bound(G, e_max):
 
 
 def poly_roots(coeffs, basis):
-    """Roots of the scalar polynomial ``sum_j c_j theta_j`` via its 1x1-block pencil."""
+    """Roots of ``sum_j c_j theta_j``: geev on its companion, or QZ (``ROOTS_QZ_RATIO``)."""
     P = MatrixPolynomial([np.eye(1)], np.asarray(coeffs).reshape(1, -1),
                          basis).trimmed()
     if P.degree == 0:
         return np.empty(0, dtype=complex)
     C0, C1 = StructuredPencil(P).materialize(force=True)
-    roots = scipy.linalg.eigvals(C0, C1)
-    return roots[np.isfinite(roots)]
+    if abs(C1[-1, -1]) <= ROOTS_QZ_RATIO * np.abs(C0[-1]).max():
+        import scipy.linalg
+        roots = scipy.linalg.eigvals(C0, C1)
+        return roots[np.isfinite(roots)]
+    C0[-1] /= C1[-1, -1]
+    return np.linalg.eigvals(C0).astype(complex)

@@ -14,8 +14,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
+
+from .pencil import _issparse
 
 __all__ = [
     "ScalarFunction", "constant", "monomial", "exp_affine", "exp_quadratic",
@@ -334,16 +334,17 @@ def load_manifest(path):
             if not isinstance(spec["path"], str):
                 raise ManifestError(f"{path}: matrices[{i}]: path must be a string")
             mpath = os.path.join(base, spec["path"])
+            import scipy.io
             try:
                 M = scipy.io.mmread(mpath)
             except OSError as exc:
                 raise ManifestError(f"{mpath}: cannot read matrix file: {exc}") from exc
             except ValueError as exc:
                 raise ManifestError(f"{mpath}: Matrix Market parse error: {exc}") from exc
-            M = (M.tocsr() if sp.issparse(M) else np.asarray(M)).astype(complex)
+            M = (M.tocsr() if _issparse(M) else np.asarray(M)).astype(complex)
         else:
             raise ManifestError(f"{path}: matrices[{i}]: needs 'path' or 'inline'")
-        if not np.isfinite(M.data if sp.issparse(M) else M).all():
+        if not np.isfinite(M.data if _issparse(M) else M).all():
             raise ManifestError(f"{path}: matrices[{i}]: entries must be finite")
         matrices.append(M)
 
@@ -361,6 +362,7 @@ def load_manifest(path):
 
 def save_manifest(nep, path):
     """Write ``nep`` as a manifest plus Matrix Market files next to it."""
+    import scipy.io
     base = os.path.dirname(os.path.abspath(path))
     os.makedirs(base, exist_ok=True)
     stem = os.path.splitext(os.path.basename(path))[0]

@@ -5,7 +5,9 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import os
 import pkgutil
+import subprocess
 import sys
 
 import numpy as np
@@ -736,3 +738,32 @@ def test_src_lines_skips_blanks_comments_and_docstrings():
               '            "b")\n')
     # code: import, def and the two lines of the return
     assert src_lines.count(source) == (11, 4)
+
+
+def _fresh_python(*args):
+    # a new interpreter that imports nepsolve from the tree under test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nepsolve.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_dense_example1_run_never_imports_scipy():
+    # the built-in dense path runs on numpy alone: a cold CLI call must not
+    # pay for SciPy's import, in run() any more than in import nepsolve
+    done = _fresh_python("-c", (
+        "import sys, nepsolve\n"
+        "nepsolve.builtin_problem('example1')\n"
+        "report = nepsolve.run(nepsolve.RunConfig(problem='example1', solver='dense'))\n"
+        "assert report.solver_info['path'] == 'geev', report.solver_info\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_python_dash_m_nepsolve_runs_without_a_warning():
+    done = _fresh_python("-W", "default", "-m", "nepsolve", "--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage:")
+    assert done.stderr == ""

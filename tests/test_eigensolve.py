@@ -16,14 +16,22 @@ from nepsolve import (Region, assemble, build_basis, build_pencil, eval_basis,
 from nepsolve import eigensolve
 from nepsolve.lawson import DegreeSpec, RationalApproximant, SampleSet
 from nepsolve.problems import SplitFormNEP, constant, exp_affine, monomial
-from util import (coeff_poly, det_poly_roots, eigenpair_oracle, random_nodes,
-                  random_poly)
+from util import (coeff_poly, det_poly_roots, eigenpair_oracle, match_sets,
+                  random_nodes, random_poly)
 
 
 def test_solve_dense_diagonal():
     lam = solve_dense(np.diag([1.0, 2.0]).astype(complex), np.eye(2, dtype=complex))
     assert sorted(lam.real) == pytest.approx([1.0, 2.0])
     assert np.allclose(lam.imag, 0.0)
+
+
+def test_solve_dense_is_complex_for_a_real_spectrum():
+    # numpy's geev returns a real array when every eigenvalue is real
+    A = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
+    for lam in (solve_dense(A), solve_dense(A, np.eye(4))):
+        assert lam.dtype == complex
+        assert np.sort(lam.real) == pytest.approx([1.0, 6.0, 11.0, 16.0])
 
 
 def test_solve_dense_shape_mismatch():
@@ -117,6 +125,47 @@ def test_well_conditioned_corner_takes_geev(monkeypatch):
         u = V[: P.n, i] / theta[i, 0]
         assert np.linalg.norm(V[:, i] - np.kron(theta[i], u)) <= \
             1e-13 * np.linalg.norm(V[:, i])
+
+
+@pytest.mark.parametrize("rcond, qz", [(1.01 * eigensolve.STANDARD_FORM_RCOND, False),
+                                       (0.99 * eigensolve.STANDARD_FORM_RCOND, True)],
+                         ids=["above", "below"])
+def test_corner_just_either_side_of_the_rcond_cut(rcond, qz, monkeypatch):
+    # the corner [[1, 2, 0], [0, d, 0], [0, 0, 1]] has 1-norm rcond
+    # d / (3 (2 + d)): geev just above STANDARD_FORM_RCOND, QZ just below it
+    rng = np.random.default_rng(47)
+    P = random_poly(rng, 3, 2)
+    d = 6 * rcond / (1 - 3 * rcond)
+    P.mats[-1] = np.array([[1, 2, 0], [0, d, 0], [0, 0, 1]], dtype=complex)
+    calls = _record_solve_dense(monkeypatch)
+    pairs = solve_pencil_dense(build_pencil(P, trim=False))
+    assert [took_qz for took_qz, _ in calls] == [qz]
+    assert pairs.path == ("qz" if qz else "geev")
+    assert pairs.rcond == pytest.approx(rcond, rel=1e-12)
+    roots = det_poly_roots(P)
+    assert roots.size == pairs[0].size == 6
+    assert match_sets(pairs[0], roots, 1e-7 * max(1.0, np.abs(roots).max()))
+
+
+def test_fitted_denominators_either_side_of_the_roots_cut(example1_bundle,
+                                                          time_delay_bundle,
+                                                          monkeypatch):
+    # example1's degree-28 fit (corners 8e-7 and 2.7e-9 of their rows) stays
+    # on geev and keeps all 28 roots of each; time_delay2's degree-10
+    # denominator (8e-14) goes to QZ, which keeps its tenth root, at
+    # infinity, out
+    qz_calls = []
+    eigvals = scipy.linalg.eigvals
+    monkeypatch.setattr(scipy.linalg, "eigvals",
+                        lambda *args: qz_calls.append(args) or eigvals(*args))
+    xi = example1_bundle.xi
+    for c in (xi.denom_coeffs, *xi.numer_coeffs):
+        assert poly_roots(c, xi.basis).size == 28
+    assert qz_calls == []
+    xi = time_delay_bundle.xi
+    roots = poly_roots(xi.denom_coeffs, xi.basis)
+    assert len(qz_calls) == 1
+    assert roots.size == 9 and np.abs(roots).max() < 1e3
 
 
 def _screened(pencil, lam):
@@ -232,8 +281,8 @@ def test_refine_eigenvectors_sparse_matches_dense(monkeypatch):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_refine_eigenvectors_exactly_singular_takes_null_vector(sparse):
     # P(x) = theta_0 diag(0, 1, 2) + theta_1(x) I; at x = H[0, 0] the basis
-    # gives theta_1 = 0 exactly, so P is exactly singular there: getrf and
-    # SuperLU meet a zero pivot, and the SVD's null vector e_1 stands in
+    # gives theta_1 = 0 exactly, so P is exactly singular there: numpy's inv
+    # and SuperLU meet a zero pivot, and the SVD's null vector e_1 stands in
     basis = build_basis(np.linspace(-1.0, 1.0, 6), 1)
     coeffs = [np.diag([0.0, 1.0, 2.0]), np.eye(3)]
     if sparse:

@@ -517,9 +517,9 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
     # SciPy builds CSC copies of a SuperLU factor's L and U on first access
     # and keeps them as long as the factor lives; neither sif's pole factors
     # nor refine_eigenvectors' may ask for them
-    import nepsolve.pencil
+    import scipy.sparse.linalg as spla
 
-    splu = nepsolve.pencil.spla.splu
+    splu = spla.splu
     made, touched = [], []
 
     class NoCopies:
@@ -536,7 +536,7 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
         made.append(None)  # list.append: the poles are factored on workers
         return NoCopies(splu(*args, **kwargs))
 
-    monkeypatch.setattr(nepsolve.pencil.spla, "splu", proxy)
+    monkeypatch.setattr(spla, "splu", proxy)
     nep, pencil = small_sparse
     result = sif(pencil, nep, nep.region, SIFConfig(seed=1))
     assert result.converged and len(made) == result.factorizations == 8
@@ -549,9 +549,9 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
 def test_pole_factors_reuse_the_polynomial_ordering(small_sparse, monkeypatch):
     # the sparse ordering is computed once, before the workers start; every
     # pole LU factors P(s_j) already in that order
-    import nepsolve.pencil
+    import scipy.sparse.linalg as spla
 
-    splu, spilu = nepsolve.pencil.spla.splu, nepsolve.pencil.spla.spilu
+    splu, spilu = spla.splu, spla.spilu
     specs, orderings = [], []
 
     def recorded(A, permc_spec=None, **kwargs):
@@ -562,8 +562,8 @@ def test_pole_factors_reuse_the_polynomial_ordering(small_sparse, monkeypatch):
         orderings.append(threading.current_thread())
         return spilu(*args, **kwargs)
 
-    monkeypatch.setattr(nepsolve.pencil.spla, "splu", recorded)
-    monkeypatch.setattr(nepsolve.pencil.spla, "spilu", ordered)
+    monkeypatch.setattr(spla, "splu", recorded)
+    monkeypatch.setattr(spla, "spilu", ordered)
     nep, pencil = small_sparse
     pencil.poly.__dict__.pop("ordering", None)  # a fresh cache
     result = sif(pencil, nep, nep.region, SIFConfig(seed=1))

@@ -15,7 +15,8 @@ from nepsolve import (BlockLU, MatrixPolynomial, SingularShiftError, assemble,
                       eval_basis, example1, extract_nep_eigenpairs,
                       gram_matrix, poly_roots, shift_invert, solve_dense,
                       verify_linearization)
-from nepsolve.pencil import DENSE_DIM_LIMIT, SPARSE_ORDERING, _factor_p
+from nepsolve.pencil import (DENSE_DIM_LIMIT, ROOTS_QZ_RATIO, SPARSE_ORDERING,
+                             StructuredPencil, _factor_p)
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (coeff_matrices, coeff_poly, det_poly_roots, eval_monomial,
                   match_sets, monomial_coeffs, random_nodes, random_poly)
@@ -606,6 +607,36 @@ def test_poly_roots_match_monomial_companion_oracle():
     ref = np.roots(mono[::-1])
     assert roots.size == 5
     assert match_sets(roots, ref, 1e-8 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("side", [2.0, 0.5])
+def test_poly_roots_takes_qz_only_below_the_corner_cut(side, monkeypatch):
+    # a small leading coefficient puts the corner of the 1x1-block pencil at
+    # side * ROOTS_QZ_RATIO of its bottom row: above the cut geev runs on the
+    # divided companion, below it QZ on the pencil
+    basis = build_basis(np.linspace(-1, 1, 11), 3)
+    c = np.array([0.3, -1.0, 0.5, 1.0])
+
+    def ratio():
+        pencil = StructuredPencil(MatrixPolynomial([np.eye(1)], c[None], basis))
+        return abs(pencil.corner[0]) / np.abs(pencil.beta[0]).max()
+
+    for _ in range(3):  # the row holds c[3] too: converge on the ratio
+        c[3] *= side * ROOTS_QZ_RATIO / ratio()
+    assert ratio() == pytest.approx(side * ROOTS_QZ_RATIO, rel=1e-6)
+    qz_calls = []
+    eigvals = scipy.linalg.eigvals
+    monkeypatch.setattr(scipy.linalg, "eigvals",
+                        lambda *args: qz_calls.append(args) or eigvals(*args))
+    roots = poly_roots(c, basis)
+    assert len(qz_calls) == (side < 1)
+    assert roots.dtype == complex
+    # both keep the two roots of moderate size; geev finds the far one too
+    small = poly_roots(c[:3], basis)
+    near = roots[np.abs(roots) < 1e3]
+    assert near.size == small.size == 2 and match_sets(near, small, 1e-6)
+    if side > 1:
+        assert roots.size == 3 and np.abs(roots).max() > 1e6
 
 
 def test_poly_roots_all_zero_rejected_constant_empty():
