@@ -8,14 +8,14 @@ iteration with structured shift-invert.
 """
 
 from .basis import BreakdownError, VABasis, build_basis, eval_basis, leading_coeffs
-from .cli import EigenReport, RunConfig, emit, run
-from .eigensolve import (Eigenpair, EigensolverError, extract_nep_eigenpairs,
-                         pole_free_check, solve_dense, solve_pencil_dense)
-from .filters import (PoleHitError, QuadratureRule, SIFConfig, SIFResult,
-                      apply_filter, quadrature, scalar_filter, shift_invert, sif)
-from .lawson import (DegreeSpec, DualResult, PoleEvaluationError,
-                     RankDeficiencyError, RationalApproximant, SampleSet,
-                     dual_value, evaluate_approximant, lawson, max_error)
+from .cli import RunConfig, emit, run
+from .eigensolve import (extract_nep_eigenpairs, pole_free_check, solve_dense,
+                         solve_pencil_dense)
+from .filters import (PoleHitError, SIFConfig, apply_filter, quadrature, scalar_filter,
+                      shift_invert, sif)
+from .lawson import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
+                     RationalApproximant, SampleSet, dual_value, evaluate_approximant,
+                     lawson, max_error)
 from .pencil import (BlockLU, MatrixPolynomial, SingularShiftError,
                      StructuredPencil, assemble, block_lu, build_pencil,
                      error_bound, gram_matrix, poly_roots,

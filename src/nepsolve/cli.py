@@ -1,12 +1,14 @@
 """Pipeline driver and command-line interface.
 
-``run`` executes the full solve: sample the region boundary, escalate the
-rational type (k, k) until the fit error target is met (giving up early on a
-degree whose dual bound shows it cannot meet it), check the denominator for
-in-region poles, linearize, and extract eigenpairs either by a dense solve
-(geev on the standard form, QZ when that is ill conditioned) or by filtered
-subspace iteration, which runs until its pairs meet the a priori bound or
-stop improving. ``emit`` serializes the resulting report as JSON.
+``run`` executes the full solve in stages: sample the region boundary,
+``_escalate`` the type (k, k) until the fit meets its target (giving up early
+on a degree whose dual bound shows it cannot), find the fit's poles and
+zeros, linearize, choose and run the solver (``_solve_dense``: geev on the
+standard form, or QZ when that is ill conditioned; ``_solve_filter``: filtered
+subspace iteration until its pairs meet the a priori bound or stop
+improving), drop the pairs on in-region poles and count those over the bound.
+A solver converged when it says so and no reported pair is over the bound.
+``emit`` serializes the report as JSON.
 """
 
 import argparse
@@ -58,6 +60,8 @@ class RunConfig:
         # written so that nan fails too
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        if not isinstance(self.half_disk, bool):
+            raise ValueError(f"half_disk must be True or False, got {self.half_disk!r}")
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
         # a (k, k) fit needs 2k + 2 nodes, so the smallest, (1, 1), needs 4;
@@ -72,12 +76,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least {low}")
 
     def to_json(self):
-        out = {}
-        for key, val in self.__dict__.items():
-            if isinstance(val, complex):
-                val = [val.real, val.imag]
-            out[key] = val
-        return out
+        return {key: [val.real, val.imag] if isinstance(val, complex) else val
+                for key, val in self.__dict__.items()}
 
 
 @dataclass
@@ -159,21 +159,11 @@ def _resolve_region(config, nep):
     region = nep.region
     center = region.center if config.center is None else config.center
     radius = region.radius if config.radius is None else config.radius
-    half = region.half_disk or config.half_disk
-    return Region(center, radius, half)
+    return Region(center, radius, region.half_disk or config.half_disk)
 
 
-def run(config):
-    """Execute the full pipeline described by ``config``."""
-    nep = _resolve_problem(config)
-    region = _resolve_region(config, nep)
-    nodes = sample_boundary(region, config.nodes)
-    samples = SampleSet.from_nep(nep, nodes)
-    pole_guard = 1e-6 * (1.0 + abs(region.center) + region.radius)
-
-    # a (k, k) fit needs 2k + 2 nodes, which can cap the degree below max_degree
-    last = min(config.max_degree, (samples.m - 2) // 2)
-    t0 = time.perf_counter()
+def _escalate(samples, s, tol, last):
+    """The last fit, a record per degree tried (k = 1, 2, ...) and whether tol was met."""
     escalation = []
     # each degree's first sweep shares this nested basis, one column per degree
     basis = build_basis(samples.nodes, 0)
@@ -183,88 +173,94 @@ def run(config):
         if k > 1 and not np.isfinite(basis.k[-1]):
             break  # degree k - 1, the last with finite k_j, is a fit miss
         # every degree but the last may give up once it provably misses tol;
-        # the last one is never given up, so a fit miss still reports its
-        # best fit
-        xi = lawson(samples, DegreeSpec((k,) * nep.s, k),
-                    target=None if k == last else config.tol, basis=basis)
+        # the last never does, so a fit miss still reports its best fit
+        xi = lawson(samples, DegreeSpec((k,) * s, k),
+                    target=None if k == last else tol, basis=basis)
         # each step carries its proof: best error and largest dual bound
         sqrt_e = float(np.sqrt(xi.e_max))
         escalation.append({"degree": k, "sweeps": xi.iterations,
                            "stop_reason": xi.stop_reason, "sqrt_e": sqrt_e,
                            "sqrt_d": float(np.sqrt(max(t.d_w for t in xi.trace)))})
-        fit_met = sqrt_e < config.tol
-        if fit_met:
-            break
-    t_fit = time.perf_counter() - t0
+        if sqrt_e < tol:
+            return xi, escalation, True
+    return xi, escalation, False
 
-    all_poles = poly_roots(xi.denom_coeffs, xi.basis)
-    pole_free, in_region_poles = pole_free_check(all_poles, region)
-    zeros = {}
-    for i, a in enumerate(xi.numer_coeffs):
-        try:
-            zeros[f"t{i + 1}"] = poly_roots(a, xi.basis)
-        except ValueError:  # a term that vanishes on every node
-            zeros[f"t{i + 1}"] = np.empty(0, dtype=complex)
+
+def _zeros(coeffs, basis):
+    """Roots of one numerator; none for a term that vanishes on every node."""
+    try:
+        return poly_roots(coeffs, basis)
+    except ValueError:
+        return np.empty(0, dtype=complex)
+
+
+def _solve_dense(pencil, basis, nep, region):
+    """``(eigenpairs, converged, solver_info)`` of the dense path."""
+    pairs = solve_pencil_dense(pencil, region)
+    info = {"path": pairs.path, "rcond": pairs.rcond, "outside": pairs.outside,
+            "factorizations": 0, "block_solves": 0}
+    return extract_nep_eigenpairs(pairs, basis, nep, region), True, info
+
+
+def _solve_filter(pencil, nep, region, bound, config):
+    """``(eigenpairs, converged, solver_info)`` of the filter path."""
+    # sif's residual is scale-free: its target is the bound over |c| + r
+    sif_config = SIFConfig(subspace=config.subspace, seed=config.seed)
+    sif_config = replace(sif_config, tol_residual=min(
+        sif_config.tol_residual, bound / (abs(region.center) + region.radius)))
+    result = sif(pencil, nep, region, sif_config)
+    return result.eigenpairs, result.converged, {
+        "path": "filter", "iterations": result.iterations, "subspace": result.subspace,
+        "stop_reason": result.stop_reason, "ghosts": result.trace[-1].ghost_count,
+        "factorizations": result.factorizations, "block_solves": result.block_solves}
+
+
+def run(config):
+    """Execute the full pipeline described by ``config``."""
+    nep = _resolve_problem(config)
+    region = _resolve_region(config, nep)
+    samples = SampleSet.from_nep(nep, sample_boundary(region, config.nodes))
 
     t0 = time.perf_counter()
-    poly = assemble(xi, nep)
-    pencil = build_pencil(poly)
+    # a (k, k) fit needs 2k + 2 nodes, which can cap the degree below max_degree
+    xi, escalation, fit_met = _escalate(samples, nep.s, config.tol,
+                                        min(config.max_degree, (samples.m - 2) // 2))
+    t_fit = time.perf_counter() - t0
+
+    poles = poly_roots(xi.denom_coeffs, xi.basis)
+    pole_free, in_region_poles = pole_free_check(poles, region)
+    zeros = {f"t{i + 1}": _zeros(a, xi.basis) for i, a in enumerate(xi.numer_coeffs)}
+
+    t0 = time.perf_counter()
+    pencil = build_pencil(assemble(xi, nep))
     t_pencil = time.perf_counter() - t0
 
     solver = config.solver
     if solver == "auto":
         solver = "dense" if pencil.dim <= DENSE_DIM_LIMIT else "filter"
-
     bound = error_bound(gram_matrix(nep), xi.e_max)
     t0 = time.perf_counter()
     if solver == "dense":
-        pairs = solve_pencil_dense(pencil, region)
-        eigenpairs = extract_nep_eigenpairs(pairs, xi.basis, nep, region)
-        solver_info = {"path": pairs.path, "rcond": pairs.rcond,
-                       "outside": pairs.outside, "factorizations": 0,
-                       "block_solves": 0}
+        eigenpairs, converged, info = _solve_dense(pencil, xi.basis, nep, region)
     else:
-        # sif's residual is scale-free: its target is the bound over |c| + r
-        sif_config = SIFConfig(subspace=config.subspace, seed=config.seed)
-        sif_config = replace(sif_config, tol_residual=min(
-            sif_config.tol_residual, bound / (abs(region.center) + region.radius)))
-        result = sif(pencil, nep, region, sif_config)
-        eigenpairs = result.eigenpairs
-        solver_converged = result.converged
-        solver_info = {"path": "filter", "iterations": result.iterations,
-                       "subspace": result.subspace, "stop_reason": result.stop_reason,
-                       "ghosts": result.trace[-1].ghost_count,
-                       "factorizations": result.factorizations,
-                       "block_solves": result.block_solves}
-    solver_info["arithmetic"] = "real" if pencil.is_real else "complex"
+        eigenpairs, converged, info = _solve_filter(pencil, nep, region, bound, config)
     t_solve = time.perf_counter() - t0
 
     # where q* vanishes inside the region the polynomial and rational spectra
     # differ: pencil eigenvalues sitting on an in-region pole are artifacts
     # of the surrogate, not eigenvalues of the problem
-    kept = [p for p in eigenpairs
-            if np.all(np.abs(in_region_poles - p.lam) >= pole_guard)]
-    solver_info["on_poles"] = len(eigenpairs) - len(kept)
-    eigenpairs = kept
+    guard = 1e-6 * (1.0 + abs(region.center) + region.radius)
+    kept = [p for p in eigenpairs if np.all(np.abs(in_region_poles - p.lam) >= guard)]
     # judged after the pole drop: pairs on in-region poles are not reported
-    solver_info["over_bound"] = sum(not p.residual <= bound for p in eigenpairs)
-    if solver == "dense":
-        solver_converged = solver_info["over_bound"] == 0
-
+    over_bound = sum(not p.residual <= bound for p in kept)
     return EigenReport(
-        problem=nep.name,
-        config=config,
-        eigenpairs=eigenpairs,
-        fit=xi,
-        fit_met_target=fit_met,
-        escalation=escalation,
-        bound=bound,
-        pole_free=pole_free,
-        poles=all_poles,
-        zeros=zeros,
-        solver=solver,
-        solver_converged=solver_converged,
-        solver_info=solver_info,
+        problem=nep.name, config=config, eigenpairs=kept, fit=xi,
+        fit_met_target=fit_met, escalation=escalation, bound=bound,
+        pole_free=pole_free, poles=poles, zeros=zeros, solver=solver,
+        # on both paths: the solver's own verdict and no pair over the bound
+        solver_converged=converged and over_bound == 0,
+        solver_info={**info, "arithmetic": "real" if pencil.is_real else "complex",
+                     "on_poles": len(eigenpairs) - len(kept), "over_bound": over_bound},
         timings={"fit": t_fit, "pencil": t_pencil, "solve": t_solve},
     )
 

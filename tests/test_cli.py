@@ -1,5 +1,7 @@
 """Pipeline driver, report emission, and command-line interface tests."""
 
+import collections
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -327,6 +329,10 @@ def test_config_validation():
         RunConfig(problem="x", seed=-1)
     with pytest.raises(ValueError, match="subspace"):
         RunConfig(problem="x", subspace=0)
+    # a truthy string would run on the half-disk and be reported as given
+    for bad in ("false", 1, None):
+        with pytest.raises(ValueError, match="half_disk"):
+            RunConfig(problem="x", half_disk=bad)
     # a (1, 1) fit needs 2k + 2 = 4 boundary nodes
     for nodes in (0, 1, 3):
         with pytest.raises(ValueError, match="nodes"):
@@ -469,6 +475,29 @@ def test_tracer_records_the_filter_layers_and_restores_the_originals(monkeypatch
     names = {span.name for span in spans.spans}
     assert {"filters.apply", "pencil.factor", "pencil.block_solve",
             "eigensolve.extract"} <= names
+
+
+@pytest.mark.parametrize("solver, layer, other", [
+    ("dense", "eigensolve.dense", "filters.sif"),
+    ("filter", "filters.sif", "eigensolve.dense"),
+])
+def test_tracer_sees_every_stage_of_run(solver, layer, other, monkeypatch):
+    # the tracer patches names on nepsolve.cli: a stage that reached one by
+    # another route would leave its layer at 0 in a traced benchmark run
+    tracer = _load_tracer(monkeypatch)
+    spans = tracer.Tracer()
+    with tracer.installed(spans):
+        report = run(RunConfig(problem="time_delay2", nodes=50, tol=1e-7,
+                               max_degree=12, solver=solver))
+    calls = collections.Counter(span.name for span in spans.spans)
+    assert calls["lawson.fit"] == len(report.escalation)
+    # the denominator's roots, then each numerator's
+    assert calls["pencil.poly_roots"] == 1 + len(report.fit.numer_coeffs)
+    # assemble and build_pencil
+    assert calls["pencil.assemble"] == 2
+    assert calls["problems.load"] == calls["eigensolve.pole_check"] == 1
+    assert calls["eigensolve.extract"] >= 1
+    assert calls[layer] == 1 and calls[other] == 0
 
 
 def test_run_example1_recovers_spectrum(monkeypatch):
@@ -624,6 +653,48 @@ def test_filter_budget_reported_and_exit_status(monkeypatch):
         "factorizations": 8, "block_solves": 8, "arithmetic": "real",
         "on_poles": 0, "over_bound": 0}
     assert report.eigenpairs == []
+    assert report.exit_status == EXIT_SOLVER_MISS
+
+
+def test_auto_solver_choice_follows_the_dense_dim_limit(monkeypatch):
+    dims = []
+    build_pencil = cli.build_pencil
+
+    def recorded(poly):
+        pencil = build_pencil(poly)
+        dims.append(pencil.dim)
+        return pencil
+
+    monkeypatch.setattr(cli, "build_pencil", recorded)
+    config = RunConfig(problem="time_delay2", nodes=40, tol=1e-6, max_degree=10)
+    run(config)
+    dim = dims[0]
+    for limit, solver in ((dim - 1, "filter"), (dim, "dense"), (dim + 1, "dense")):
+        monkeypatch.setattr(cli, "DENSE_DIM_LIMIT", limit)
+        assert run(config).solver == solver
+
+
+def test_solver_converged_needs_every_pair_within_the_bound(monkeypatch):
+    # one rule on both paths: a filter run that stops "converged" with a
+    # pair over the bound is no solver success
+    config = RunConfig(problem="time_delay2", nodes=40, tol=1e-6, max_degree=10,
+                       solver="filter")
+    report = run(config)
+    assert report.solver_converged and report.solver_info["over_bound"] == 0
+    bound = report.bound
+    sif = cli.sif
+
+    def one_pair_over(*args):
+        result = sif(*args)
+        assert result.converged
+        worse = dataclasses.replace(result.eigenpairs[0], residual=10 * bound)
+        return dataclasses.replace(result, eigenpairs=[worse, *result.eigenpairs[1:]])
+
+    monkeypatch.setattr(cli, "sif", one_pair_over)
+    report = run(config)
+    assert report.solver_info["stop_reason"] == "converged"
+    assert report.solver_info["over_bound"] == 1
+    assert report.to_json_dict()["solver"]["converged"] is False
     assert report.exit_status == EXIT_SOLVER_MISS
 
 
