@@ -62,6 +62,9 @@ class RunConfig:
             raise ValueError("tol must be positive and finite")
         if not isinstance(self.half_disk, bool):
             raise ValueError(f"half_disk must be True or False, got {self.half_disk!r}")
+        # Region checks the overrides here, before the problem is resolved
+        Region(0j if self.center is None else self.center,
+               1.0 if self.radius is None else self.radius)
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
         # a (k, k) fit needs 2k + 2 nodes, so the smallest, (1, 1), needs 4;

@@ -4,7 +4,8 @@ Fits ``xi = [p_1, .., p_s]/q`` with common denominator to samples
 ``t(x_l) in C^s`` on boundary nodes, minimizing the maximum squared 2-norm
 error ``e(xi) = max_l ||t(x_l) - xi(x_l)||_2^2``. Each sweep evaluates the
 dual objective ``d(w)`` of the linearized problem at the current node weights
-(a smallest-singular-value computation) and the current fit at the nodes,
+(the smallest singular value of a tall projected matrix ``G``, read off the
+square triangular factor of a QR of ``G``) and the current fit at the nodes,
 and reweights nodes by their error norms until the relative duality gap
 ``|e(xi) - d(w)|/e(xi)`` closes, the iteration budget runs out, or, given an
 error target, the dual value (a lower bound on the attainable error) shows
@@ -184,10 +185,13 @@ def dual_value(samples, w, spec, basis):
     """Evaluate the dual objective at weights ``w`` and recover coefficients.
 
     ``sqrt(d(w))`` is the smallest singular value of the projected matrix
-    ``(I - Qp Qp^H) F Qq`` built from thin QR factorizations of the weighted
-    basis matrices; the optimal denominator coefficients solve
-    ``Rq b = bhat`` against the trailing right singular vector and the
-    numerator blocks solve ``Rp_i a_i = Qp_i^H F_i Qq bhat``.
+    ``G = [(I - Qp_i Qp_i^H) F_i Qq]_i`` built from thin QR factorizations
+    of the weighted basis matrices; the optimal denominator coefficients
+    solve ``Rq b = bhat`` against the trailing right singular vector and the
+    numerator blocks solve ``Rp_i a_i = Qp_i^H F_i Qq bhat``. The SVD runs on
+    the square factor R of ``G = Q_G R``: ``Q_G`` has orthonormal columns, so
+    ``R = U S V^H`` gives ``G = (Q_G U) S V^H``, with the same singular values
+    and right singular vectors, and G's unread left factor is never formed.
 
     ``basis`` must be built on the sample nodes; the QR factors are nearest
     the identity when it was built under weights close to ``w``. The result's
@@ -237,7 +241,7 @@ def dual_value(samples, w, spec, basis):
 
     # numpy orders singular values descending, so the trailing right singular
     # vector is the deterministic pick under near-ties
-    _, sigma, Vh = np.linalg.svd(G, full_matrices=False)
+    _, sigma, Vh = np.linalg.svd(np.linalg.qr(G, mode="r"))
     smin = sigma[-1]
     bhat = Vh[-1].conj()
 

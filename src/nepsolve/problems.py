@@ -160,10 +160,12 @@ class Region:
     half_disk: bool = False
 
     def __post_init__(self):
-        # written so that nan fails too
-        if not 0 < self.radius < np.inf:
+        # written so that nan fails too; a str would escape np.isfinite as a
+        # TypeError, and bool is an int subclass
+        r, c = self.radius, self.center
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 < r < np.inf:
             raise ValueError("region radius must be positive and finite")
-        if not np.isfinite(self.center):
+        if isinstance(c, bool) or not isinstance(c, numbers.Complex) or not np.isfinite(c):
             raise ValueError("region center must be finite")
 
     def contains(self, lam):

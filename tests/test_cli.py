@@ -347,6 +347,33 @@ def test_config_validation():
         RunConfig(problem="x", **{field: np.int64(60)})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("radius", -1.0), ("radius", 0.0), ("radius", float("nan")), ("radius", float("inf")),
+    ("radius", True), ("radius", "2"), ("radius", 1 + 0j),
+    ("center", complex(float("nan"), 0)), ("center", complex(0, float("inf"))),
+    ("center", float("-inf")), ("center", True), ("center", "1,2"),
+])
+def test_config_rejects_a_bad_region_override(field, bad):
+    # rejected at construction, with Region's message, before a problem is
+    # resolved; a str center used to escape as a TypeError from np.isfinite
+    with pytest.raises(ValueError, match=f"region {field} must be"):
+        RunConfig(manifest="no/such/manifest.json", **{field: bad})
+
+
+def test_config_accepts_region_overrides_of_any_number_type():
+    for center in (0, -2.5, 1 - 3j, np.float64(1.0), np.complex128(2j)):
+        RunConfig(problem="x", center=center)
+    for radius in (1, 0.5, np.float64(3.0), np.int64(2)):
+        RunConfig(problem="x", radius=radius)
+
+
+def test_main_rejects_a_negative_radius_before_reading_the_manifest(capsys):
+    status = main(["--manifest", "no/such/manifest.json", "--radius", "-1"])
+    assert status == 1
+    assert capsys.readouterr() == (
+        "", "nepsolve: error: region radius must be positive and finite\n")
+
+
 @pytest.mark.parametrize("override, field", [
     ({"radius": float("inf")}, "radius"),
     ({"center": complex(float("nan"), 0)}, "center"),

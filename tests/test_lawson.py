@@ -5,11 +5,13 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nepsolve import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
                       RationalApproximant, SampleSet, build_basis, dual_value,
                       eval_basis, evaluate_approximant, example1, hadeler,
                       lawson, max_error, sample_boundary, time_delay2)
+from nepsolve.lawson import WEIGHT_TOL
 from nepsolve.problems import Region
 from util import dual_oracle, eval_monomial, monomial_coeffs, random_nodes
 
@@ -51,6 +53,77 @@ def test_dual_value_matches_dense_hermitian_oracle():
         res = dual_value(samples, w, spec, basis)
         ref = dual_oracle(samples, w, spec, basis)
         assert res.d_value == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+
+@st.composite
+def _dual_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = draw(st.integers(1, 4))
+    spec = DegreeSpec(draw(st.lists(st.integers(0, 6), min_size=s, max_size=s)),
+                      draw(st.integers(0, 6)))
+    top = spec.max_degree
+    m = draw(st.integers(top + 1, top + 20))
+    nodes = random_nodes(rng, m, radius=rng.uniform(0.5, 2.0))
+    values = rng.standard_normal((m, s))
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal((m, s))
+    w = rng.uniform(0.05, 1.0, m)
+    # up to all but top + 1 nodes sit just above the drop threshold
+    tiny = rng.choice(m, draw(st.integers(0, m - top - 1)), replace=False)
+    w[tiny] = WEIGHT_TOL * rng.uniform(1.0, 10.0, tiny.size)
+    w /= w.sum()
+    basis = build_basis(nodes, top, weights=w if draw(st.booleans()) else None)
+    return SampleSet(nodes, values), spec, w, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dual_case())
+def test_dual_value_matches_the_full_svd_of_g(case):
+    # the smallest singular pair comes from the R factor of G; a thin SVD of
+    # G itself, from the same QR factors, is the oracle
+    samples, spec, w, basis = case
+    res = dual_value(samples, w, spec, basis)
+    values, sqw = samples.values, np.sqrt(w)
+    Qq, Rq = np.linalg.qr(sqw[:, None] * basis.Q[:, : spec.denominator + 1])
+    Qp = [np.linalg.qr(sqw[:, None] * basis.Q[:, : n + 1])[0] for n in spec.numerator]
+    G = np.vstack([values[:, i, None] * Qq - P @ (P.conj().T @ (values[:, i, None] * Qq))
+                   for i, P in enumerate(Qp)])
+    _, sigma, Vh = np.linalg.svd(G, full_matrices=False)
+    assert res.d_value == pytest.approx(sigma[-1] ** 2, rel=1e-10, abs=1e-14 * sigma[0] ** 2)
+
+    # the vector is defined up to a phase, and only where sigma_min is simple;
+    # a singular vector is determined to about eps / gap, so the tolerance
+    # widens by 1e-12 / gap as the gap nears its threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (sigma[-2] - sigma[-1]) / sigma[0] if sigma.size > 1 else np.inf
+    if not gap > 1e-6:
+        return
+    tol = 1e-10 + 1e-12 / gap
+    bhat = Vh[-1].conj()
+    b_ref = np.linalg.solve(Rq, bhat)
+    phase = np.vdot(b_ref, res.denom_coeffs)
+    phase /= abs(phase)
+    assert (np.linalg.norm(res.denom_coeffs - phase * b_ref)
+            <= tol * np.linalg.norm(b_ref))
+    q = Qq @ bhat
+    nv_ref = np.column_stack([P @ (P.conj().T @ (values[:, i] * q)) / q
+                              for i, P in enumerate(Qp)])
+    assert np.linalg.norm(res.node_values - nv_ref) <= tol * np.linalg.norm(nv_ref)
+
+
+def test_dual_value_runs_the_svd_on_a_square_matrix(monkeypatch):
+    svd, shapes = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lawson_module.np.linalg, "svd", recording_svd)
+    nep, k = example1(), 12
+    samples = SampleSet.from_nep(nep, sample_boundary(nep.region, 100))
+    xi = lawson(samples, DegreeSpec((k,) * nep.s, k), max_iters=20)
+    assert shapes and len(shapes) == xi.iterations
+    assert set(shapes) == {(k + 1, k + 1)}
 
 
 def test_dual_value_weak_duality_against_assembled_fit():
