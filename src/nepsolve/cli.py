@@ -215,7 +215,8 @@ def _solve_filter(pencil, nep, region, bound, config):
     return result.eigenpairs, result.converged, {
         "path": "filter", "iterations": result.iterations, "subspace": result.subspace,
         "stop_reason": result.stop_reason, "ghosts": result.trace[-1].ghost_count,
-        "factorizations": result.factorizations, "block_solves": result.block_solves}
+        "quad_order": result.quad_order, "factorizations": result.factorizations,
+        "block_solves": result.block_solves}
 
 
 def run(config):

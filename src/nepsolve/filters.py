@@ -33,10 +33,14 @@ from .pencil import BlockLU, SingularShiftError
 
 __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError",
            "quadrature", "scalar_filter", "shift_invert", "apply_filter", "sif",
-           "SUBSPACE_START"]
+           "SUBSPACE_START", "HIGH_FILL"]
 
 # a filter block of unspecified width starts with this many columns (see sif)
 SUBSPACE_START = 16
+# sif's default quad_order: 8 if every E_i is sparse and the pattern LU keeps at
+# least this many entries a row (MatrixPolynomial.pattern_lu), else 16. Measured
+# in BENCH_pr29.json (W3: 289 a row) and in the README's table
+HIGH_FILL = 64
 
 
 class PoleHitError(Exception):
@@ -177,13 +181,15 @@ class SIFConfig:
 
     ``subspace`` is the width the block starts at; the default, ``None``,
     reads ``SUBSPACE_START``. :func:`sif` caps it at the pencil's dimension
-    and grows it from the Ritz count. ``tol_residual`` is the scale-free
-    residual target of every in-region pair (``run`` lowers it to the
-    report's bound over ``|c| + r``); ``tol_ghost`` marks a ghost.
+    and grows it from the Ritz count. ``quad_order``, the pole count, is 8 for
+    ``None`` if every ``E_i`` is sparse and its pattern LU has at least
+    ``HIGH_FILL`` entries a row (:func:`sif`), else 16. ``tol_residual`` is the
+    scale-free residual target of every in-region pair (``run`` lowers it to
+    the report's bound over ``|c| + r``); ``tol_ghost`` marks a ghost.
     """
 
     subspace: int = None
-    quad_order: int = 16
+    quad_order: int = None
     tol_residual: float = 1e-4
     tol_ghost: float = 1e-2
     max_iters: int = 30
@@ -216,9 +222,9 @@ class SIFResult:
     """Eigenpairs of the last sweep with the iteration trace.
 
     ``stop_reason`` is ``"converged"``, ``"stalled"`` or ``"budget"`` (see
-    :func:`sif`); only the first counts as converged. ``subspace`` is the
-    block width of the last iteration; ``factorizations`` counts the pole
-    factorizations and ``block_solves`` the structured solves with them.
+    :func:`sif`); only the first counts as converged. ``subspace`` is the last
+    sweep's block width, ``quad_order`` the pole count, ``factorizations``
+    the pole factorizations and ``block_solves`` the solves with them.
     """
 
     eigenpairs: list
@@ -226,6 +232,7 @@ class SIFResult:
     stop_reason: str
     iterations: int
     subspace: int
+    quad_order: int
     factorizations: int
     block_solves: int
 
@@ -250,7 +257,9 @@ def sif(pencil, nep, region, config):
     orthonormal basis of the filtered block is carried into the next sweep.
     """
     import scipy.linalg
-    rule = quadrature(region.center, region.radius, config.quad_order)
+    k = (config.quad_order if config.quad_order is not None
+         else 8 if pencil.poly.pattern_lu[1] >= HIGH_FILL else 16)
+    rule = quadrature(region.center, region.radius, k)
     real = _paired(pencil, rule)
     # deterministic shift just outside the disk, off the spectrum's usual axes
     sigma_shift = region.center + 1.1 * region.radius * np.exp(1j * np.pi / 7)
@@ -320,7 +329,7 @@ def sif(pencil, nep, region, config):
     # each sweep applies the filter once: one block solve per factored pole
     return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace),
                      stop_reason=stop_reason, iterations=len(trace), subspace=width,
-                     factorizations=factorizations,
+                     quad_order=k, factorizations=factorizations,
                      block_solves=len(trace) * factorizations)
 
 

@@ -575,7 +575,7 @@ def test_run_hadeler_filter_path():
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": True, "path": "filter",
         "iterations": report.solver_info["iterations"], "subspace": 60,
-        "stop_reason": "converged", "ghosts": 0, "factorizations": 8,
+        "stop_reason": "converged", "ghosts": 0, "quad_order": 16, "factorizations": 8,
         "block_solves": 8 * report.solver_info["iterations"], "arithmetic": "real",
         "on_poles": 0, "over_bound": 0}
     assert 1 <= report.solver_info["iterations"] <= 30
@@ -677,7 +677,7 @@ def test_filter_budget_reported_and_exit_status(monkeypatch):
     assert report.to_json_dict()["solver"] == {
         "kind": "filter", "converged": False, "path": "filter",
         "iterations": 1, "subspace": 3, "stop_reason": "budget", "ghosts": 3,
-        "factorizations": 8, "block_solves": 8, "arithmetic": "real",
+        "quad_order": 16, "factorizations": 8, "block_solves": 8, "arithmetic": "real",
         "on_poles": 0, "over_bound": 0}
     assert report.eigenpairs == []
     assert report.exit_status == EXIT_SOLVER_MISS
@@ -735,6 +735,97 @@ def test_filter_small_start_width_grows_and_converges():
     assert report.solver_info["subspace"] > 3
     assert len(report.in_region) == 5
     assert all(p.residual <= report.bound for p in report.in_region)
+    assert report.exit_status == EXIT_OK
+
+
+def _sparse_manifest(path, seed, tridiagonal):
+    # the criterion-7 family at n = 1000 (the sparse1000_filter workload at
+    # the same seed): A tridiagonal, C and D with 2 seeded entries a row, or
+    # seeded tridiagonals for a sparse P whose LU has almost no fill
+    import scipy.sparse as sp
+
+    n = 1000
+    rng = np.random.default_rng(seed)
+    A = (sp.diags(np.arange(1, n + 1).astype(complex))
+         + sp.diags([0.3 * np.ones(n - 1), 0.3 * np.ones(n - 1)], [-1, 1]))
+    if tridiagonal:
+        C, D = (sp.diags([rng.standard_normal(n - 1), rng.standard_normal(n),
+                          rng.standard_normal(n - 1)], [-1, 0, 1]) for _ in "CD")
+    else:
+        C, D = (sp.random(n, n, density=0.002, random_state=rng) for _ in "CD")
+    nep = nepsolve.SplitFormNEP(
+        "sparse", [nepsolve.constant(1.0), nepsolve.monomial(1, -1.0),
+                   nepsolve.exp_affine(-1.0), nepsolve.monomial(2)],
+        [A.tocsr(), sp.identity(n, format="csr", dtype=complex),
+         (C.tocsr() * 0.5).astype(complex), (D.tocsr() * 1e-3).astype(complex)],
+        nepsolve.Region(5.5 + 0j, 2.6))
+    return save_manifest(nep, str(path))
+
+
+@pytest.fixture(scope="module")
+def sparse_manifests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sparse")
+    return {fill: _sparse_manifest(root / f"{fill}.json", 1, fill == "low")
+            for fill in ("high", "low")}
+
+
+def _sparse_run(manifest, **kwargs):
+    return run(RunConfig(manifest=manifest, nodes=60, tol=1e-9, max_degree=8,
+                         solver="filter", seed=1, **kwargs))
+
+
+# seed 1's six in-region eigenvalues, by Newton on the exact T(x) from the
+# eigenvalues of A (perfbench/workloads.py:sparse_reference)
+SPARSE_SEED1 = [2.999943267434219, 3.9999995658412497, 4.999999998025381,
+                5.999999999993932, 6.999999999999987, 8.000000000000211]
+
+
+def test_high_fill_sparse_polynomial_runs_eight_poles(sparse_manifests):
+    # the pattern LU keeps about 289 entries a row: k = 8, so the real
+    # pencil factors 4 poles, not 8
+    report = _sparse_run(sparse_manifests["high"])
+    solver = report.to_json_dict()["solver"]
+    assert solver["quad_order"] == 8 and solver["arithmetic"] == "real"
+    assert solver["factorizations"] == 4
+    assert solver["block_solves"] == 4 * solver["iterations"]
+    assert report.exit_status == EXIT_OK
+    assert match_sets([p.lam for p in report.in_region], SPARSE_SEED1, 1e-6)
+
+
+def test_low_fill_sparse_polynomial_runs_sixteen_poles(sparse_manifests):
+    # tridiagonal E_i: about 4 entries a row in the LU, where k = 8 was slower
+    report = _sparse_run(sparse_manifests["low"])
+    solver = report.to_json_dict()["solver"]
+    assert solver["quad_order"] == 16 and solver["factorizations"] == 8
+    assert report.exit_status == EXIT_OK
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_dense_polynomial_runs_sixteen_poles(hadeler_filter_reports, n):
+    solver = hadeler_filter_reports[n].to_json_dict()["solver"]
+    assert solver["quad_order"] == 16 and solver["factorizations"] == 8
+
+
+@pytest.mark.parametrize("fill, k", [("high", 16), ("low", 8), ("high", 4)])
+def test_explicit_quad_order_is_honoured(monkeypatch, sparse_manifests, fill, k):
+    monkeypatch.setattr(cli, "SIFConfig", functools.partial(SIFConfig, quad_order=k))
+    solver = _sparse_run(sparse_manifests[fill]).to_json_dict()["solver"]
+    assert solver["quad_order"] == k and solver["factorizations"] == k // 2
+
+
+@pytest.mark.parametrize("center, radius, want", [(5, 0.6, [4.999999998025381]),
+                                                  (7, 0.6, [6.999999999999987]),
+                                                  (5.5, 0.4, [])])
+def test_eight_poles_stop_converged_only_on_the_full_count(sparse_manifests, center,
+                                                           radius, want):
+    # at k = 8 the weaker filter's first sweep can see none of the pairs
+    # inside (it does on the default region); no run may stop converged with
+    # fewer pairs than the region holds, one here, or none
+    report = _sparse_run(sparse_manifests["high"], center=center, radius=radius)
+    solver = report.to_json_dict()["solver"]
+    assert solver["quad_order"] == 8 and solver["stop_reason"] == "converged"
+    assert len(report.in_region) == len(want)
+    assert match_sets([p.lam for p in report.in_region], want, 1e-6)
     assert report.exit_status == EXIT_OK
 
 
