@@ -33,14 +33,10 @@ from .pencil import BlockLU, SingularShiftError
 
 __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError",
            "quadrature", "scalar_filter", "shift_invert", "apply_filter", "sif",
-           "SUBSPACE_START", "HIGH_FILL"]
+           "SUBSPACE_START"]
 
 # a filter block of unspecified width starts with this many columns (see sif)
 SUBSPACE_START = 16
-# sif's default quad_order: 8 if every E_i is sparse and the pattern LU keeps at
-# least this many entries a row (MatrixPolynomial.pattern_lu), else 16. Measured
-# in BENCH_pr29.json (W3: 289 a row) and in the README's table
-HIGH_FILL = 64
 
 
 class PoleHitError(Exception):
@@ -182,10 +178,10 @@ class SIFConfig:
     ``subspace`` is the width the block starts at; the default, ``None``,
     reads ``SUBSPACE_START``. :func:`sif` caps it at the pencil's dimension
     and grows it from the Ritz count. ``quad_order``, the pole count, is 8 for
-    ``None`` if every ``E_i`` is sparse and its pattern LU has at least
-    ``HIGH_FILL`` entries a row (:func:`sif`), else 16. ``tol_residual`` is the
-    scale-free residual target of every in-region pair (``run`` lowers it to
-    the report's bound over ``|c| + r``); ``tol_ghost`` marks a ghost.
+    ``None`` if every ``E_i`` is sparse, else 16 (measured in the README).
+    ``tol_residual`` is the scale-free residual target of every in-region pair
+    (``run`` lowers it to the report's bound over ``|c| + r``); ``tol_ghost``
+    marks a ghost.
     """
 
     subspace: int = None
@@ -258,7 +254,7 @@ def sif(pencil, nep, region, config):
     """
     import scipy.linalg
     k = (config.quad_order if config.quad_order is not None
-         else 8 if pencil.poly.pattern_lu[1] >= HIGH_FILL else 16)
+         else 8 if pencil.poly.ordering is not None else 16)
     rule = quadrature(region.center, region.radius, k)
     real = _paired(pencil, rule)
     # deterministic shift just outside the disk, off the spectrum's usual axes

@@ -38,9 +38,10 @@ DENSE_DIM_LIMIT = 5000
 # SuperLU column ordering for a sparse P(mu): minimum degree on the pattern of
 # A + A^T. P(mu) is structurally near-symmetric, and on the n=1000
 # tridiagonal-plus-random criterion-7 family this keeps nnz(L+U) per pole at
-# about 255k-259k where the default COLAMD gives 415k, halving factor and
-# solve time. One LU of the pattern per polynomial gives it and each pole LU's fill
-# (MatrixPolynomial.pattern_lu); inside each LU it took 40% of the time.
+# about 281k-289k where the default COLAMD gives 472k-500k (SciPy 1.17.1),
+# halving factor and solve time. It is computed once per polynomial
+# (MatrixPolynomial.ordering): inside each LU it would take about 40% of the
+# time. Pivoting is unchanged.
 SPARSE_ORDERING = "MMD_AT_PLUS_A"
 # P(mu) is singular where a seeded solve P x = b gives ||P||_1 ||x||_1 / ||b||_1 >= this
 SINGULAR_COND = 1e14
@@ -93,23 +94,18 @@ class MatrixPolynomial:
         return self.mats[0].shape[0]
 
     @functools.cached_property
-    def pattern_lu(self):
-        """``(o, fill)`` from SuperLU's LU, in ``SPARSE_ORDERING``, of the pattern
-        ``sum_i |E_i|`` plus a dominant diagonal: SuperLU factors every
-        ``P(x)[o][:, o]`` unordered, with about ``fill`` entries of ``L + U`` a
-        row. ``(None, 0.0)`` unless every ``E_i`` is sparse."""
+    def ordering(self):
+        """``o`` for which SuperLU factors every ``P(x)[o][:, o]`` unordered, or
+        ``None`` unless every ``E_i`` is sparse: the ``SPARSE_ORDERING`` of the
+        pattern ``sum_i |E_i|``, from an ILU of it plus a dominant diagonal."""
         if not all(_issparse(E) for E in self.mats):
-            return None, 0.0
+            return None
         import scipy.sparse.linalg
         A = sum(abs(E) for E in self.mats)
         A = (A + (1.0 + A.sum()) * scipy.sparse.identity(self.n)).tocsc()
-        lu = scipy.sparse.linalg.splu(A, permc_spec=SPARSE_ORDERING)
         # SuperLU moves column i to position perm_c[i]
-        return np.argsort(lu.perm_c), lu.nnz / self.n
-
-    @property
-    def ordering(self):
-        return self.pattern_lu[0]
+        return np.argsort(scipy.sparse.linalg.spilu(
+            A, drop_tol=1, fill_factor=1, permc_spec=SPARSE_ORDERING).perm_c)
 
     def combine(self, w):
         """``sum_i w[i] E_i``; sparse if every ``E_i`` is sparse."""

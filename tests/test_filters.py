@@ -22,8 +22,7 @@ from nepsolve import (DegreeSpec, PoleHitError, Region,
                       time_delay2)
 from nepsolve.eigensolve import refine_eigenvectors
 from nepsolve.filters import SUBSPACE_START, _factor_poles
-from nepsolve.pencil import (SPARSE_ORDERING, BlockLU, SingularShiftError, assemble,
-                             block_lu)
+from nepsolve.pencil import BlockLU, SingularShiftError, assemble, block_lu
 from util import coeff_poly, match_sets, random_poly
 
 
@@ -537,37 +536,41 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
         made.append(None)  # list.append: the poles are factored on workers
         return NoCopies(splu(*args, **kwargs))
 
-    nep, pencil = small_sparse
-    pencil.poly.pattern_lu  # the ordering's LU of the pattern is no pole factor
     monkeypatch.setattr(spla, "splu", proxy)
+    nep, pencil = small_sparse
     result = sif(pencil, nep, nep.region, SIFConfig(seed=1))
-    assert result.converged and len(made) == result.factorizations == 8
+    # every E_i is sparse: k = 8, so 4 paired poles are factored
+    assert result.converged and len(made) == result.factorizations == 4
     lam = np.array([p.lam for p in result.eigenpairs])
     V = refine_eigenvectors(pencil, lam, np.ones((pencil.n, lam.size)))
-    assert len(made) > 8 and np.isfinite(V).all()
+    assert len(made) > 4 and np.isfinite(V).all()
     assert touched == []
 
 
 def test_pole_factors_reuse_the_polynomial_ordering(small_sparse, monkeypatch):
-    # the sparse ordering is computed once, on the calling thread, before the
-    # workers start; every pole LU factors P(s_j) already in that order
+    # the sparse ordering is computed once, before the workers start; every
+    # pole LU factors P(s_j) already in that order
     import scipy.sparse.linalg as spla
 
-    splu = spla.splu
-    calls = []
+    splu, spilu = spla.splu, spla.spilu
+    specs, orderings = [], []
 
     def recorded(A, permc_spec=None, **kwargs):
-        # list.append: the poles are factored on workers
-        calls.append((permc_spec, threading.current_thread()))
+        specs.append(permc_spec)  # list.append: the poles are factored on workers
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    def ordered(*args, **kwargs):
+        orderings.append(threading.current_thread())
+        return spilu(*args, **kwargs)
+
     monkeypatch.setattr(spla, "splu", recorded)
+    monkeypatch.setattr(spla, "spilu", ordered)
     nep, pencil = small_sparse
-    pencil.poly.__dict__.pop("pattern_lu", None)  # a fresh cache
+    pencil.poly.__dict__.pop("ordering", None)  # a fresh cache
     result = sif(pencil, nep, nep.region, SIFConfig(seed=1))
-    assert result.converged and result.factorizations == 8
-    assert calls[0] == (SPARSE_ORDERING, threading.current_thread())
-    assert [spec for spec, _ in calls[1:]] == ["NATURAL"] * 8
+    assert result.converged and result.factorizations == 4  # k = 8, paired
+    assert specs == ["NATURAL"] * 4
+    assert orderings == [threading.current_thread()]
 
 
 def _wrap_poly_as_nep(P):
