@@ -1,8 +1,8 @@
 """Pipeline driver and command-line interface.
 
 ``run`` executes the full solve in stages: sample the region boundary,
-``_escalate`` the type (k, k) until the fit meets its target (giving up early
-on a degree whose dual bound shows it cannot), find the fit's poles and
+``_escalate`` the type (k, k) until the fit meets its target (skipping the
+degrees whose dual bound shows they cannot), find the fit's poles and
 zeros, linearize, choose and run the solver (``_solve_dense``: geev on the
 standard form, or QZ when that is ill conditioned; ``_solve_filter``: filtered
 subspace iteration until its pairs meet the a priori bound or stop
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import BreakdownError, build_basis
 from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
 from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
@@ -166,25 +166,45 @@ def _resolve_region(config, nep):
 
 
 def _escalate(samples, s, tol, last):
-    """The last fit, a record per degree tried (k = 1, 2, ...) and whether tol was met."""
-    escalation = []
-    # each degree's first sweep shares this nested basis, one column per degree
-    basis = build_basis(samples.nodes, 0)
-    for k in range(1, last + 1):
-        with np.errstate(over="ignore"):
-            basis = basis.extend(k)
-        if k > 1 and not np.isfinite(basis.k[-1]):
-            break  # degree k - 1, the last with finite k_j, is a fit miss
-        # every degree but the last may give up once it provably misses tol;
-        # the last never does, so a fit miss still reports its best fit
-        xi = lawson(samples, DegreeSpec((k,) * s, k),
-                    target=None if k == last else tol, basis=basis)
+    """The first fit of degree k <= last to meet tol (else the last), a record per
+    ``lawson`` call in the order made, and whether tol was met. One-sweep probes
+    bisect the degrees below ``last``; the walk starts past the highest ruled out.
+    """
+    escalation, shared = [], build_basis(samples.nodes, 0)
+
+    def fit(k, **kwargs):
+        nonlocal shared  # only extended: its prefix is build_basis at k, bit for bit
+        if k > shared.degree:
+            with np.errstate(over="ignore"):
+                shared = shared.extend(k)
+        basis = replace(shared, degree=k, H=shared.H[: k + 1, : k].copy(),
+                        Q=shared.Q[:, : k + 1].copy(), k=shared.k[: k + 1].copy())
+        if not np.isfinite(basis.k).all():
+            return None  # degree k - 1, the last with finite k_j, is a fit miss
+        xi = lawson(samples, DegreeSpec((k,) * s, k), basis=basis, **kwargs)
         # each step carries its proof: best error and largest dual bound
-        sqrt_e = float(np.sqrt(xi.e_max))
         escalation.append({"degree": k, "sweeps": xi.iterations,
-                           "stop_reason": xi.stop_reason, "sqrt_e": sqrt_e,
+                           "stop_reason": xi.stop_reason, "sqrt_e": float(np.sqrt(xi.e_max)),
                            "sqrt_d": float(np.sqrt(max(t.d_w for t in xi.trace)))})
-        if sqrt_e < tol:
+        return xi
+
+    xi, lo, hi = None, 0, last
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:  # lawson stops at sweep 1 whatever its budget, so a proof is final
+            probe = fit(mid, target=tol, max_iters=1)
+        except BreakdownError:
+            probe = None
+        if probe is not None and probe.stop_reason == "unreachable":
+            xi, lo = probe, mid  # no i <= mid meets tol: d(w) <= e*_mid <= e*_i
+        else:
+            hi = mid
+    # this walk reports what one from k = 1 would; the last degree never gives up
+    for k in range(lo + 1, last + 1):
+        if (step := fit(k, target=None if k == last else tol)) is None:
+            break
+        xi = step
+        if escalation[-1]["sqrt_e"] < tol:
             return xi, escalation, True
     return xi, escalation, False
 

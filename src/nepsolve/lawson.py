@@ -296,8 +296,8 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
     in a basis orthogonalized under the weights on the active nodes, rebuilt
     every ``REBASIS_EVERY`` sweeps and on every node drop, so the weighted QR
     factors stay well conditioned as the weights concentrate. The first sweep
-    runs in ``basis`` if given, ``build_basis(samples.nodes, spec.max_degree)``,
-    which the degree escalation extends once per degree and shares. At most
+    runs in ``basis`` if given, else ``build_basis(samples.nodes, spec.max_degree)``;
+    the degree escalation passes prefixes of one basis it only extends. At most
     ``max_iters`` sweeps run, one ``dual_value`` call each; running out is
     reported as ``stop_reason="budget"`` on the result, not as an error.
 

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nepsolve
 from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
@@ -192,6 +193,18 @@ def test_run_reports_reproducible(time_delay_report):
     assert a == b
 
 
+def _check_skipped_degrees_are_proven(escalation, degree, tol):
+    # every degree below the reported one was fitted, or lies at or below a
+    # listed fit that gave up with a dual bound over tol: type (j, j) lies in
+    # (i, i) for j <= i, so no such degree can meet tol
+    proven = max((step["degree"] for step in escalation
+                  if step["stop_reason"] == "unreachable" and step["sqrt_d"] > tol),
+                 default=0)
+    fitted = {step["degree"] for step in escalation}
+    assert all(j in fitted or j <= proven for j in range(1, degree))
+    assert escalation[-1]["degree"] == degree
+
+
 def _check_escalation_matches_full_fits(report):
     # giving up on degrees that cannot meet tol must not change what is
     # reported: compare with fitting every degree in full
@@ -209,7 +222,7 @@ def _check_escalation_matches_full_fits(report):
     assert fit.iterations == xi.iterations
     assert fit.stop_reason == xi.stop_reason
     escalation = report.escalation
-    assert [step["degree"] for step in escalation] == list(range(1, k + 1))
+    _check_skipped_degrees_are_proven(escalation, k, config.tol)
     assert escalation[-1] == {
         "degree": k, "sweeps": xi.iterations, "stop_reason": xi.stop_reason,
         "sqrt_e": np.sqrt(xi.e_max),
@@ -246,7 +259,7 @@ def test_escalation_matches_full_fits_on_benchmark_configs(
 
 
 @pytest.mark.parametrize("overrides", [
-    # the benchmark's example1_escalate: 28 degrees, one fit rebuilds its basis
+    # the benchmark's example1_escalate: 8 fits, the last at degree 28
     {},
     # a tiny half-disk, where the uniform basis at the cap degree (99)
     # overflows its leading coefficients
@@ -278,20 +291,25 @@ def test_escalation_extends_one_shared_basis_one_degree_at_a_time(monkeypatch,
     monkeypatch.setattr(importlib.import_module("nepsolve.lawson"), "build_basis",
                         rebuild)
     monkeypatch.setattr(cli, "lawson", fit)
-    config = {"problem": "example1", "nodes": 100, "tol": 1e-10, "max_degree": 30}
-    report = run(RunConfig(**{**config, **overrides}))
-    last = report.fit.degrees.denominator
-    tried = list(range(1, last + 1))
-    assert [step["degree"] for step in report.escalation] == tried
-    # one extension by one column per degree tried, after the degree-0 start
-    assert [(d0, d) for d0, d, rebuilt in calls if not rebuilt and d > d0] == \
-        [(k - 1, k) for k in tried]
-    # each degree's first sweep ran in the shared basis, grown to its degree
-    assert [b.degree for b in fit_bases] == tried
-    assert all(np.array_equal(a.Q, b.Q[:, : a.degree + 1])
-               for a, b in zip(fit_bases, fit_bases[1:]))
-    # no basis in the run, rebuilt or shared, went past the degree it stopped at
-    assert max(d for _, d, _ in calls) == last
+    config = RunConfig(**{"problem": "example1", "nodes": 100, "tol": 1e-10,
+                          "max_degree": 30, **overrides})
+    report = run(config)
+    _check_skipped_degrees_are_proven(report.escalation,
+                                      report.fit.degrees.denominator, config.tol)
+    assert [step["degree"] for step in report.escalation] == \
+        [b.degree for b in fit_bases]
+    # the shared basis grows only forward from degree 0, so each of its
+    # columns is built once
+    grown = [(d0, d) for d0, d, rebuilt in calls if not rebuilt and d > d0]
+    assert [d0 for d0, _ in grown] == [0] + [d for _, d in grown[:-1]]
+    # no basis in the run, rebuilt or shared, went past the escalation's cap
+    assert max(d for _, d, _ in calls) <= min(config.max_degree, (config.nodes - 2) // 2)
+    # each fit's first sweep ran in the shared basis's prefix at its degree,
+    # which is the basis built at that degree at once, bit for bit
+    for basis in fit_bases:
+        ref = build_basis(basis.nodes, basis.degree)
+        assert all(np.array_equal(getattr(basis, name), getattr(ref, name))
+                   for name in ("nodes", "H", "Q", "k", "weights"))
 
 
 def test_escalation_ends_before_the_leading_coefficients_overflow(monkeypatch):
@@ -309,10 +327,83 @@ def test_escalation_ends_before_the_leading_coefficients_overflow(monkeypatch):
                            half_disk=True, nodes=201, max_degree=99, tol=1e-17))
     assert report.exit_status == EXIT_FIT_MISS
     last = report.fit.degrees.denominator
-    assert [step["degree"] for step in report.escalation] == list(range(1, last + 1))
+    _check_skipped_degrees_are_proven(report.escalation, last, 1e-17)
     assert fit_bases[-1].degree == last and np.isfinite(fit_bases[-1].k).all()
     with np.errstate(over="ignore"):
         assert not np.isfinite(fit_bases[-1].extend(last + 1).k[-1])
+
+
+def test_a_probe_without_a_proof_never_fails_a_run(monkeypatch):
+    # time_delay2 meets tol at degree 10 after one-sweep probes at 12, 6, 9
+    # and 10; a basis that breaks down past degree 10 only stops the probe
+    # at 12 from proving anything, and the run reports what it reported
+    config = RunConfig(problem="time_delay2", nodes=50, tol=1e-7, max_degree=24)
+    plain = run(config)
+    assert plain.fit.degrees.denominator == 10
+    assert [step["degree"] for step in plain.escalation] == [12, 6, 9, 10, 10]
+    extend = VABasis.extend
+
+    def breaks_past_ten(basis, degree):
+        if degree > 10:
+            raise nepsolve.BreakdownError(f"planted breakdown at degree {degree}")
+        return extend(basis, degree)
+
+    monkeypatch.setattr(VABasis, "extend", breaks_past_ten)
+    patched = run(config)
+    assert [step["degree"] for step in patched.escalation] == [6, 9, 10, 10]
+    assert patched.escalation == plain.escalation[1:]
+    a, b = plain.to_json_dict(), patched.to_json_dict()
+    for doc in (a, b):
+        del doc["timings"], doc["approx"]["escalation"]
+    assert a == b
+    assert np.array_equal(patched.fit.denom_coeffs, plain.fit.denom_coeffs)
+    assert patched.exit_status == plain.exit_status == EXIT_OK
+
+
+def _linear_walk(samples, s, tol, last):
+    # the escalation before the probes: k = 1, 2, ... in one shared basis
+    # grown a column at a time, until a degree meets tol
+    basis = build_basis(samples.nodes, 0)
+    for k in range(1, last + 1):
+        with np.errstate(over="ignore"):
+            basis = basis.extend(k)
+        if k > 1 and not np.isfinite(basis.k[-1]):
+            break
+        xi = lawson(samples, DegreeSpec((k,) * s, k),
+                    target=None if k == last else tol, basis=basis)
+        if np.sqrt(xi.e_max) < tol:
+            return xi, True
+    return xi, False
+
+
+@pytest.fixture(scope="module")
+def small_hadeler_manifest(tmp_path_factory):
+    return save_manifest(hadeler(n=8), str(tmp_path_factory.mktemp("hadeler") / "h8.json"))
+
+
+@settings(max_examples=25, deadline=10000)
+@given(problem=st.sampled_from(["example1", "time_delay2", "hadeler"]),
+       nodes=st.integers(12, 60), tol=st.sampled_from([1e-3, 1e-5, 1e-7, 1e-9, 1e-11]),
+       max_degree=st.integers(1, 20), half_disk=st.booleans())
+def test_probed_escalation_reports_the_linear_walks_fit(
+        small_hadeler_manifest, problem, nodes, tol, max_degree, half_disk):
+    source = ({"manifest": small_hadeler_manifest} if problem == "hadeler"
+              else {"problem": problem})
+    config = RunConfig(nodes=nodes, tol=tol, max_degree=max_degree,
+                       half_disk=half_disk, **source)
+    report = run(config)
+    nep = cli._resolve_problem(config)
+    samples = SampleSet.from_nep(
+        nep, sample_boundary(cli._resolve_region(config, nep), nodes))
+    xi, met = _linear_walk(samples, nep.s, tol, min(max_degree, (nodes - 2) // 2))
+    assert report.fit_met_target == met
+    fit = report.fit
+    assert fit.degrees == xi.degrees
+    assert (fit.e_max, fit.gap, fit.stop_reason, fit.iterations) == \
+        (xi.e_max, xi.gap, xi.stop_reason, xi.iterations)
+    assert np.array_equal(fit.denom_coeffs, xi.denom_coeffs)
+    assert all(np.array_equal(a, b) for a, b in zip(fit.numer_coeffs, xi.numer_coeffs))
+    _check_skipped_degrees_are_proven(report.escalation, fit.degrees.denominator, tol)
 
 
 def test_config_validation():
@@ -441,14 +532,19 @@ def _load_tracer(monkeypatch):
     return tracer
 
 
-def test_report_dump_compare_matches_eigenvalues_as_sets(monkeypatch, tmp_path, capsys):
-    # tools/report_dump.py --compare pairs eigenvalues whatever their order,
-    # prints each differing path, and fails only on an exact value
+def _load_report_dump(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool extends it
     path = pathlib.Path(__file__).parents[1] / "tools" / "report_dump.py"
     spec = importlib.util.spec_from_file_location("report_dump", path)
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
+    return dump
+
+
+def test_report_dump_compare_matches_eigenvalues_as_sets(monkeypatch, tmp_path, capsys):
+    # tools/report_dump.py --compare pairs eigenvalues whatever their order,
+    # prints each differing path, and fails only on an exact value
+    dump = _load_report_dump(monkeypatch)
     rows = [{"re": 1.0, "im": 2.0, "residual": 1e-12},
             {"re": -1.0, "im": 0.5, "residual": 2e-12}]
     a = {"run": {"eigen": rows, "poles": [[0.5, 1.0], [3.0, 0.0]],
@@ -468,6 +564,22 @@ def test_report_dump_compare_matches_eigenvalues_as_sets(monkeypatch, tmp_path, 
     pb.write_text(json.dumps(b))
     assert dump.compare(pa, pb) == 1
     assert "run.solver.iterations: 2 != 3" in capsys.readouterr().out
+
+
+def test_report_dump_compare_prints_how_much_a_value_grew(monkeypatch, tmp_path, capsys):
+    # a relative difference cannot pass 1: a residual 400x larger also
+    # prints its growth factor, one under 2x does not
+    dump = _load_report_dump(monkeypatch)
+    a = {"run": {"residual": 5.0e-11, "bound": 4.0e-6, "tol": 1e-10}}
+    b = {"run": {"residual": 2.0e-8, "bound": 6.0e-6, "tol": 1e-10}}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert dump.compare(pa, pb) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "run.bound: max relative difference 3.333e-01 (max absolute 2.000e-06)",
+        "run.residual: max relative difference 9.975e-01 "
+        "(max absolute 1.995e-08, growth factor 4.0e+02)"]
 
 
 def test_tracer_targets_exist(monkeypatch):

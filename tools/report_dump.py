@@ -20,9 +20,11 @@ The second form compares two such files. Eigenvalues (``eigen`` rows by
 matched as sets, by a least-distance assignment; everything else by key or
 position. It prints each key path that differs, list positions shown as
 ``*``: for numbers the largest relative and absolute differences (of
-``|lam_a - lam_b|`` for a matched eigenvalue), for anything else both
-values. A key present on one side only is printed as such. It exits 1 when
-an int, str, bool or ``None``, or a list length, differs, and 0 otherwise.
+``|lam_a - lam_b|`` for a matched eigenvalue) and, where two values differ
+by more than 2x, the largest growth factor ``max(|a|, |b|) / min(|a|, |b|)``;
+for anything else both values. A key present on one side only is printed as
+such. It exits 1 when an int, str, bool or ``None``, or a list length,
+differs, and 0 otherwise.
 """
 
 import json
@@ -109,13 +111,16 @@ def _point(item):
 
 
 def _note(floats, key, a, b):
-    """Keep the largest relative and absolute difference seen under ``key``."""
+    """Keep the largest relative and absolute difference and growth under ``key``."""
     if a == b or (a != a and b != b):  # equal, or both nan
-        diff = (0.0, 0.0)
+        diff = (0.0, 0.0, 1.0)
     else:
-        diff = (abs(a - b) / max(abs(a), abs(b)), abs(a - b))
-    old = floats.get(key, (0.0, 0.0))
-    floats[key] = (max(old[0], diff[0]), max(old[1], diff[1]))
+        # the relative difference cannot pass 1, so the growth factor
+        # max/min is kept beside it to tell 3x from 400x
+        big, small = max(abs(a), abs(b)), min(abs(a), abs(b))
+        diff = (abs(a - b) / big, abs(a - b), big / small if small else np.inf)
+    old = floats.get(key, (0.0, 0.0, 1.0))
+    floats[key] = tuple(map(max, old, diff))
 
 
 def _walk(a, b, path, floats, exact):
@@ -159,10 +164,11 @@ def compare(path_a, path_b):
     _walk(a, b, "", floats, exact)
     for key, what, _ in sorted(exact):
         print(f"{key[1:]}: {what}")
-    for key, (rel, absolute) in sorted(floats.items()):
+    for key, (rel, absolute, growth) in sorted(floats.items()):
         if rel:
+            grew = f", growth factor {growth:.1e}" if growth > 2 else ""
             print(f"{key[1:]}: max relative difference {rel:.3e} "
-                  f"(max absolute {absolute:.3e})")
+                  f"(max absolute {absolute:.3e}{grew})")
     return int(any(fails for *_, fails in exact))
 
 
