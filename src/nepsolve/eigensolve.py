@@ -15,6 +15,9 @@ __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
 # reciprocal condition number 1 / (||K||_1 ||K^{-1}||_1) is at least this; a
 # worse-conditioned or singular corner sends the pencil to QZ
 STANDARD_FORM_RCOND = 1e-4
+# inverse iteration keeps its second iterate unless ||P(lam) x|| grew more
+# than this in the second step; within it both are at rounding level
+SECOND_STEP_GROWTH = 10.0
 
 
 class EigensolverError(Exception):
@@ -119,11 +122,16 @@ def solve_pencil_dense(pencil, region=None):
 def refine_eigenvectors(pencil, lam, U):
     """Pencil eigenvectors for the eigenvalues ``lam`` by inverse iteration.
 
-    ``P(lam[i])`` is factored once (SuperLU when it is sparse, an inverse
-    otherwise, as :class:`~nepsolve.pencil.BlockLU` factors it) and
-    ``x <- P(lam[i])^{-1} x / ||x||`` runs twice from ``x = U[:, i]``;
-    column i of the result is the unit ``theta(lam[i])[:gamma] (x) x`` the
-    linearization prescribes. An exactly singular ``P(lam[i])`` or a
+    ``P(lam[i])`` is factored once (SuperLU's LU without the entries below
+    unit roundoff when it is sparse, an inverse otherwise, as
+    :class:`~nepsolve.pencil.BlockLU` factors it) and
+    ``x <- P(lam[i])^{-1} x / ||x||`` runs twice from ``x = U[:, i]``. The
+    second iterate is kept unless its ``||P(lam[i]) x||`` is more than
+    ``SECOND_STEP_GROWTH`` times the first's: once ``x`` is the right null
+    vector, its component along the left one, which the step amplifies, can
+    be small, and the step then turns ``x`` away. Column i of the result is
+    the unit ``theta(lam[i])[:gamma] (x) u`` the linearization prescribes,
+    ``u`` the kept iterate. An exactly singular ``P(lam[i])`` or a
     non-finite step gives the SVD null vector instead. On a real pencil
     ``P(conj lam) = conj P(lam)``, so an eigenvalue that is the conjugate of
     the previous one (geev's order for a pair) takes the conjugate of its
@@ -137,7 +145,7 @@ def refine_eigenvectors(pencil, lam, U):
             continue
         M = pencil.poly(lam[i])
         solve = _factor_p(M, pencil.poly.ordering)
-        x = U[:, i]
+        x, u, best = U[:, i], None, np.inf
         for _ in range(2 if solve else 0):
             y = solve(x)
             ny = np.linalg.norm(y)
@@ -145,9 +153,12 @@ def refine_eigenvectors(pencil, lam, U):
                 solve = None
                 break
             x = y / ny
+            r = np.linalg.norm(M @ x)
+            if r <= SECOND_STEP_GROWTH * best:
+                u, best = x, r
         if solve is None:
-            x = _null_vector(M)
-        v = np.kron(theta[i], x)
+            u = _null_vector(M)
+        v = np.kron(theta[i], u)
         V[:, i] = v / np.linalg.norm(v)
     return V
 

@@ -239,7 +239,8 @@ class SIFResult:
 
 def _orth(U):
     # thin QR without pivoting; columns with negligible diagonal are dropped
-    Q, R = np.linalg.qr(U)
+    import scipy.linalg
+    Q, R = scipy.linalg.qr(U, mode="economic", check_finite=False)
     diag = np.abs(np.diag(R))
     keep = diag > 1e-12 * diag.max() if diag.max() > 0 else diag > 0
     return Q[:, keep]

@@ -37,12 +37,18 @@ TRIM_RTOL = 1e-14
 DENSE_DIM_LIMIT = 5000
 # SuperLU column ordering for a sparse P(mu): minimum degree on the pattern of
 # A + A^T. P(mu) is structurally near-symmetric, and on the n=1000
-# tridiagonal-plus-random criterion-7 family this keeps nnz(L+U) per pole at
-# about 281k-289k where the default COLAMD gives 472k-500k (SciPy 1.17.1),
-# halving factor and solve time. It is computed once per polynomial
+# tridiagonal-plus-random criterion-7 family this keeps the exact LU of a
+# pole at about 274k-289k entries where the default COLAMD gives 472k-500k
+# (SciPy 1.17.1), halving factor and solve time; DROP_TOL then keeps
+# 103k-119k of them. It is computed once per polynomial
 # (MatrixPolynomial.ordering): inside each LU it would take about 40% of the
 # time. Pivoting is unchanged.
 SPARSE_ORDERING = "MMD_AT_PLUS_A"
+# unit roundoff: a sparse P(mu)'s LU drops each entry of L and U below this
+# times the largest entry of its column of P(mu), so what it drops is below
+# the rounding error of the entries it keeps, and the factor stays exact to
+# rounding (README)
+DROP_TOL = 2.0 ** -53
 # P(mu) is singular where a seeded solve P x = b gives ||P||_1 ||x||_1 / ||b||_1 >= this
 SINGULAR_COND = 1e14
 # poly_roots runs QZ, not geev, where |corner| <= this * max|bottom row| (README)
@@ -128,14 +134,15 @@ class MatrixPolynomial:
         theta = eval_basis(self.basis, [x])[0]
         return self.combine(self.table @ theta[: self.degree + 1])
 
-    def trimmed(self):
-        """Drop trailing coefficients ``A_j`` that are negligible in Frobenius norm."""
+    def trimmed(self, min_degree=0):
+        """Drop trailing coefficients ``A_j`` that are negligible in Frobenius
+        norm, down to degree ``min_degree`` at the lowest."""
         norms = [_fro(self.combine(a)) for a in self.table.T]
         top = max(norms)
         if top == 0.0:
             raise ValueError("all coefficients vanish")
         deg = self.degree
-        while deg > 0 and norms[deg] < TRIM_RTOL * top:
+        while deg > min_degree and norms[deg] < TRIM_RTOL * top:
             deg -= 1
         return MatrixPolynomial(self.mats, self.table[:, : deg + 1], self.basis)
 
@@ -271,9 +278,10 @@ class StructuredPencil:
 
 
 def build_pencil(P, trim=True):
-    """Linearize a matrix polynomial; trailing negligible coefficients are dropped."""
+    """Linearize a matrix polynomial; trailing negligible coefficients are
+    dropped down to degree 1, so a negligible ``A_1`` stays in the corner."""
     if trim:
-        P = P.trimmed()
+        P = P.trimmed(min_degree=1)
     return StructuredPencil(P)
 
 
@@ -377,17 +385,22 @@ def _factor_p(M, order):
     """The solve ``b -> P^{-1} b`` of an LU of ``P`` at a point, or ``None``.
 
     A sparse ``M`` goes to SuperLU as ``M[order][:, order]``, ``order`` its
-    polynomial's ``ordering``, so it is not ordered again; a dense one to
-    ``numpy.linalg.inv``, so each solve is one product. An exactly zero
-    pivot gives ``None`` and no warning. SuperLU's ``L`` and ``U`` are never
-    read: SciPy would build CSC copies of both and keep them as long as the
-    factor lives.
+    polynomial's ``ordering``, so it is not ordered again. SuperLU's
+    threshold LU (``spilu``) factors it with splu's partial pivoting
+    (``diag_pivot_thresh=1``) and drops only the entries below ``DROP_TOL``
+    (``drop_rule="basic"``: the default rule also drops by a fill budget,
+    which is not exact). A dense ``M`` goes to ``numpy.linalg.inv``, so each
+    solve is one product. An exactly zero pivot gives ``None`` and no
+    warning. SuperLU's ``L`` and ``U`` are never read: SciPy would build CSC
+    copies of both and keep them as long as the factor lives.
     """
     if _issparse(M):
         import scipy.sparse.linalg as spla
         back = np.argsort(order)
         try:
-            lu = spla.splu(M.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
+            lu = spla.spilu(M.tocsr()[order][:, order].tocsc(), drop_tol=DROP_TOL,
+                            drop_rule="basic", permc_spec="NATURAL",
+                            diag_pivot_thresh=1.0)
         except RuntimeError:  # SuperLU met an exactly zero pivot
             return None
         return lambda b: lu.solve(b[order])[back]  # holds no copy of M

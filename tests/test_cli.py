@@ -521,6 +521,23 @@ def test_main_stdout_json(capsys):
     assert doc["problem"] == "time_delay2"
 
 
+@pytest.mark.parametrize("solver", ["dense", "filter"])
+def test_degree_one_fit_with_a_negligible_leading_coefficient_is_a_fit_miss(
+        solver, capsys):
+    # the degree-1 fit misses tol and its A_1 is below TRIM_RTOL of A_0: the
+    # pencil keeps degree 1, so the run reports the miss (exit 2) and does not
+    # reject its input (exit 1) with "constant polynomial has no pencil"
+    status = main(["--problem", "example1", "--nodes", "10", "--tol", "1e-2",
+                   "--max-degree", "1", "--solver", solver])
+    captured = capsys.readouterr()
+    assert status == EXIT_FIT_MISS and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["approx"]["degree"] == 1 and not doc["approx"]["met_target"]
+    assert doc["approx"]["sqrt_e"] > 1e-2
+    assert doc["solver"]["kind"] == solver and doc["solver"]["converged"]
+    assert doc["eigen"] == []
+
+
 def _load_tracer(monkeypatch):
     # the benchmark's tracer, loaded from its file as the benchmark runs it
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -580,6 +597,38 @@ def test_report_dump_compare_prints_how_much_a_value_grew(monkeypatch, tmp_path,
         "run.bound: max relative difference 3.333e-01 (max absolute 2.000e-06)",
         "run.residual: max relative difference 9.975e-01 "
         "(max absolute 1.995e-08, growth factor 4.0e+02)"]
+
+
+def test_report_dump_compare_prints_differing_degree_sequences_once(
+        monkeypatch, tmp_path, capsys):
+    # two escalations of one length but other degrees are not compared by
+    # position (which would set degree 4's fields against degree 1's): one
+    # exact line prints both sequences; equal sequences compare by position
+    dump = _load_report_dump(monkeypatch)
+
+    def steps(degrees, sqrt_d):
+        return [{"degree": k, "stop_reason": "gap", "sqrt_d": sqrt_d * k}
+                for k in degrees]
+
+    a = {"run": {"escalation": steps([4, 2, 3], 1e-3), "tol": 1e-10}}
+    b = {"run": {"escalation": steps([1, 2, 3], 1e-3), "tol": 1e-10}}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert dump.compare(pa, pb) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "run.escalation[*].degree: [4, 2, 3] != [1, 2, 3]"]
+    b["run"]["escalation"] = steps([4, 2], 1e-3)
+    pb.write_text(json.dumps(b))
+    assert dump.compare(pa, pb) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "run.escalation[*].degree: [4, 2, 3] != [4, 2]"]
+    b["run"]["escalation"] = steps([4, 2, 3], 2e-3)
+    pb.write_text(json.dumps(b))
+    assert dump.compare(pa, pb) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "run.escalation[*].sqrt_d: max relative difference 5.000e-01 "
+        "(max absolute 4.000e-03)"]
 
 
 def test_tracer_targets_exist(monkeypatch):

@@ -358,6 +358,24 @@ def test_solve_pencil_dense_in_region_property(case):
         assert np.linalg.norm(P(lam[i]) @ u) <= 1e-10 * scale * np.linalg.norm(u)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_refine_eigenvectors_keeps_the_better_iterate(sparse):
+    # at x = H[0, 0] the basis gives theta_1 = 0 exactly, so P = [[0, 1],
+    # [1e-14, 0]] there: its right null vector e_1 is orthogonal to its left
+    # one e_2, so a second step from near e_1 turns back toward (1, 1), with
+    # an O(1) residual; the first iterate, near e_1, is kept
+    basis = build_basis(np.linspace(-1.0, 1.0, 6), 1)
+    coeffs = [np.array([[0.0, 1.0], [1e-14, 0.0]]), np.eye(2)]
+    if sparse:
+        coeffs = [scipy.sparse.csr_matrix(A) for A in coeffs]
+    P = coeff_poly(coeffs, basis)
+    lam = np.array([basis.H[0, 0]], dtype=complex)
+    V = eigensolve.refine_eigenvectors(build_pencil(P, trim=False), lam,
+                                       np.ones((2, 1)))
+    u = V[:2, 0]
+    assert np.linalg.norm(P(lam[0]) @ u) <= 1e-13 * np.linalg.norm(u)
+
+
 def test_in_region_predicate():
     region = Region(1.0 + 2.0j, 2.0)
     assert region.contains(1.0 + 2.0j)

@@ -22,7 +22,8 @@ from nepsolve import (DegreeSpec, PoleHitError, Region,
                       time_delay2)
 from nepsolve.eigensolve import refine_eigenvectors
 from nepsolve.filters import SUBSPACE_START, _factor_poles
-from nepsolve.pencil import BlockLU, SingularShiftError, assemble, block_lu
+from nepsolve.pencil import (SPARSE_ORDERING, BlockLU, SingularShiftError, assemble,
+                             block_lu)
 from util import coeff_poly, match_sets, random_poly
 
 
@@ -519,7 +520,7 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
     # nor refine_eigenvectors' may ask for them
     import scipy.sparse.linalg as spla
 
-    splu = spla.splu
+    spilu = spla.spilu
     made, touched = [], []
 
     class NoCopies:
@@ -532,11 +533,12 @@ def test_pole_factors_never_read_superlu_l_or_u(small_sparse, monkeypatch):
                 raise AssertionError(f"SuperLU.{name} read")
             return getattr(self._lu, name)
 
-    def proxy(*args, **kwargs):
-        made.append(None)  # list.append: the poles are factored on workers
-        return NoCopies(splu(*args, **kwargs))
+    def proxy(A, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL":  # a factor, not the ordering's ILU
+            made.append(None)  # list.append: the poles are factored on workers
+        return NoCopies(spilu(A, permc_spec=permc_spec, **kwargs))
 
-    monkeypatch.setattr(spla, "splu", proxy)
+    monkeypatch.setattr(spla, "spilu", proxy)
     nep, pencil = small_sparse
     result = sif(pencil, nep, nep.region, SIFConfig(seed=1))
     # every E_i is sparse: k = 8, so 4 paired poles are factored
@@ -552,19 +554,17 @@ def test_pole_factors_reuse_the_polynomial_ordering(small_sparse, monkeypatch):
     # pole LU factors P(s_j) already in that order
     import scipy.sparse.linalg as spla
 
-    splu, spilu = spla.splu, spla.spilu
+    spilu = spla.spilu
     specs, orderings = [], []
 
     def recorded(A, permc_spec=None, **kwargs):
-        specs.append(permc_spec)  # list.append: the poles are factored on workers
-        return splu(A, permc_spec=permc_spec, **kwargs)
+        if permc_spec == SPARSE_ORDERING:
+            orderings.append(threading.current_thread())
+        else:
+            specs.append(permc_spec)  # list.append: the poles are factored on workers
+        return spilu(A, permc_spec=permc_spec, **kwargs)
 
-    def ordered(*args, **kwargs):
-        orderings.append(threading.current_thread())
-        return spilu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", recorded)
-    monkeypatch.setattr(spla, "spilu", ordered)
+    monkeypatch.setattr(spla, "spilu", recorded)
     nep, pencil = small_sparse
     pencil.poly.__dict__.pop("ordering", None)  # a fresh cache
     result = sif(pencil, nep, nep.region, SIFConfig(seed=1))

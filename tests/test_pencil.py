@@ -111,6 +111,10 @@ def test_trailing_negligible_coefficients_trimmed():
     pencil = build_pencil(P)
     assert pencil.gamma == 3
     assert pencil.dim == 9
+    # never below degree 1: a negligible A_1 stays in C1's corner
+    P = random_poly(rng, 3, 1)
+    P.mats[1] = P.mats[1] * 1e-30
+    assert build_pencil(P).gamma == 1
 
 
 def test_hadeler_pencil_dimension(hadeler_bundle):
@@ -484,6 +488,8 @@ def test_exactly_singular_shift_raises(sparse):
     if not sparse:
         coeffs = [A.toarray() for A in coeffs]
     pencil = build_pencil(coeff_poly(coeffs, basis), trim=False)
+    # the factorization itself meets the zero pivot, not the condition check
+    assert _factor_p(pencil.poly(1.5 + 0.5j), pencil.poly.ordering) is None
     with pytest.raises(SingularShiftError):
         BlockLU(pencil, 1.5 + 0.5j)
     with pytest.raises(SingularShiftError):
@@ -535,6 +541,38 @@ def test_shared_ordering_matches_a_per_call_ordering(case):
     want = spla.splu(M.tocsc(), permc_spec=SPARSE_ORDERING).solve(b)
     got = _factor_p(M, P.ordering)(b)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_sparse_pole_factor_keeps_under_half_of_the_exact_lu(monkeypatch):
+    # on the n=1000 criterion-7 problem more than half of an exact LU of
+    # P(s_j) at the filter's poles lies below unit roundoff: the factor drops
+    # it and still solves as the exact LU in the same ordering does
+    from nepsolve import DegreeSpec, SampleSet, lawson, sample_boundary
+    from nepsolve.filters import quadrature
+    from test_acceptance import _synthetic_sparse_nep
+
+    nep = _synthetic_sparse_nep()
+    region, n = nep.region, nep.n
+    samples = SampleSet.from_nep(nep, sample_boundary(region, 60))
+    pencil = build_pencil(assemble(lawson(samples, DegreeSpec((8,) * 4, 8)), nep))
+    order = pencil.poly.ordering  # made here, before spilu is recorded
+    back = np.argsort(order)
+    spilu, made = spla.spilu, []
+
+    def recorded(*args, **kwargs):
+        made.append(spilu(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "spilu", recorded)
+    b = np.random.default_rng(0).standard_normal((n, 4))
+    for s in quadrature(region.center, region.radius, 8).poles[:4]:
+        M = pencil.poly(s)
+        solve = _factor_p(M, order)
+        exact = spla.splu(M.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
+        assert made[-1].nnz <= exact.nnz / 2
+        want = exact.solve(b[order])[back]
+        assert np.linalg.norm(solve(b) - want) <= 1e-14 * np.linalg.norm(want)
+    assert len(made) == 4
 
 
 def test_ordering_only_for_all_sparse_matrices():

@@ -17,14 +17,17 @@ with the one from the change.
 
 The second form compares two such files. Eigenvalues (``eigen`` rows by
 ``re + i im``, and ``[re, im]`` lists such as ``poles`` and ``zeros``) are
-matched as sets, by a least-distance assignment; everything else by key or
-position. It prints each key path that differs, list positions shown as
-``*``: for numbers the largest relative and absolute differences (of
-``|lam_a - lam_b|`` for a matched eigenvalue) and, where two values differ
+matched as sets, by a least-distance assignment. Lists of records that all
+carry a ``degree`` (such as ``approx.escalation``) are compared by position
+only where their degree sequences agree; where they do not, one line prints
+both sequences. Everything else is compared by key or position. It prints
+each key path that differs, list positions shown as ``*``: for numbers the
+largest relative and absolute differences (of ``|lam_a - lam_b|`` for a
+matched eigenvalue) and, where two values differ
 by more than 2x, the largest growth factor ``max(|a|, |b|) / min(|a|, |b|)``;
 for anything else both values. A key present on one side only is printed as
-such. It exits 1 when an int, str, bool or ``None``, or a list length,
-differs, and 0 otherwise.
+such. It exits 1 when an int, str, bool or ``None``, a list length or a
+degree sequence differs, and 0 otherwise.
 """
 
 import json
@@ -123,6 +126,13 @@ def _note(floats, key, a, b):
     floats[key] = tuple(map(max, old, diff))
 
 
+def _degrees(records):
+    """The ``degree`` of each item of a list of dicts that all have one, or None."""
+    if records and all(isinstance(x, dict) and "degree" in x for x in records):
+        return [x["degree"] for x in records]
+    return None
+
+
 def _walk(a, b, path, floats, exact):
     if isinstance(a, dict) and isinstance(b, dict):
         for key in a.keys() | b.keys():
@@ -132,6 +142,11 @@ def _walk(a, b, path, floats, exact):
             else:
                 _walk(a[key], b[key], f"{path}.{key}", floats, exact)
     elif isinstance(a, list) and isinstance(b, list):
+        da, db = _degrees(a), _degrees(b)
+        if da is not None and db is not None and da != db:
+            # records of different degrees do not compare by position
+            exact.append((f"{path}[*].degree", f"{da} != {db}", True))
+            return
         if len(a) != len(b):
             exact.append((f"{path}.length", f"{len(a)} != {len(b)}", True))
             return
