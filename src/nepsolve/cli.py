@@ -50,7 +50,7 @@ class RunConfig:
     tol: float = 1e-10
     max_degree: int = 30
     solver: str = "auto"
-    subspace: int = None
+    subspace: int = SUBSPACE_START
     seed: int = 0
     out: str = None
 
@@ -60,19 +60,15 @@ class RunConfig:
         # written so that nan fails too
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.half_disk, bool):
-            raise ValueError(f"half_disk must be True or False, got {self.half_disk!r}")
         # Region checks the overrides here, before the problem is resolved
         Region(0j if self.center is None else self.center,
-               1.0 if self.radius is None else self.radius)
+               1.0 if self.radius is None else self.radius, self.half_disk)
         if self.solver not in ("auto", "dense", "filter"):
             raise ValueError(f"unknown solver {self.solver!r}")
         # a (k, k) fit needs 2k + 2 nodes, so the smallest, (1, 1), needs 4;
         # a float count would sample off the circle; bool is an int subclass
         for name, low in (("nodes", 4), ("max_degree", 1), ("subspace", 1), ("seed", 0)):
             val = getattr(self, name)
-            if val is None and name == "subspace":
-                continue
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
             if val < low:
@@ -166,21 +162,24 @@ def _resolve_region(config, nep):
 
 
 def _escalate(samples, s, tol, last):
-    """The first fit of degree k <= last to meet tol (else the last), a record per
-    ``lawson`` call in the order made, and whether tol was met. One-sweep probes
-    bisect the degrees below ``last``; the walk starts past the highest ruled out.
-    """
+    """The first fit of degree k <= last to meet tol (else the last the nodes can
+    carry), a record per ``lawson`` call in the order made, and whether tol was met.
+    One-sweep probes bisect the degrees below ``last``; the walk starts past the
+    highest ruled out."""
     escalation, shared = [], build_basis(samples.nodes, 0)
 
     def fit(k, **kwargs):
         nonlocal shared  # only extended: its prefix is build_basis at k, bit for bit
-        if k > shared.degree:
-            with np.errstate(over="ignore"):
-                shared = shared.extend(k)
+        try:
+            if k > shared.degree:
+                with np.errstate(over="ignore"):
+                    shared = shared.extend(k)
+        except BreakdownError:
+            return None  # the nodes cannot carry degree k
         basis = replace(shared, degree=k, H=shared.H[: k + 1, : k].copy(),
                         Q=shared.Q[:, : k + 1].copy(), k=shared.k[: k + 1].copy())
         if not np.isfinite(basis.k).all():
-            return None  # degree k - 1, the last with finite k_j, is a fit miss
+            return None
         xi = lawson(samples, DegreeSpec((k,) * s, k), basis=basis, **kwargs)
         # each step carries its proof: best error and largest dual bound
         escalation.append({"degree": k, "sweeps": xi.iterations,
@@ -191,21 +190,21 @@ def _escalate(samples, s, tol, last):
     xi, lo, hi = None, 0, last
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:  # lawson stops at sweep 1 whatever its budget, so a proof is final
-            probe = fit(mid, target=tol, max_iters=1)
-        except BreakdownError:
-            probe = None
+        probe = fit(mid, target=tol, max_iters=1)  # a proof at sweep 1 is final
         if probe is not None and probe.stop_reason == "unreachable":
             xi, lo = probe, mid  # no i <= mid meets tol: d(w) <= e*_mid <= e*_i
         else:
             hi = mid
-    # this walk reports what one from k = 1 would; the last degree never gives up
+    # this walk reports what one from k = 1 would; the last degree never gives up,
+    # and the degree before the first the nodes cannot carry is a fit miss
     for k in range(lo + 1, last + 1):
         if (step := fit(k, target=None if k == last else tol)) is None:
             break
         xi = step
         if escalation[-1]["sqrt_e"] < tol:
             return xi, escalation, True
+    if xi is None:
+        raise ValueError(f"the {samples.m} boundary nodes cannot carry a fit of degree 1")
     return xi, escalation, False
 
 
@@ -304,9 +303,15 @@ def _parse_complex(text):
     return complex(float(re), float(im) if im else 0.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line and exit 1, as for any other rejected input; 2 is a fit miss
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
     # defaults are read from RunConfig so that each is stated once
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nepsolve",
         description="Solve a nonlinear eigenvalue problem on a disk (or "
                     "half-disk) by rational minimax fitting and linearization.")
@@ -327,9 +332,9 @@ def build_parser():
                         metavar="D", help="degree escalation cap (default %(default)s)")
     parser.add_argument("--solver", choices=("auto", "dense", "filter"),
                         default=RunConfig.solver)
-    parser.add_argument("--subspace", type=int, metavar="N",
+    parser.add_argument("--subspace", type=int, default=RunConfig.subspace, metavar="N",
                         help="start the filter block at N columns; it grows with "
-                             f"the in-region Ritz count (default {SUBSPACE_START})")
+                             "the in-region Ritz count (default %(default)s)")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: print to stdout)")

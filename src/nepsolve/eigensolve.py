@@ -5,15 +5,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import eval_basis
-from .pencil import _dense, _factor_p
+from .pencil import ROOTS_QZ_RATIO, _dense, _factor_p
 
 __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
            "pole_free_check"]
 
 # the corner K of C1 is inverted to give a standard eigenproblem when its
-# reciprocal condition number 1 / (||K||_1 ||K^{-1}||_1) is at least this; a
-# worse-conditioned or singular corner sends the pencil to QZ
+# reciprocal condition number 1 / (||K||_1 ||K^{-1}||_1) is at least this and
+# K is not negligible (ROOTS_QZ_RATIO); any other corner sends the pencil to QZ
 STANDARD_FORM_RCOND = 1e-4
 # inverse iteration keeps its second iterate unless ||P(lam) x|| grew more
 # than this in the second step; within it both are at rounding level
@@ -79,8 +79,10 @@ def solve_pencil_dense(pencil, region=None):
 
     ``C1 = diag(I, K)`` differs from the identity only in its corner
     ``K = k_gamma A_gamma``. When ``K`` is well conditioned
-    (``rcond(K) >= STANDARD_FORM_RCOND``) the bottom block row of ``C0`` is
-    multiplied by ``K^{-1}`` and geev solves the standard problem
+    (``rcond(K) >= STANDARD_FORM_RCOND``) and not negligible (``max|K|``
+    above ``ROOTS_QZ_RATIO`` times the largest entry of ``C0``'s bottom block
+    row, the cut of :func:`~nepsolve.pencil.poly_roots`) the bottom block row
+    of ``C0`` is multiplied by ``K^{-1}`` and geev solves the standard problem
     ``C1^{-1} C0``; otherwise the pencil is materialized, its bottom block row
     is equilibrated and QZ solves it. Either solver gives eigenvalues only.
     Those inside the ``region`` are kept, or without one those with
@@ -95,7 +97,8 @@ def solve_pencil_dense(pencil, region=None):
         rcond = float(1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(Kinv, 1)))
     except np.linalg.LinAlgError:  # an exactly zero pivot
         rcond = 0.0
-    if not rcond >= STANDARD_FORM_RCOND:
+    if not rcond >= STANDARD_FORM_RCOND or np.abs(K).max() <= ROOTS_QZ_RATIO * max(
+            abs(B).max() for B in pencil._bottom()):
         C0, C1 = pencil.materialize(force=True)
         c = pencil.equilibration_scale()
         C0[split:] *= c

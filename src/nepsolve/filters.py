@@ -35,7 +35,7 @@ __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError"
            "quadrature", "scalar_filter", "shift_invert", "apply_filter", "sif",
            "SUBSPACE_START"]
 
-# a filter block of unspecified width starts with this many columns (see sif)
+# the filter block's default starting width (see sif)
 SUBSPACE_START = 16
 
 
@@ -175,16 +175,16 @@ def _factor_poles(pencil, rule):
 class SIFConfig:
     """Subspace-iteration parameters: block width, quadrature, thresholds.
 
-    ``subspace`` is the width the block starts at; the default, ``None``,
-    reads ``SUBSPACE_START``. :func:`sif` caps it at the pencil's dimension
-    and grows it from the Ritz count. ``quad_order``, the pole count, is 8 for
-    ``None`` if every ``E_i`` is sparse, else 16 (measured in the README).
+    ``subspace`` is the width the block starts at. :func:`sif` caps it at the
+    pencil's dimension and grows it from the Ritz count. ``quad_order``, the
+    pole count, is 8 for ``None`` if every ``E_i`` is sparse, else 16
+    (measured in the README).
     ``tol_residual`` is the scale-free residual target of every in-region pair
     (``run`` lowers it to the report's bound over ``|c| + r``); ``tol_ghost``
     marks a ghost.
     """
 
-    subspace: int = None
+    subspace: int = SUBSPACE_START
     quad_order: int = None
     tol_residual: float = 1e-4
     tol_ghost: float = 1e-2
@@ -192,8 +192,6 @@ class SIFConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.subspace is None:
-            object.__setattr__(self, "subspace", SUBSPACE_START)
         if self.subspace < 1:
             raise ValueError("subspace must have at least one column")
         if self.max_iters < 1:

@@ -92,6 +92,10 @@ class SampleSet:
         values = np.atleast_2d(np.asarray(self.values, dtype=complex))
         if values.shape[0] != nodes.size:
             raise ValueError("values must have one row per node")
+        if not np.isfinite(values).all():
+            node, col = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(f"term t{col + 1} is not finite at node {node}, "
+                             f"x = {nodes[node]}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -106,7 +110,9 @@ class SampleSet:
     @classmethod
     def from_nep(cls, nep, nodes):
         nodes = np.asarray(nodes, dtype=complex).ravel()
-        return cls(nodes=nodes, values=nep.t_values(nodes))
+        with np.errstate(all="ignore"):  # __post_init__ names a value that is not finite
+            values = nep.t_values(nodes)
+        return cls(nodes=nodes, values=values)
 
     @functools.cached_property
     def conj_pair(self):
@@ -348,8 +354,9 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
     # duality gap is pure rounding noise
     vscale = float(np.max(np.linalg.norm(samples.values, axis=1)))
     interp_floor = float(20 * np.finfo(float).eps * vscale) ** 2
-    give_up = (np.inf if target is None else
-               (target + UNREACHABLE_MARGIN * np.sqrt(interp_floor)) ** 2)
+    with np.errstate(over="ignore"):  # a target near the float limit never gives up
+        give_up = (np.inf if target is None else
+                   (target + UNREACHABLE_MARGIN * np.sqrt(interp_floor)) ** 2)
     trace = []
     best = None
     stop_reason = "budget"

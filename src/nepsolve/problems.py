@@ -167,6 +167,8 @@ class Region:
             raise ValueError("region radius must be positive and finite")
         if isinstance(c, bool) or not isinstance(c, numbers.Complex) or not np.isfinite(c):
             raise ValueError("region center must be finite")
+        if not isinstance(self.half_disk, bool):  # a truthy "false" would cut the disk
+            raise ValueError(f"half_disk must be true or false, got {self.half_disk!r}")
 
     def contains(self, lam):
         d = np.asarray(lam, dtype=complex) - self.center
@@ -184,10 +186,8 @@ class Region:
 
     @classmethod
     def from_json(cls, obj):
-        half_disk = obj.get("half_disk", False)
-        if not isinstance(half_disk, bool):
-            raise TypeError(f"half_disk must be true or false, got {half_disk!r}")
-        return cls(complex(_num_from_json(obj["center"])), float(obj["radius"]), half_disk)
+        return cls(complex(_num_from_json(obj["center"])), float(obj["radius"]),
+                   obj.get("half_disk", False))
 
 
 @dataclass
@@ -207,6 +207,9 @@ class SplitFormNEP:
         shapes = {E.shape for E in self.matrices}
         if len(shapes) != 1 or any(a != b for a, b in shapes):
             raise ValueError(f"coefficient matrices must share a square shape, got {shapes}")
+        for i, E in enumerate(self.matrices):
+            if not np.isfinite(E.data if _issparse(E) else E).all():
+                raise ValueError(f"matrices[{i}]: entries must be finite")
 
     @property
     def s(self):
@@ -346,12 +349,8 @@ def load_manifest(path):
             M = (M.tocsr() if _issparse(M) else np.asarray(M)).astype(complex)
         else:
             raise ManifestError(f"{path}: matrices[{i}]: needs 'path' or 'inline'")
-        if not np.isfinite(M.data if _issparse(M) else M).all():
-            raise ManifestError(f"{path}: matrices[{i}]: entries must be finite")
         matrices.append(M)
 
-    if len(terms) != len(matrices):
-        raise ManifestError(f"{path}: {len(terms)} terms but {len(matrices)} matrices")
     try:
         region = Region.from_json(doc["region"])
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

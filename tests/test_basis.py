@@ -162,6 +162,17 @@ def test_degree_above_node_count_rejected():
         build_basis(np.array([1.0, 2.0, 3.0]), 5)
 
 
+@pytest.mark.parametrize("nodes, weights, message", [
+    ([], None, "need at least one node"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5], "weights must be positive, one per node"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5, 0.0], "weights must be positive, one per node"),
+    ([1.0, 2.0, 3.0], [0.5, 1.0, -0.5], "weights must be positive, one per node"),
+], ids=["no_nodes", "weight_count", "zero_weight", "negative_weight"])
+def test_build_basis_rejects_bad_input(nodes, weights, message):
+    with pytest.raises(ValueError, match=message):
+        build_basis(np.array(nodes), 1, weights=weights)
+
+
 def test_breakdown_on_clustered_nodes():
     # nodes differing at the last bit cannot support a high degree
     base = np.ones(12, dtype=complex)

@@ -360,6 +360,25 @@ def test_a_probe_without_a_proof_never_fails_a_run(monkeypatch):
     assert patched.exit_status == plain.exit_status == EXIT_OK
 
 
+def test_a_walk_that_meets_a_breakdown_reports_the_last_fitted_degree(monkeypatch):
+    # the W1 configuration: the probes at 15 and 11 meet the planted
+    # breakdown, the ones at 7, 9 and 10 prove tol out of reach, and the walk
+    # stops at 11, so degree 10 is reported as a fit miss
+    extend = VABasis.extend
+
+    def breaks_past_ten(basis, degree):
+        if degree > 10:
+            raise nepsolve.BreakdownError(f"planted breakdown at degree {degree}")
+        return extend(basis, degree)
+
+    monkeypatch.setattr(VABasis, "extend", breaks_past_ten)
+    report = run(RunConfig(problem="example1", nodes=100, tol=1e-10, max_degree=30,
+                           solver="dense", seed=1))
+    assert [step["degree"] for step in report.escalation] == [7, 9, 10]
+    assert report.fit.degrees.denominator == 10
+    assert not report.fit_met_target and report.exit_status == EXIT_FIT_MISS
+
+
 def _linear_walk(samples, s, tol, last):
     # the escalation before the probes: k = 1, 2, ... in one shared basis
     # grown a column at a time, until a degree meets tol
@@ -478,6 +497,7 @@ def test_run_rejects_non_finite_region(override, field):
 def test_parser_defaults_are_run_config_defaults():
     args = build_parser().parse_args(["--problem", "x"])
     assert RunConfig(**vars(args)) == RunConfig(problem="x")
+    assert args.subspace == SUBSPACE_START
 
 
 def test_parser_flags():
@@ -1033,7 +1053,13 @@ def test_pair_on_an_in_region_pole_is_dropped_and_counted(solver, monkeypatch,
     (["--problem", "nosuch"], "unknown built-in problem 'nosuch'"),
     (["--manifest", "missing.json"], "missing.json: cannot read manifest"),
     (["--manifest", "broken.json"], "broken.json:1: invalid JSON"),
-], ids=["negative_tol", "unknown_problem", "missing_manifest", "malformed_manifest"])
+    # on a circle of radius 1e-300 the basis breaks down at degree 1
+    (["--problem", "example1", "--radius", "1e-300"],
+     "the 100 boundary nodes cannot carry a fit of degree 1"),
+    # exp(-x) overflows on the far side of the circle, without a warning
+    (["--problem", "time_delay2", "--radius", "1e3"], "term t3 is not finite at node "),
+], ids=["negative_tol", "unknown_problem", "missing_manifest", "malformed_manifest",
+        "no_fittable_degree", "samples_overflow"])
 def test_rejected_input_is_one_line_and_exit_1(args, message, capsys, tmp_path,
                                                monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -1043,6 +1069,50 @@ def test_rejected_input_is_one_line_and_exit_1(args, message, capsys, tmp_path,
     assert out == "" and "Traceback" not in err
     assert err.startswith("nepsolve: error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "example1", "--solver", "qz"], "argument --solver: invalid choice: 'qz'"),
+    (["--problem", "example1", "--nodes", "abc"], "argument --nodes: invalid int value"),
+    ([], "one of the arguments --problem --manifest is required"),
+], ids=["unknown_solver", "non_integer_nodes", "no_problem"])
+def test_usage_error_is_one_line_and_exit_1(argv, message, capsys):
+    # exit 2 is a fit miss; argparse's own usage errors would exit 2 after a
+    # usage block
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("nepsolve: error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_run_rejects_samples_that_are_not_finite():
+    with pytest.raises(ValueError, match=r"term t3 is not finite at node \d+, x = "):
+        run(RunConfig(problem="time_delay2", radius=1e3))
+
+
+def test_a_target_near_the_float_limit_runs_without_a_warning(tmp_path, capsys):
+    # the suite turns warnings into errors: the give-up level's square overflows
+    report = run(RunConfig(problem="example1", nodes=20, tol=1e300))
+    assert report.fit_met_target and report.fit.degrees.denominator == 1
+    out = tmp_path / "r.json"
+    assert main(["--problem", "example1", "--nodes", "20", "--tol", "1e300",
+                 "--out", str(out)]) == report.exit_status
+    assert capsys.readouterr().err.count("\n") == 1  # the summary line only
+    assert json.loads(out.read_text())["approx"]["degree"] == 1
+
+
+def test_a_term_that_vanishes_on_every_node_has_no_zeros(tmp_path):
+    nep = nepsolve.SplitFormNEP(
+        "zero_term", [nepsolve.constant(0.0), nepsolve.constant(1.0), nepsolve.monomial(1)],
+        [np.array([[1.0, 2.0], [3.0, 4.0]]), np.diag([-1.0, -2.0]), np.eye(2)],
+        nepsolve.Region(0j, 3.0))
+    report = run(RunConfig(manifest=save_manifest(nep, str(tmp_path / "z.json")),
+                           nodes=20, tol=1e-8, max_degree=4))
+    assert not report.fit.numer_coeffs[0].any()
+    assert report.zeros["t1"].size == 0
+    assert match_sets([p.lam for p in report.in_region], [1.0, 2.0], 1e-12)
 
 
 @pytest.mark.parametrize("name, message", [

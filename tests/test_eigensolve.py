@@ -9,8 +9,8 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
-from nepsolve import (Region, assemble, build_basis, build_pencil, eval_basis,
-                      example1, extract_nep_eigenpairs, hadeler, lawson,
+from nepsolve import (MatrixPolynomial, Region, assemble, build_basis, build_pencil,
+                      eval_basis, example1, extract_nep_eigenpairs, hadeler, lawson,
                       pole_free_check, poly_roots, sample_boundary, solve_dense,
                       solve_pencil_dense)
 from nepsolve import eigensolve
@@ -37,6 +37,11 @@ def test_solve_dense_is_complex_for_a_real_spectrum():
 def test_solve_dense_shape_mismatch():
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.eye(2))
+
+
+def test_solve_dense_reports_a_lapack_failure_as_its_own_error():
+    with pytest.raises(eigensolve.EigensolverError, match="failed to converge"):
+        solve_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_pencil_of_linear_polynomial_matches_direct_eigensolve():
@@ -145,6 +150,25 @@ def test_corner_just_either_side_of_the_rcond_cut(rcond, qz, monkeypatch):
     roots = det_poly_roots(P)
     assert roots.size == pairs[0].size == 6
     assert match_sets(pairs[0], roots, 1e-7 * max(1.0, np.abs(roots).max()))
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-13])
+def test_negligible_corner_takes_qz(eps):
+    # p_3 = eps theta_3: K is well conditioned (rcond well above the cut) but
+    # eps times C0's bottom row, so K^{-1} C0 loses digits to geev; QZ keeps
+    # every P(lam) singular to rounding (geev: 9.6e-12 and 2.5e-10)
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((6, 6)) for _ in range(3)]
+    basis = build_basis(np.exp(2j * np.pi * np.arange(40) / 40), 3)
+    table = np.zeros((3, 4))
+    table[0, 0], table[1, 1], table[2, 3] = 1.0, 1.0, eps
+    pencil = build_pencil(MatrixPolynomial(mats, table, basis))
+    pairs = solve_pencil_dense(pencil)
+    assert pairs.rcond >= eigensolve.STANDARD_FORM_RCOND and pairs.path == "qz"
+    assert pairs[0].size == 6
+    for lam in pairs[0]:
+        sigma = np.linalg.svd(pencil.poly(lam), compute_uv=False)
+        assert sigma[-1] <= 1e-14 * sigma[0]
 
 
 def test_fitted_denominators_either_side_of_the_roots_cut(example1_bundle,

@@ -46,6 +46,16 @@ def test_quadrature_k4_angles_and_circle():
     assert np.allclose(np.abs(rule2.poles - (-1.0 + 0.5j)), 3.0)
 
 
+@pytest.mark.parametrize("radius, k, message", [
+    (1.0, 0, "quadrature order must be at least 1"),
+    (0.0, 4, "radius must be positive"),
+    (-1.0, 4, "radius must be positive"),
+], ids=["no_poles", "zero_radius", "negative_radius"])
+def test_quadrature_rejects_bad_input(radius, k, message):
+    with pytest.raises(ValueError, match=message):
+        quadrature(0j, radius, k)
+
+
 def test_scalar_filter_matches_closed_form():
     rng = np.random.default_rng(50)
     c, r = 0.3 - 0.2j, 1.7

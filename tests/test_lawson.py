@@ -401,6 +401,57 @@ def test_lawson_symmetric_samples_give_real_fit(nep, m, k):
     assert xi.e_max == pytest.approx(best.e_xi, rel=1e-3)
 
 
+# eight nodes on the unit circle, sampled from t = [x, x^2]
+NODES = np.exp(2j * np.pi * np.arange(8) / 8)
+SAMPLES = SampleSet(NODES, np.column_stack([NODES, NODES ** 2]))
+W = np.full(8, 1 / 8)
+SPEC = DegreeSpec((2, 2), 2)
+
+
+def _short_basis():
+    # a degree-2 basis whose Q has the 2 rows of 2 nodes: 3 coefficients on 2 nodes
+    return dataclasses.replace(build_basis(NODES[:2], 1), degree=2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dual_value(SAMPLES, -W, SPEC, build_basis(NODES, 2)), ValueError,
+     "weights must be nonnegative"),
+    (lambda: dual_value(SAMPLES, W[:7], SPEC, build_basis(NODES, 2)), ValueError,
+     "weights, samples, and basis rows must agree in length"),
+    (lambda: dual_value(SAMPLES, W, DegreeSpec((2,), 2), build_basis(NODES, 2)),
+     ValueError, "degree spec has 1 components, samples have 2"),
+    (lambda: dual_value(SAMPLES, W, DegreeSpec((3, 3), 3), build_basis(NODES, 2)),
+     ValueError, "basis degree is below the requested rational type"),
+    (lambda: dual_value(SampleSet(NODES[:2], SAMPLES.values[:2]), W[:2], SPEC,
+                        _short_basis()),
+     RankDeficiencyError, "2 active nodes cannot support 3 coefficients"),
+    (lambda: lawson(SAMPLES, SPEC, tol=0.0), ValueError, "tol must be positive"),
+    (lambda: lawson(SAMPLES, SPEC, max_iters=0), ValueError, "max_iters at least 1"),
+    (lambda: lawson(SAMPLES, DegreeSpec((1, 1), 1), basis=build_basis(NODES, 2)),
+     ValueError, "basis degree 2 is not 1"),
+    (lambda: DegreeSpec((2, -1), 2), ValueError, "degrees must be nonnegative"),
+    (lambda: DegreeSpec((2, 2), -1), ValueError, "degrees must be nonnegative"),
+    (lambda: SampleSet(NODES, SAMPLES.values[:7]), ValueError,
+     "values must have one row per node"),
+    (lambda: SampleSet(NODES, np.where(np.arange(8)[:, None] == 3, [0, np.nan], 1)),
+     ValueError, r"term t2 is not finite at node 3, x = "),
+], ids=["dual_negative_weight", "dual_length", "dual_components", "dual_basis_degree",
+        "dual_too_few_nodes", "lawson_tol", "lawson_max_iters", "lawson_basis_degree",
+        "negative_numerator_degree", "negative_denominator_degree", "sample_rows",
+        "sample_not_finite"])
+def test_bad_arguments_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_target_near_the_float_limit_never_gives_up():
+    # the give-up level (target + margin)**2 overflows to inf, without a
+    # warning (the suite turns warnings into errors), and the fit is the one
+    # without a target
+    far, plain = lawson(SAMPLES, SPEC, target=1e300), lawson(SAMPLES, SPEC)
+    assert far.trace == plain.trace and far.stop_reason == plain.stop_reason
+
+
 def test_too_few_nodes_rejected():
     nodes = random_nodes(None, 6, on_circle=True)
     samples = SampleSet(nodes, np.ones((6, 1)))

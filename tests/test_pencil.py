@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,6 +103,29 @@ def test_constant_polynomial_rejected():
     P = coeff_poly([np.eye(2, dtype=complex)], basis)
     with pytest.raises(ValueError, match="constant"):
         build_pencil(P)
+
+
+I2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda b: MatrixPolynomial([I2, I2], np.ones(3), b), r"s x \(gamma\+1\) table"),
+    (lambda b: MatrixPolynomial([I2, I2], np.ones((1, 3)), b), r"s x \(gamma\+1\) table"),
+    (lambda b: MatrixPolynomial([I2], np.ones((1, 0)), b), r"s x \(gamma\+1\) table"),
+    (lambda b: MatrixPolynomial([I2], np.ones((1, 4)), b), "gamma at most the basis degree"),
+    (lambda b: MatrixPolynomial([np.ones((2, 3))], np.ones((1, 2)), b),
+     "matrices must share a square shape"),
+    (lambda b: MatrixPolynomial([I2, np.eye(3)], np.ones((2, 2)), b),
+     "matrices must share a square shape"),
+    (lambda b: assemble(SimpleNamespace(numer_coeffs=(np.ones(2),) * 3),
+                        SplitFormNEP("two", [constant(1.0), monomial(1)], [I2, I2],
+                                     Region(0j, 1.0))),
+     "fit has 3 components, problem has 2 terms"),
+], ids=["table_1d", "table_rows", "table_no_columns", "table_above_basis_degree",
+        "matrix_not_square", "matrix_shapes_differ", "assemble_term_count"])
+def test_polynomial_input_is_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make(build_basis(np.linspace(-1, 1, 6), 2))
 
 
 def test_trailing_negligible_coefficients_trimmed():

@@ -204,12 +204,15 @@ def test_manifest_top_level_must_be_an_object(tmp_path, doc):
     ("matrices", [{"inline": [[[1, float("-inf")], 0], [0, 1]]}],
      r"matrices\[0\]: entries must be finite"),
     ("matrices", [{"path": "nan.mtx"}], r"matrices\[0\]: entries must be finite"),
+    ("matrices", [{"file": "nan.mtx"}], r"matrices\[0\]: needs 'path' or 'inline'"),
+    ("matrices", [{"inline": [[1, 0], [0, 1]]}] * 2, "term count must equal matrix count"),
 ], ids=["terms_not_a_list", "matrix_not_an_object", "term_not_an_object",
         "params_not_an_object", "param_missing", "param_not_a_number",
         "power_not_an_integer", "param_unknown", "number_of_three_parts",
         "center_of_three_parts", "inline_entry_of_three_parts",
         "half_disk_a_string", "path_not_a_string", "region_not_an_object",
-        "param_nan", "inline_inf", "inline_complex_inf", "matrix_market_nan"])
+        "param_nan", "inline_inf", "inline_complex_inf", "matrix_market_nan",
+        "matrix_neither_path_nor_inline", "term_and_matrix_counts_differ"])
 def test_manifest_malformed_field_is_named(tmp_path, field, value, message):
     doc = {"name": "bad", "terms": [{"kind": "constant", "params": {"value": 1}}],
            "matrices": [{"inline": [[1, 0], [0, 1]]}],
@@ -243,6 +246,38 @@ def test_manifest_errors_carry_context(tmp_path):
     path3.write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="does_not_exist"):
         load_manifest(str(path3))
+
+    (tmp_path / "garbled.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 3.0\n")
+    doc["matrices"] = [{"path": "garbled.mtx"}]
+    path3.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="garbled.mtx: Matrix Market parse error"):
+        load_manifest(str(path3))
+
+
+REGION = Region(0j, 1.0)
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SplitFormNEP("x", [constant(1.0)], [I2, I2], REGION),
+     "term count must equal matrix count"),
+    (lambda: SplitFormNEP("x", [], [], REGION), "at least one term"),
+    (lambda: SplitFormNEP("x", [constant(1.0)], [np.array([[np.nan, 0], [0, 1]])], REGION),
+     r"matrices\[0\]: entries must be finite"),
+    (lambda: SplitFormNEP("x", [constant(1.0), monomial(1)],
+                          [I2, sp.csr_matrix([[0, 1j * np.inf], [0, 1]])], REGION),
+     r"matrices\[1\]: entries must be finite"),
+    (lambda: hadeler(n=0), "n must be at least 1"),
+    # a truthy string would run on the half-disk and be reported as given
+    (lambda: Region(0j, 1.0, "false"), "half_disk must be true or false, got 'false'"),
+    (lambda: Region(0j, 1.0, 1), "half_disk must be true or false, got 1"),
+    (lambda: Region(0j, 1.0, None), "half_disk must be true or false, got None"),
+], ids=["count_mismatch", "no_terms", "dense_nan", "sparse_inf", "hadeler_empty",
+        "half_disk_a_string", "half_disk_an_int", "half_disk_none"])
+def test_bad_problem_input_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("region, field", [
