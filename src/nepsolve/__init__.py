@@ -9,8 +9,8 @@ iteration with structured shift-invert.
 
 from .basis import BreakdownError, VABasis, build_basis, eval_basis, leading_coeffs
 from .cli import RunConfig, emit, run
-from .eigensolve import (extract_nep_eigenpairs, pole_free_check, solve_dense,
-                         solve_pencil_dense)
+from .eigensolve import (extract_nep_eigenpairs, pole_free_check, poly_roots,
+                         solve_dense, solve_pencil_dense)
 from .filters import (PoleHitError, SIFConfig, apply_filter, quadrature, scalar_filter,
                       shift_invert, sif)
 from .lawson import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
@@ -18,8 +18,7 @@ from .lawson import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
                      lawson, max_error)
 from .pencil import (BlockLU, MatrixPolynomial, SingularShiftError,
                      StructuredPencil, assemble, block_lu, build_pencil,
-                     error_bound, gram_matrix, poly_roots,
-                     verify_linearization)
+                     error_bound, gram_matrix, verify_linearization)
 from .problems import (ManifestError, Region, ScalarFunction, SplitFormNEP,
                        builtin_problem, constant, example1, exp_affine,
                        exp_quadratic, expm1_term, hadeler, load_manifest,

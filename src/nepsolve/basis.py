@@ -21,7 +21,12 @@ __all__ = ["VABasis", "BreakdownError", "build_basis", "eval_basis",
 
 
 class BreakdownError(Exception):
-    """Raised when the node set cannot support the requested degree."""
+    """Raised when the node set cannot support the requested degree; ``basis``
+    is the basis to the degree before the collapse."""
+
+    def __init__(self, message, basis):
+        super().__init__(message)
+        self.basis = basis
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ class VABasis:
             if nrm < 1e-14 * np.sqrt(m):
                 raise BreakdownError(
                     f"basis breakdown at degree {j + 1}: candidate column norm "
-                    f"{nrm:.3e} below tolerance; nodes cannot support the degree")
+                    f"{nrm:.3e} below tolerance; nodes cannot support the degree",
+                    self.extend(j))  # the columns before the collapse, as built
             H[: j + 1, j] = h
             H[j + 1, j] = nrm
             Q[:, j + 1] = v / H[j + 1, j]

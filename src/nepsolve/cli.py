@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BreakdownError, build_basis
-from .eigensolve import extract_nep_eigenpairs, pole_free_check, solve_pencil_dense
+from .eigensolve import (extract_nep_eigenpairs, pole_free_check, poly_roots,
+                         solve_pencil_dense)
 from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
-from .pencil import (DENSE_DIM_LIMIT, assemble, build_pencil, error_bound,
-                     gram_matrix, poly_roots)
+from .pencil import DENSE_DIM_LIMIT, assemble, build_pencil, error_bound, gram_matrix
 from .problems import (ManifestError, Region, builtin_problem, load_manifest,
                        sample_boundary)
 
@@ -161,25 +161,27 @@ def _resolve_region(config, nep):
     return Region(center, radius, region.half_disk or config.half_disk)
 
 
-def _escalate(samples, s, tol, last):
-    """The first fit of degree k <= last to meet tol (else the last the nodes can
-    carry), a record per ``lawson`` call in the order made, and whether tol was met.
-    One-sweep probes bisect the degrees below ``last``; the walk starts past the
+def _escalate(samples, s, tol, max_degree):
+    """The first fit of degree k <= last to meet tol (else the fit at last), a
+    record per ``lawson`` call in the order made, and whether tol was met. last
+    is the highest degree the nodes can carry: at most ``max_degree`` and
+    (m - 2) // 2 (a (k, k) fit needs 2k + 2 nodes), below a basis breakdown
+    and with finite leading coefficients.
+    One-sweep probes bisect the degrees below last; the walk starts past the
     highest ruled out."""
-    escalation, shared = [], build_basis(samples.nodes, 0)
+    escalation = []
+    try:  # one Arnoldi pass; each fit's basis is its prefix, bit for bit
+        with np.errstate(over="ignore"):
+            shared = build_basis(samples.nodes, min(max_degree, (samples.m - 2) // 2))
+    except BreakdownError as exc:
+        shared = exc.basis
+    last = int(np.cumprod(np.isfinite(shared.k)).sum()) - 1
+    if last < 1:
+        raise ValueError(f"the {samples.m} boundary nodes cannot carry a fit of degree 1")
 
     def fit(k, **kwargs):
-        nonlocal shared  # only extended: its prefix is build_basis at k, bit for bit
-        try:
-            if k > shared.degree:
-                with np.errstate(over="ignore"):
-                    shared = shared.extend(k)
-        except BreakdownError:
-            return None  # the nodes cannot carry degree k
         basis = replace(shared, degree=k, H=shared.H[: k + 1, : k].copy(),
                         Q=shared.Q[:, : k + 1].copy(), k=shared.k[: k + 1].copy())
-        if not np.isfinite(basis.k).all():
-            return None
         xi = lawson(samples, DegreeSpec((k,) * s, k), basis=basis, **kwargs)
         # each step carries its proof: best error and largest dual bound
         escalation.append({"degree": k, "sweeps": xi.iterations,
@@ -187,33 +189,25 @@ def _escalate(samples, s, tol, last):
                            "sqrt_d": float(np.sqrt(max(t.d_w for t in xi.trace)))})
         return xi
 
-    xi, lo, hi = None, 0, last
+    lo, hi = 0, last
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = fit(mid, target=tol, max_iters=1)  # a proof at sweep 1 is final
-        if probe is not None and probe.stop_reason == "unreachable":
-            xi, lo = probe, mid  # no i <= mid meets tol: d(w) <= e*_mid <= e*_i
+        # a proof at sweep 1 is final: no i <= mid meets tol, d(w) <= e*_mid <= e*_i
+        if fit(mid, target=tol, max_iters=1).stop_reason == "unreachable":
+            lo = mid
         else:
             hi = mid
-    # this walk reports what one from k = 1 would; the last degree never gives up,
-    # and the degree before the first the nodes cannot carry is a fit miss
+    # this walk reports what one from k = 1 would; the last degree never gives up
     for k in range(lo + 1, last + 1):
-        if (step := fit(k, target=None if k == last else tol)) is None:
-            break
-        xi = step
+        xi = fit(k, target=None if k == last else tol)
         if escalation[-1]["sqrt_e"] < tol:
             return xi, escalation, True
-    if xi is None:
-        raise ValueError(f"the {samples.m} boundary nodes cannot carry a fit of degree 1")
     return xi, escalation, False
 
 
 def _zeros(coeffs, basis):
     """Roots of one numerator; none for a term that vanishes on every node."""
-    try:
-        return poly_roots(coeffs, basis)
-    except ValueError:
-        return np.empty(0, dtype=complex)
+    return poly_roots(coeffs, basis) if np.any(coeffs) else np.empty(0, dtype=complex)
 
 
 def _solve_dense(pencil, basis, nep, region):
@@ -245,9 +239,7 @@ def run(config):
     samples = SampleSet.from_nep(nep, sample_boundary(region, config.nodes))
 
     t0 = time.perf_counter()
-    # a (k, k) fit needs 2k + 2 nodes, which can cap the degree below max_degree
-    xi, escalation, fit_met = _escalate(samples, nep.s, config.tol,
-                                        min(config.max_degree, (samples.m - 2) // 2))
+    xi, escalation, fit_met = _escalate(samples, nep.s, config.tol, config.max_degree)
     t_fit = time.perf_counter() - t0
 
     poles = poly_roots(xi.denom_coeffs, xi.basis)

@@ -5,23 +5,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import eval_basis
-from .pencil import ROOTS_QZ_RATIO, _dense, _factor_p
+from .pencil import MatrixPolynomial, StructuredPencil, _dense, _factor_p
 
 __all__ = ["Eigenpair", "EigensolverError", "PencilPairs", "solve_dense",
            "solve_pencil_dense", "refine_eigenvectors", "extract_nep_eigenpairs",
-           "pole_free_check"]
+           "poly_roots", "pole_free_check"]
 
 # the corner K of C1 is inverted to give a standard eigenproblem when its
 # reciprocal condition number 1 / (||K||_1 ||K^{-1}||_1) is at least this and
-# K is not negligible (ROOTS_QZ_RATIO); any other corner sends the pencil to QZ
+# K is not negligible; any other corner sends the pencil to QZ
 STANDARD_FORM_RCOND = 1e-4
+# K is negligible where max|K| <= this * max|bottom block row of C0|, for
+# solve_pencil_dense and poly_roots alike (README)
+ROOTS_QZ_RATIO = 1e-10
 # inverse iteration keeps its second iterate unless ||P(lam) x|| grew more
 # than this in the second step; within it both are at rounding level
 SECOND_STEP_GROWTH = 10.0
 
 
 class EigensolverError(Exception):
-    """Raised when the dense eigensolver (geev or QZ) fails to converge."""
+    """Raised when a dense eigensolver (geev or QZ) fails to converge."""
 
 
 class PencilPairs(tuple):
@@ -78,13 +81,13 @@ def solve_pencil_dense(pencil, region=None):
     """Solve the pencil densely; returns ``(lam, V)`` as :class:`PencilPairs`.
 
     ``C1 = diag(I, K)`` differs from the identity only in its corner
-    ``K = k_gamma A_gamma``. When ``K`` is well conditioned
-    (``rcond(K) >= STANDARD_FORM_RCOND``) and not negligible (``max|K|``
-    above ``ROOTS_QZ_RATIO`` times the largest entry of ``C0``'s bottom block
-    row, the cut of :func:`~nepsolve.pencil.poly_roots`) the bottom block row
-    of ``C0`` is multiplied by ``K^{-1}`` and geev solves the standard problem
-    ``C1^{-1} C0``; otherwise the pencil is materialized, its bottom block row
-    is equilibrated and QZ solves it. Either solver gives eigenvalues only.
+    ``K = k_gamma A_gamma``. ``C0`` is formed once. When ``K`` is well
+    conditioned (``rcond(K) >= STANDARD_FORM_RCOND``) and not negligible
+    (``max|K|`` above ``ROOTS_QZ_RATIO`` times the largest entry of ``C0``'s
+    bottom block row, the cut of :func:`poly_roots`) that row is multiplied
+    by ``K^{-1}`` and geev solves the standard problem ``C1^{-1} C0``;
+    otherwise ``C1`` is formed from ``K``, the bottom block row is
+    equilibrated and QZ solves the pencil. Either solver gives eigenvalues only.
     Those inside the ``region`` are kept, or without one those with
     ``||theta(lam)[:gamma]|| <= 1e10 |theta_0|``; the other finite ones are
     counted in ``outside``. Each kept eigenvalue gets its eigenvector from
@@ -97,15 +100,16 @@ def solve_pencil_dense(pencil, region=None):
         rcond = float(1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(Kinv, 1)))
     except np.linalg.LinAlgError:  # an exactly zero pivot
         rcond = 0.0
-    if not rcond >= STANDARD_FORM_RCOND or np.abs(K).max() <= ROOTS_QZ_RATIO * max(
-            abs(B).max() for B in pencil._bottom()):
-        C0, C1 = pencil.materialize(force=True)
+    C0 = pencil._dense_C0()
+    if not rcond >= STANDARD_FORM_RCOND or (
+            np.abs(K).max() <= ROOTS_QZ_RATIO * np.abs(C0[split:]).max()):
+        C1 = np.eye(pencil.dim, dtype=C0.dtype)
+        C1[split:, split:] = K
         c = pencil.equilibration_scale()
         C0[split:] *= c
         C1[split:] *= c
         lam, path = solve_dense(C0, C1), "qz"
     else:
-        C0 = pencil._dense_C0()
         C0[split:] = Kinv @ C0[split:]
         lam, path = solve_dense(C0), "geev"
     if region is None:
@@ -216,6 +220,20 @@ def extract_nep_eigenpairs(pairs, basis, nep, region):
                       normalized_residual=float(r[k] / (scale[k] * nu[k])),
                       in_region=bool(in_region[k]), consistency=float(consistency[k]))
             for k in np.lexsort((lam.imag, lam.real))]
+
+
+def poly_roots(coeffs, basis):
+    """Roots of ``sum_j c_j theta_j``, the 1 x 1-block case of the pencil:
+    geev on its companion, or QZ where its corner is negligible (``ROOTS_QZ_RATIO``)."""
+    P = MatrixPolynomial([np.eye(1)], np.asarray(coeffs).reshape(1, -1),
+                         basis).trimmed()
+    if P.degree == 0:
+        return np.empty(0, dtype=complex)
+    C0, C1 = StructuredPencil(P).materialize(force=True)
+    if abs(C1[-1, -1]) <= ROOTS_QZ_RATIO * np.abs(C0[-1]).max():
+        return solve_dense(C0, C1)
+    C0[-1] /= C1[-1, -1]
+    return solve_dense(C0)
 
 
 def pole_free_check(poles, region):

@@ -28,7 +28,7 @@ from .basis import eval_basis
 __all__ = ["MatrixPolynomial", "StructuredPencil", "BlockLU",
            "SingularShiftError", "assemble", "build_pencil",
            "verify_linearization", "block_lu",
-           "gram_matrix", "error_bound", "poly_roots"]
+           "gram_matrix", "error_bound"]
 
 # trailing polynomial coefficients below this fraction of the largest are dropped
 TRIM_RTOL = 1e-14
@@ -51,8 +51,6 @@ SPARSE_ORDERING = "MMD_AT_PLUS_A"
 DROP_TOL = 2.0 ** -53
 # P(mu) is singular where a seeded solve P x = b gives ||P||_1 ||x||_1 / ||b||_1 >= this
 SINGULAR_COND = 1e14
-# poly_roots runs QZ, not geev, where |corner| <= this * max|bottom row| (README)
-ROOTS_QZ_RATIO = 1e-10
 
 
 class SingularShiftError(Exception):
@@ -443,18 +441,3 @@ def error_bound(G, e_max):
     Gh = 0.5 * (G + G.conj().T)
     lam_max = float(np.max(np.abs(np.linalg.eigvalsh(Gh))))
     return float(np.sqrt(lam_max * e_max))
-
-
-def poly_roots(coeffs, basis):
-    """Roots of ``sum_j c_j theta_j``: geev on its companion, or QZ (``ROOTS_QZ_RATIO``)."""
-    P = MatrixPolynomial([np.eye(1)], np.asarray(coeffs).reshape(1, -1),
-                         basis).trimmed()
-    if P.degree == 0:
-        return np.empty(0, dtype=complex)
-    C0, C1 = StructuredPencil(P).materialize(force=True)
-    if abs(C1[-1, -1]) <= ROOTS_QZ_RATIO * np.abs(C0[-1]).max():
-        import scipy.linalg
-        roots = scipy.linalg.eigvals(C0, C1)
-        return roots[np.isfinite(roots)]
-    C0[-1] /= C1[-1, -1]
-    return np.linalg.eigvals(C0).astype(complex)

@@ -22,7 +22,7 @@ from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
 from nepsolve import VABasis, build_basis, cli
 from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
                           build_parser, main)
-from nepsolve.eigensolve import STANDARD_FORM_RCOND
+from nepsolve.eigensolve import STANDARD_FORM_RCOND, EigensolverError
 from nepsolve.filters import SUBSPACE_START, SIFConfig
 from util import match_sets
 
@@ -333,25 +333,32 @@ def test_escalation_ends_before_the_leading_coefficients_overflow(monkeypatch):
         assert not np.isfinite(fit_bases[-1].extend(last + 1).k[-1])
 
 
-def test_a_probe_without_a_proof_never_fails_a_run(monkeypatch):
-    # time_delay2 meets tol at degree 10 after one-sweep probes at 12, 6, 9
-    # and 10; a basis that breaks down past degree 10 only stops the probe
-    # at 12 from proving anything, and the run reports what it reported
-    config = RunConfig(problem="time_delay2", nodes=50, tol=1e-7, max_degree=24)
-    plain = run(config)
-    assert plain.fit.degrees.denominator == 10
-    assert [step["degree"] for step in plain.escalation] == [12, 6, 9, 10, 10]
+def _plant_a_breakdown_past_ten(monkeypatch):
+    # the basis breaks down past degree 10, carrying the columns built before
     extend = VABasis.extend
 
     def breaks_past_ten(basis, degree):
         if degree > 10:
-            raise nepsolve.BreakdownError(f"planted breakdown at degree {degree}")
+            raise nepsolve.BreakdownError(f"planted breakdown at degree {degree}",
+                                          extend(basis, 10))
         return extend(basis, degree)
 
     monkeypatch.setattr(VABasis, "extend", breaks_past_ten)
+
+
+def test_a_probe_without_a_proof_never_fails_a_run(monkeypatch):
+    # time_delay2 meets tol at degree 10 after one-sweep probes at 12, 6, 9
+    # and 10; a basis that breaks down past degree 10 caps the escalation
+    # there, so the probes bisect 1..9 instead, and the run reports what it
+    # reported
+    config = RunConfig(problem="time_delay2", nodes=50, tol=1e-7, max_degree=24)
+    plain = run(config)
+    assert plain.fit.degrees.denominator == 10
+    assert [step["degree"] for step in plain.escalation] == [12, 6, 9, 10, 10]
+    _plant_a_breakdown_past_ten(monkeypatch)
     patched = run(config)
-    assert [step["degree"] for step in patched.escalation] == [6, 9, 10, 10]
-    assert patched.escalation == plain.escalation[1:]
+    assert [step["degree"] for step in patched.escalation] == [5, 7, 8, 9, 10]
+    assert patched.escalation[-1] == plain.escalation[-1]
     a, b = plain.to_json_dict(), patched.to_json_dict()
     for doc in (a, b):
         del doc["timings"], doc["approx"]["escalation"]
@@ -361,33 +368,29 @@ def test_a_probe_without_a_proof_never_fails_a_run(monkeypatch):
 
 
 def test_a_walk_that_meets_a_breakdown_reports_the_last_fitted_degree(monkeypatch):
-    # the W1 configuration: the probes at 15 and 11 meet the planted
-    # breakdown, the ones at 7, 9 and 10 prove tol out of reach, and the walk
-    # stops at 11, so degree 10 is reported as a fit miss
-    extend = VABasis.extend
-
-    def breaks_past_ten(basis, degree):
-        if degree > 10:
-            raise nepsolve.BreakdownError(f"planted breakdown at degree {degree}")
-        return extend(basis, degree)
-
-    monkeypatch.setattr(VABasis, "extend", breaks_past_ten)
+    # the W1 configuration with the basis capped at degree 10 by a breakdown:
+    # the probes at 5, 7, 8 and 9 prove tol out of reach, and degree 10, the
+    # last the nodes carry, runs without a target and is reported as a fit
+    # miss, as a miss at max_degree would be
+    _plant_a_breakdown_past_ten(monkeypatch)
     report = run(RunConfig(problem="example1", nodes=100, tol=1e-10, max_degree=30,
                            solver="dense", seed=1))
-    assert [step["degree"] for step in report.escalation] == [7, 9, 10]
+    assert [step["degree"] for step in report.escalation] == [5, 7, 8, 9, 10]
+    assert report.escalation[-1]["stop_reason"] != "unreachable"
+    assert report.escalation[-1]["sweeps"] > 1
     assert report.fit.degrees.denominator == 10
     assert not report.fit_met_target and report.exit_status == EXIT_FIT_MISS
 
 
 def _linear_walk(samples, s, tol, last):
     # the escalation before the probes: k = 1, 2, ... in one shared basis
-    # grown a column at a time, until a degree meets tol
+    # grown a column at a time, until a degree meets tol; the last degree
+    # with finite leading coefficients never gives up
+    with np.errstate(over="ignore"):
+        last = int(np.cumprod(np.isfinite(build_basis(samples.nodes, last).k)).sum()) - 1
     basis = build_basis(samples.nodes, 0)
     for k in range(1, last + 1):
-        with np.errstate(over="ignore"):
-            basis = basis.extend(k)
-        if k > 1 and not np.isfinite(basis.k[-1]):
-            break
+        basis = basis.extend(k)
         xi = lawson(samples, DegreeSpec((k,) * s, k),
                     target=None if k == last else tol, basis=basis)
         if np.sqrt(xi.e_max) < tol:
@@ -1113,6 +1116,23 @@ def test_a_term_that_vanishes_on_every_node_has_no_zeros(tmp_path):
     assert not report.fit.numer_coeffs[0].any()
     assert report.zeros["t1"].size == 0
     assert match_sets([p.lam for p in report.in_region], [1.0, 2.0], 1e-12)
+
+
+def test_a_failed_root_solve_fails_the_run(monkeypatch):
+    # numpy's LinAlgError is a ValueError, but a numerator whose root solve
+    # fails is not a term without zeros: the run fails with the solver's error
+    eigvals, sizes = np.linalg.eigvals, []
+
+    def fails_on_a_companion(a):
+        if len(a) <= 12:  # every companion here; the pencil has 20 rows
+            sizes.append(len(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_on_a_companion)
+    with pytest.raises(EigensolverError, match="failed to converge"):
+        run(RunConfig(problem="time_delay2", nodes=50, tol=1e-7, max_degree=12))
+    assert sizes == [10]  # the first numerator's; the denominator ran QZ
 
 
 @pytest.mark.parametrize("name, message", [

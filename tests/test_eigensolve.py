@@ -9,8 +9,8 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
-from nepsolve import (MatrixPolynomial, Region, assemble, build_basis, build_pencil,
-                      eval_basis, example1, extract_nep_eigenpairs, hadeler, lawson,
+from nepsolve import (MatrixPolynomial, Region, StructuredPencil, assemble, build_basis,
+                      build_pencil, eval_basis, example1, extract_nep_eigenpairs, hadeler, lawson,
                       pole_free_check, poly_roots, sample_boundary, solve_dense,
                       solve_pencil_dense)
 from nepsolve import eigensolve
@@ -171,6 +171,24 @@ def test_negligible_corner_takes_qz(eps):
         assert sigma[-1] <= 1e-14 * sigma[0]
 
 
+@pytest.mark.parametrize("eps, path, count", [(1.0, "geev", 1), (1e-11, "qz", 2)])
+def test_the_bottom_block_row_is_formed_once_for_c0(eps, path, count, monkeypatch):
+    # C0 is formed once and the negligible-corner check reads its bottom
+    # rows; only QZ's equilibration scale forms the bottom block row again
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((6, 6)) for _ in range(3)]
+    basis = build_basis(np.exp(2j * np.pi * np.arange(40) / 40), 3)
+    table = np.zeros((3, 4))
+    table[0, 0], table[1, 1], table[2, 3] = 1.0, 1.0, eps
+    pencil = build_pencil(MatrixPolynomial(mats, table, basis))
+    calls, bottom = [], StructuredPencil._bottom
+    monkeypatch.setattr(StructuredPencil, "_bottom",
+                        lambda pencil: calls.append(pencil) or bottom(pencil))
+    pairs = solve_pencil_dense(pencil)
+    assert pairs.path == path and pairs.rcond >= eigensolve.STANDARD_FORM_RCOND
+    assert len(calls) == count
+
+
 def test_fitted_denominators_either_side_of_the_roots_cut(example1_bundle,
                                                           time_delay_bundle,
                                                           monkeypatch):
@@ -322,6 +340,21 @@ def test_refine_eigenvectors_exactly_singular_takes_null_vector(sparse):
     assert np.abs(u[1:]).max() == 0.0
 
 
+def test_refine_eigenvectors_takes_the_null_vector_after_a_non_finite_step(monkeypatch):
+    # a step that is not finite, here from a solve that returns nan, ends the
+    # inverse iteration, and the SVD null vector of P(lam) stands in
+    rng = np.random.default_rng(63)
+    P = random_poly(rng, 3, 2)
+    pencil = build_pencil(P, trim=False)
+    lam = solve_dense(*pencil.materialize())[:1]
+    monkeypatch.setattr(eigensolve, "_factor_p",
+                        lambda M, order: lambda b: np.full(b.shape, np.nan))
+    V = eigensolve.refine_eigenvectors(pencil, lam, np.ones((3, 1)))
+    v = np.kron(eval_basis(P.basis, lam)[0, :2], eigensolve._null_vector(P(lam[0])))
+    np.testing.assert_allclose(V[:, 0], v / np.linalg.norm(v), rtol=0, atol=1e-15)
+    assert np.linalg.norm(P(lam[0]) @ V[:3, 0]) <= 1e-10 * np.linalg.norm(V[:3, 0])
+
+
 @st.composite
 def _dense_case(draw):
     # a small matrix polynomial, real or complex, whose leading coefficient
@@ -365,7 +398,12 @@ def test_solve_pencil_dense_in_region_property(case):
     ref = ref[region.contains(ref)]
     pairs = solve_pencil_dense(pencil, region)
     lam, V = pairs
-    assert (pairs.path == "qz") == (pairs.rcond < eigensolve.STANDARD_FORM_RCOND)
+    # QZ exactly where the corner K of C1 is ill conditioned or negligible
+    C0 = pencil.materialize(force=True)[0]
+    negligible = np.abs(pencil.c1_corner).max() <= eigensolve.ROOTS_QZ_RATIO * \
+        np.abs(C0[(pencil.gamma - 1) * pencil.n:]).max()
+    assert (pairs.path == "qz") == (pairs.rcond < eigensolve.STANDARD_FORM_RCOND
+                                    or negligible)
     assert pairs.path == "qz" or not rank_one
     assert region.contains(lam).all()
     assert lam.size == ref.size
@@ -510,6 +548,12 @@ def test_residual_rejects_zero_vector():
     V[:, 1] = 0.0
     with pytest.raises(ValueError):
         extract_nep_eigenpairs((np.array([0.1, 0.2]), V), _BASIS, nep, nep.region)
+
+
+def test_extract_rejects_a_vector_length_that_is_not_a_multiple_of_n():
+    nep = example1()  # n = 2
+    with pytest.raises(ValueError, match="multiple of the block size"):
+        extract_nep_eigenpairs((np.array([0.1]), np.ones((3, 1))), _BASIS, nep, nep.region)
 
 
 def test_normalized_residual_values():

@@ -16,8 +16,8 @@ from nepsolve import (BlockLU, MatrixPolynomial, SingularShiftError, assemble,
                       eval_basis, example1, extract_nep_eigenpairs,
                       gram_matrix, poly_roots, shift_invert, solve_dense,
                       verify_linearization)
-from nepsolve.pencil import (DENSE_DIM_LIMIT, ROOTS_QZ_RATIO, SPARSE_ORDERING,
-                             StructuredPencil, _factor_p)
+from nepsolve.eigensolve import ROOTS_QZ_RATIO
+from nepsolve.pencil import DENSE_DIM_LIMIT, SPARSE_ORDERING, StructuredPencil, _factor_p
 from nepsolve.problems import Region, SplitFormNEP, constant, monomial
 from util import (coeff_matrices, coeff_poly, det_poly_roots, eval_monomial,
                   match_sets, monomial_coeffs, random_nodes, random_poly)

@@ -73,6 +73,11 @@ def test_sqrt_shift_branch_cut_from_above():
     assert complex(f(4.0)) == pytest.approx(2.0j)
 
 
+def test_repr_names_the_kind_and_the_parameters():
+    assert repr(exp_affine(2.0, -1.0)) == "ScalarFunction('exp_affine', alpha=2.0, beta=-1.0)"
+    assert eval(repr(constant(2.0)), {"ScalarFunction": ScalarFunction}) == constant(2.0)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         ScalarFunction("cosine")
