@@ -113,17 +113,13 @@ def build_basis(nodes, degree, weights=None):
 
 def leading_coeffs(H):
     """Leading coefficients from the subdiagonal: k_0 = 1, k_j = k_{j-1}/H[j, j-1]."""
-    H = np.asarray(H)
-    gamma = H.shape[1]
-    k = np.empty(gamma + 1, dtype=np.result_type(H, float))
-    k[0] = 1.0
-    for j in range(1, gamma + 1):
-        sub = H[j, j - 1]
-        if sub == 0:
-            raise ZeroDivisionError(
-                f"zero subdiagonal entry H[{j},{j - 1}]; matrix is not irreducible")
-        k[j] = k[j - 1] / sub
-    return k
+    sub = np.diagonal(H, -1)
+    zero = np.flatnonzero(sub == 0)
+    if zero.size:
+        j = zero[0] + 1
+        raise ZeroDivisionError(
+            f"zero subdiagonal entry H[{j},{j - 1}]; matrix is not irreducible")
+    return np.divide.accumulate(np.r_[1.0, sub])
 
 
 def eval_basis(basis, points):

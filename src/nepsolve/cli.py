@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BreakdownError, build_basis
-from .eigensolve import (extract_nep_eigenpairs, pole_free_check, poly_roots,
-                         solve_pencil_dense)
+from .eigensolve import (EigensolverError, extract_nep_eigenpairs, pole_free_check,
+                         poly_roots, solve_pencil_dense)
 from .filters import SUBSPACE_START, SIFConfig, sif
 from .lawson import DegreeSpec, RationalApproximant, SampleSet, lawson
-from .pencil import DENSE_DIM_LIMIT, assemble, build_pencil, error_bound, gram_matrix
+from .pencil import (DENSE_DIM_LIMIT, SingularShiftError, assemble, build_pencil,
+                     error_bound, gram_matrix)
 from .problems import (ManifestError, Region, builtin_problem, load_manifest,
                        sample_boundary)
 
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_FIT_MISS = 2
 EXIT_SOLVER_MISS = 3
 EXIT_POLES = 4
+EXIT_SOLVE_FAILED = 5
 
 
 @dataclass
@@ -349,6 +351,9 @@ def main(argv=None):
     except (ValueError, ManifestError, OSError) as exc:  # rejected input, failed write
         print(f"nepsolve: error: {exc}", file=sys.stderr)
         return 1
+    except (EigensolverError, SingularShiftError) as exc:  # a solve that failed
+        print(f"nepsolve: error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE_FAILED
     if out is None:
         print(emit(report))
     else:

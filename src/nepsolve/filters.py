@@ -37,6 +37,8 @@ __all__ = ["QuadratureRule", "SIFConfig", "SIFResult", "SIFStep", "PoleHitError"
 
 # the filter block's default starting width (see sif)
 SUBSPACE_START = 16
+# the sweep budget of sif; a run that spends it stops "budget"
+SIF_MAX_ITERS = 30
 
 
 class PoleHitError(Exception):
@@ -188,14 +190,11 @@ class SIFConfig:
     quad_order: int = None
     tol_residual: float = 1e-4
     tol_ghost: float = 1e-2
-    max_iters: int = 30
     seed: int = 0
 
     def __post_init__(self):
         if self.subspace < 1:
             raise ValueError("subspace must have at least one column")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if not 0 < self.tol_residual < self.tol_ghost:
             raise ValueError("need 0 < tol_residual < tol_ghost")
 
@@ -268,7 +267,7 @@ def sif(pencil, nep, region, config):
     trace = []
     stop_reason = "budget"
     with _factor_poles(pencil, rule) as terms:
-        for it in range(1, config.max_iters + 1):
+        for it in range(1, SIF_MAX_ITERS + 1):
             width = max(width, need)
             if Y.shape[1] < width:
                 Y = np.hstack([Y, _random_block(rng, pencil.dim, width - Y.shape[1],

@@ -27,6 +27,9 @@ __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
            "LawsonStep", "RankDeficiencyError", "PoleEvaluationError",
            "dual_value", "lawson", "evaluate_approximant", "max_error"]
 
+# a fit stops once its relative duality gap falls below this: sqrt(e) is then
+# within 0.5% of the minimax optimum of its type
+GAP_TOL = 1e-2
 # nodes whose Lawson weight falls below this are dropped for good
 WEIGHT_TOL = 1e-12
 # a fit given a target gives up once its dual bound exceeds the target by this
@@ -144,9 +147,10 @@ class DualResult:
     """Dual objective value and the fit at the nodes; coefficients on demand.
 
     ``numer_coeffs`` and ``denom_coeffs`` are recovered by solves with the
-    triangular factors (``numpy.linalg.solve``, whose LU of a triangular R is
-    R itself) the first time they are read, so a caller that needs only
-    ``d_value`` and ``node_values`` (every Lawson sweep) does not pay for them.
+    leading blocks of the one weighted QR's triangular factor
+    (``numpy.linalg.solve``, whose LU of a triangular R is R itself) the first
+    time they are read, so a caller that needs only ``d_value`` and
+    ``node_values`` (every Lawson sweep) does not pay for them.
     """
 
     def __init__(self, d_value, node_values, Rq, bhat, numer_rhs):
@@ -177,16 +181,6 @@ class LawsonStep:
     active_nodes: int
 
 
-def _check_rank(R, what):
-    diag = np.abs(np.diag(R))
-    top = diag.max() if diag.size else 0.0
-    bad = np.nonzero(diag <= 1e-13 * top)[0]
-    if top == 0.0 or bad.size:
-        raise RankDeficiencyError(
-            f"weighted {what} matrix is rank deficient; collapsed columns "
-            f"{bad.tolist() if top else 'all'}")
-
-
 def dual_value(samples, w, spec, basis):
     """Evaluate the dual objective at weights ``w`` and recover coefficients.
 
@@ -199,14 +193,18 @@ def dual_value(samples, w, spec, basis):
     ``R = U S V^H`` gives ``G = (Q_G U) S V^H``, with the same singular values
     and right singular vectors, and G's unread left factor is never formed.
 
+    One thin QR serves every degree: the weighted basis matrix of degree j is
+    the first ``j + 1`` columns of ``sqrt(w) Q``, and Householder QR is nested
+    in the columns, so ``Qq`` and ``Qp_i`` are column prefixes of one ``Qw``
+    and ``Rq`` and ``Rp_i`` leading blocks of one ``Rw``.
+
     ``basis`` must be built on the sample nodes; the QR factors are nearest
     the identity when it was built under weights close to ``w``. The result's
     ``node_values`` holds the stably evaluated values of the fitted function
     at the nodes as an (m, s) array, ``(Qp_i Qp_i^H F_i q) / q``. The
     triangular solves for the coefficients run only when the result's
     ``numer_coeffs`` or ``denom_coeffs`` is first read (see
-    :class:`DualResult`); numerators of the denominator's degree share its
-    QR factors.
+    :class:`DualResult`).
     """
     w = np.asarray(w, dtype=float).ravel()
     if np.any(w < 0):
@@ -217,30 +215,25 @@ def dual_value(samples, w, spec, basis):
         raise ValueError("weights, samples, and basis rows must agree in length")
     if spec.s != s:
         raise ValueError(f"degree spec has {spec.s} components, samples have {s}")
-    d = spec.denominator
-    if basis.degree < spec.max_degree:
+    d, top = spec.denominator, spec.max_degree
+    if basis.degree < top:
         raise ValueError("basis degree is below the requested rational type")
-    if m < max(d, max(spec.numerator)) + 1:
+    # a short QR's R is not square
+    if m < top + 1:
+        raise RankDeficiencyError(f"{m} active nodes cannot support {top + 1} coefficients")
+
+    Qw, Rw = np.linalg.qr(np.sqrt(w)[:, None] * basis.Q[:, : top + 1])
+    diag = np.abs(np.diag(Rw))
+    bad = np.flatnonzero(diag <= 1e-13 * diag.max())
+    if bad.size:
         raise RankDeficiencyError(
-            f"{m} active nodes cannot support {max(d, max(spec.numerator)) + 1} "
-            "coefficients")
-
-    sqw = np.sqrt(w)
-    Qq, Rq = np.linalg.qr(sqw[:, None] * basis.Q[:, : d + 1])
-    _check_rank(Rq, "denominator")
-
-    # a numerator of the denominator's degree has the same weighted basis
-    # matrix, so its factors are reused
-    qr_by_deg = {d: (Qq, Rq)}
-    for ni in set(spec.numerator) - {d}:
-        Qp, Rp = np.linalg.qr(sqw[:, None] * basis.Q[:, : ni + 1])
-        _check_rank(Rp, f"numerator (degree {ni})")
-        qr_by_deg[ni] = (Qp, Rp)
+            f"weighted basis matrix is rank deficient; collapsed columns {bad.tolist()}")
+    Qq = Qw[:, : d + 1]
 
     # stack the projected blocks (I - Qp_i Qp_i^H) F_i Qq
     blocks = []
-    for i in range(s):
-        Qp, _ = qr_by_deg[spec.numerator[i]]
+    for i, ni in enumerate(spec.numerator):
+        Qp = Qw[:, : ni + 1]
         FiQq = values[:, i, None] * Qq
         blocks.append(FiQq - Qp @ (Qp.conj().T @ FiQq))
     G = np.vstack(blocks)
@@ -254,12 +247,12 @@ def dual_value(samples, w, spec, basis):
     qnode = Qq @ bhat
     numer_rhs = []
     node_vals = np.empty((m, s), dtype=complex)
-    for i in range(s):
-        Qp, Rp = qr_by_deg[spec.numerator[i]]
+    for i, ni in enumerate(spec.numerator):
+        Qp = Qw[:, : ni + 1]
         rhs = Qp.conj().T @ (values[:, i] * qnode)
         node_vals[:, i] = (Qp @ rhs) / qnode
-        numer_rhs.append((Rp, rhs))
-    return DualResult(float(smin ** 2), node_vals, Rq, bhat, numer_rhs)
+        numer_rhs.append((Rw[: ni + 1, : ni + 1], rhs))
+    return DualResult(float(smin ** 2), node_vals, Rw[: d + 1, : d + 1], bhat, numer_rhs)
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ class RationalApproximant:
     """Vector-valued rational fit with its error, duality gap, and trace.
 
     ``stop_reason`` says why the iteration ended: ``"gap"`` (relative duality
-    gap below ``tol``), ``"interp_floor"`` (error at working precision),
+    gap below ``GAP_TOL``), ``"interp_floor"`` (error at working precision),
     ``"unreachable"`` (the dual bound showed the target cannot be met) or
     ``"budget"`` (``max_iters`` sweeps ran).
     """
@@ -292,12 +285,12 @@ class RationalApproximant:
         return len(self.trace)
 
 
-def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
+def lawson(samples, spec, max_iters=500, target=None, basis=None):
     """Run the dual reweighting iteration; returns a :class:`RationalApproximant`.
 
     Per sweep: drop nodes whose weight fell below ``WEIGHT_TOL`` (permanently),
     evaluate the dual objective and current fit, stop once the relative
-    duality gap is below ``tol``, else reweight nodes by
+    duality gap is below ``GAP_TOL``, else reweight nodes by
     ``||t(x_l) - xi(x_l)||`` and renormalize onto the simplex. Each sweep runs
     in a basis orthogonalized under the weights on the active nodes, rebuilt
     every ``REBASIS_EVERY`` sweeps and on every node drop, so the weighted QR
@@ -308,9 +301,9 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
     reported as ``stop_reason="budget"`` on the result, not as an error.
 
     By weak duality ``d(w) <= e* <= e(xi)`` for the minimax error ``e*`` of
-    this type, so a gap below ``tol`` certifies ``e(xi) <= e*/(1 - tol)``:
-    with the default ``tol = 1e-2``, ``sqrt(e)`` is within 0.5% of the
-    optimum.
+    this type, so a gap below ``GAP_TOL`` certifies
+    ``e(xi) <= e*/(1 - GAP_TOL)``: at ``GAP_TOL = 1e-2``, ``sqrt(e)`` is
+    within 0.5% of the optimum.
 
     ``target`` is an optional goal for ``sqrt(e)``. By weak duality each
     dual value bounds the minimax error ``e*`` of this type from below, so
@@ -336,8 +329,8 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
     and ``e_max`` and ``gap`` are measured again from the real coefficients
     on the fit's active nodes.
     """
-    if tol <= 0 or max_iters < 1:
-        raise ValueError("tol must be positive, max_iters at least 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     m = samples.m
     if m < spec.min_nodes():
         raise ValueError(
@@ -382,7 +375,7 @@ def lawson(samples, spec, tol=1e-2, max_iters=500, target=None, basis=None):
             best = (e_xi, gap, w.copy(), active.copy(), dres, basis)
         if e_xi <= interp_floor:
             stop_reason = "interp_floor"
-        elif gap < tol:
+        elif gap < GAP_TOL:
             stop_reason = "gap"
         elif min(best[0], dres.d_value) > give_up:
             stop_reason = "unreachable"

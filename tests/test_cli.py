@@ -20,9 +20,10 @@ import nepsolve
 from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
                       run, sample_boundary, save_manifest)
 from nepsolve import VABasis, build_basis, cli
-from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVER_MISS,
-                          build_parser, main)
+from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVE_FAILED,
+                          EXIT_SOLVER_MISS, build_parser, main)
 from nepsolve.eigensolve import STANDARD_FORM_RCOND, EigensolverError
+from nepsolve import filters
 from nepsolve.filters import SUBSPACE_START, SIFConfig
 from util import match_sets
 
@@ -823,7 +824,7 @@ def test_filter_stalls_on_a_bound_below_the_pencil_residual():
     report = run(RunConfig(problem="example1", solver="filter", nodes=60, tol=1e-8))
     solver = report.to_json_dict()["solver"]
     assert solver["stop_reason"] == "stalled" and not solver["converged"]
-    assert solver["iterations"] < SIFConfig().max_iters
+    assert solver["iterations"] < filters.SIF_MAX_ITERS
     assert solver["over_bound"] == sum(p.residual > report.bound
                                        for p in report.eigenpairs) >= 1
     assert report.exit_status == EXIT_SOLVER_MISS
@@ -855,7 +856,7 @@ def test_benchmark_hadeler_pairs_are_within_the_bound(tmp_path):
 def test_filter_budget_reported_and_exit_status(monkeypatch):
     # one sweep cannot show a stable in-region count; the in-region ghosts it
     # leaves are dropped, and counted
-    monkeypatch.setattr(cli, "SIFConfig", functools.partial(SIFConfig, max_iters=1))
+    monkeypatch.setattr(filters, "SIF_MAX_ITERS", 1)
     report = run(RunConfig(problem="time_delay2", nodes=40, tol=1e-6,
                            max_degree=10, solver="filter", subspace=3))
     assert report.to_json_dict()["solver"] == {
@@ -1133,6 +1134,43 @@ def test_a_failed_root_solve_fails_the_run(monkeypatch):
     with pytest.raises(EigensolverError, match="failed to converge"):
         run(RunConfig(problem="time_delay2", nodes=50, tol=1e-7, max_degree=12))
     assert sizes == [10]  # the first numerator's; the denominator ran QZ
+
+
+def _assert_solve_failed(argv, message, capsys, tmp_path):
+    # one stderr line, no traceback, no report on stdout or in --out
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_SOLVE_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("nepsolve: error: ") and message in captured.err
+    assert not out.exists()
+
+
+def test_main_reports_a_failed_dense_solve_with_its_own_status(capsys, tmp_path,
+                                                               monkeypatch):
+    eigvals = np.linalg.eigvals
+
+    def fails_on_a_companion(a):
+        if len(a) <= 12:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_on_a_companion)
+    _assert_solve_failed(["--problem", "time_delay2", "--nodes", "50", "--tol", "1e-7",
+                          "--max-degree", "12"], "failed to converge", capsys, tmp_path)
+
+
+def test_main_reports_a_pole_on_the_spectrum_with_its_own_status(capsys, tmp_path):
+    # T(x) = A - x I with an eigenvalue on quadrature pole 1 of 16: the filter
+    # cannot factor P there, while the dense path solves the same run
+    A = np.diag([np.exp(1j * np.pi / 16), 0.3, -0.2 + 0.1j])
+    nep = nepsolve.SplitFormNEP("pole_hit", [nepsolve.constant(1.0), nepsolve.monomial(1)],
+                                [A, -np.eye(3)], nepsolve.Region(0j, 1.0))
+    argv = ["--manifest", save_manifest(nep, str(tmp_path / "p.json")), "--nodes", "40",
+            "--tol", "1e-8", "--max-degree", "4"]
+    _assert_solve_failed(argv + ["--solver", "filter"], "quadrature pole 1 of 16",
+                         capsys, tmp_path)
+    assert main(argv + ["--solver", "dense"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("name, message", [

@@ -14,6 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from nepsolve import filters
 from nepsolve import (DegreeSpec, PoleHitError, Region,
                       SampleSet, SIFConfig, SplitFormNEP, apply_filter,
                       build_basis, build_pencil, constant, exp_affine, lawson,
@@ -267,7 +268,8 @@ def _record_lu_threads(monkeypatch, fail_at=None):
 def test_sif_factors_half_the_poles_on_a_real_pencil_with_a_real_center(
         k, time_delay_bundle, example1_bundle, monkeypatch):
     made = _record_lu_threads(monkeypatch)
-    config = SIFConfig(subspace=8, quad_order=k, max_iters=1)
+    monkeypatch.setattr(filters, "SIF_MAX_ITERS", 1)
+    config = SIFConfig(subspace=8, quad_order=k)
     b = time_delay_bundle
     assert b.pencil.is_real and b.nep.region.center.imag == 0
     off_axis = Region(b.nep.region.center + 0.5j, b.nep.region.radius)
@@ -447,13 +449,11 @@ def test_sif_config_validation():
     with pytest.raises(ValueError):
         SIFConfig(subspace=0)
     assert SIFConfig().subspace == SUBSPACE_START
-    with pytest.raises(ValueError, match="max_iters"):
-        SIFConfig(subspace=4, max_iters=0)
     with pytest.raises(ValueError):
         SIFConfig(subspace=4, tol_residual=1e-2, tol_ghost=1e-4)
 
 
-def test_sif_full_subspace_reproduces_dense_in_one_sweep():
+def test_sif_full_subspace_reproduces_dense_in_one_sweep(monkeypatch):
     nep = time_delay2()
     import nepsolve
 
@@ -461,7 +461,8 @@ def test_sif_full_subspace_reproduces_dense_in_one_sweep():
     samples = SampleSet.from_nep(nep, nodes)
     xi = lawson(samples, DegreeSpec((10, 10, 10), 10))
     pencil = build_pencil(assemble(xi, nep))
-    cfg = SIFConfig(subspace=pencil.dim, quad_order=16, seed=0, max_iters=4)
+    monkeypatch.setattr(filters, "SIF_MAX_ITERS", 4)
+    cfg = SIFConfig(subspace=pencil.dim, quad_order=16, seed=0)
     result = sif(pencil, nep, nep.region, cfg)
     lam_sif = np.array([p.lam for p in result.eigenpairs])
     pairs = solve_pencil_dense(pencil)
@@ -476,7 +477,7 @@ def test_sif_full_subspace_reproduces_dense_in_one_sweep():
     assert match_sets(lam_sif, lam_dense, 1e-8)
 
 
-def test_sif_empty_region_converges_empty():
+def test_sif_empty_region_converges_empty(monkeypatch):
     rng = np.random.default_rng(58)
     P = random_poly(rng, 2, 3)
     pencil = build_pencil(P, trim=False)
@@ -484,8 +485,9 @@ def test_sif_empty_region_converges_empty():
     lam = scipy.linalg.eigvals(C0, C1)
     far = complex(10 + 10j + 5 * np.max(np.abs(lam)))
     nep_like = _wrap_poly_as_nep(P)
+    monkeypatch.setattr(filters, "SIF_MAX_ITERS", 6)
     result = sif(pencil, nep_like, Region(far, 1.0),
-                 SIFConfig(subspace=4, quad_order=8, seed=2, max_iters=6))
+                 SIFConfig(subspace=4, quad_order=8, seed=2))
     assert result.converged
     assert result.eigenpairs == []
 
@@ -651,7 +653,8 @@ def test_sif_default_width_capped_at_small_dim(monkeypatch):
     center = complex(lam.mean())
     region = Region(center, 2.0 * np.abs(lam - center).max())
     widths = _record_widths(monkeypatch)
-    result = sif(pencil, _wrap_poly_as_nep(P), region, SIFConfig(seed=1, max_iters=4))
+    monkeypatch.setattr(filters, "SIF_MAX_ITERS", 4)
+    result = sif(pencil, _wrap_poly_as_nep(P), region, SIFConfig(seed=1))
     assert pencil.dim == 12 < SUBSPACE_START
     assert widths and max(widths) <= pencil.dim
     assert result.subspace == pencil.dim
@@ -727,8 +730,9 @@ def _planted_sif(sweeps):
         return U * (abs(nep.region.center) + nep.region.radius) * np.asarray(sigma)
 
     nep.apply = residual
-    return sif(build_pencil(P), nep, nep.region,
-               SIFConfig(subspace=10, seed=3, max_iters=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "SIF_MAX_ITERS", 3)
+        return sif(build_pencil(P), nep, nep.region, SIFConfig(subspace=10, seed=3))
 
 
 def test_sif_stalls_on_a_rise_at_a_stable_count():
@@ -762,15 +766,16 @@ def test_sif_deterministic_under_seed(time_delay_bundle):
     assert r1.trace == r2.trace
 
 
-def test_sif_trace_sigmas():
+def test_sif_trace_sigmas(monkeypatch):
     rng = np.random.default_rng(59)
     P = random_poly(rng, 2, 3)
     pencil = build_pencil(P, trim=False)
     nep_like = _wrap_poly_as_nep(P)
     lam0 = solve_dense(*pencil.materialize())[0]
     # an empty region gives nan sigmas; one around an eigenvalue finite ones
+    monkeypatch.setattr(filters, "SIF_MAX_ITERS", 3)
     empty, around = (sif(pencil, nep_like, region,
-                         SIFConfig(subspace=3, quad_order=8, seed=0, max_iters=3))
+                         SIFConfig(subspace=3, quad_order=8, seed=0))
                      for region in (Region(100.0 + 0j, 1.0), Region(lam0, 0.3)))
     assert empty.trace and all(np.isnan(step.max_sigma) and np.isnan(step.min_sigma)
                                for step in empty.trace)

@@ -126,6 +126,39 @@ def test_dual_value_runs_the_svd_on_a_square_matrix(monkeypatch):
     assert set(shapes) == {(k + 1, k + 1)}
 
 
+def test_dual_value_factors_the_weighted_basis_once_for_every_degree(monkeypatch):
+    # a mixed type: numerators above, at and below the denominator's degree
+    # read column prefixes of one QR; the other QR is G's
+    rng = np.random.default_rng(23)
+    spec = DegreeSpec((3, 1, 0), 2)
+    m = 20
+    samples = SampleSet(random_nodes(rng, m),
+                        rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
+    basis = build_basis(samples.nodes, spec.max_degree)
+    w = random_simplex(rng, m)
+    qr, calls = np.linalg.qr, []
+
+    def counted_qr(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(lawson_module.np.linalg, "qr", counted_qr)
+    res = dual_value(samples, w, spec, basis)
+    assert len(calls) == 2 and calls[0] == (m, spec.max_degree + 1)
+    monkeypatch.undo()
+
+    ref = dual_oracle(samples, w, spec, basis)
+    assert res.d_value == pytest.approx(ref, rel=1e-10, abs=1e-14)
+    # the coefficients attain the dual value: q has unit weighted norm and the
+    # weighted residual of the numerators against F_i q is d(w)
+    sqw = np.sqrt(w)
+    q = basis.Q[:, : spec.denominator + 1] @ res.denom_coeffs
+    resid = sum(np.linalg.norm(sqw * (samples.values[:, i] * q - basis.Q[:, : n + 1] @ a)) ** 2
+                for i, (n, a) in enumerate(zip(spec.numerator, res.numer_coeffs)))
+    assert np.linalg.norm(sqw * q) == pytest.approx(1.0, rel=1e-12)
+    assert resid == pytest.approx(ref, rel=1e-8, abs=1e-14)
+
+
 def test_dual_value_weak_duality_against_assembled_fit():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -213,7 +246,8 @@ def test_basis_rebuilt_every_rebasis_sweeps_and_on_node_drops(monkeypatch):
     monkeypatch.setattr(lawson_module, "build_basis", counted_build)
     monkeypatch.setattr(lawson_module, "dual_value", counted_dual)
     samples, spec = random_problem(np.random.default_rng(22))
-    xi = lawson(samples, spec, tol=1e-300, max_iters=40)
+    monkeypatch.setattr(lawson_module, "GAP_TOL", 1e-300)
+    xi = lawson(samples, spec, max_iters=40)
     drops = {step.iteration for prev, step in zip(xi.trace, xi.trace[1:])
              if step.active_nodes < prev.active_nodes}
     assert drops - set(range(0, 40, lawson_module.REBASIS_EVERY))
@@ -313,10 +347,11 @@ def test_pole_hit_reports_points():
     assert 0.3 in [complex(p).real for p in err.value.points]
 
 
-def test_nonconvergence_is_flagged_not_raised():
+def test_nonconvergence_is_flagged_not_raised(monkeypatch):
     rng = np.random.default_rng(19)
     samples, spec = random_problem(rng)
-    xi = lawson(samples, spec, tol=1e-300, max_iters=3)
+    monkeypatch.setattr(lawson_module, "GAP_TOL", 1e-300)
+    xi = lawson(samples, spec, max_iters=3)
     assert not xi.converged
     assert xi.stop_reason == "budget"
     assert xi.iterations == 3
@@ -425,8 +460,7 @@ def _short_basis():
     (lambda: dual_value(SampleSet(NODES[:2], SAMPLES.values[:2]), W[:2], SPEC,
                         _short_basis()),
      RankDeficiencyError, "2 active nodes cannot support 3 coefficients"),
-    (lambda: lawson(SAMPLES, SPEC, tol=0.0), ValueError, "tol must be positive"),
-    (lambda: lawson(SAMPLES, SPEC, max_iters=0), ValueError, "max_iters at least 1"),
+    (lambda: lawson(SAMPLES, SPEC, max_iters=0), ValueError, "max_iters must be at least 1"),
     (lambda: lawson(SAMPLES, DegreeSpec((1, 1), 1), basis=build_basis(NODES, 2)),
      ValueError, "basis degree 2 is not 1"),
     (lambda: DegreeSpec((2, -1), 2), ValueError, "degrees must be nonnegative"),
@@ -436,7 +470,7 @@ def _short_basis():
     (lambda: SampleSet(NODES, np.where(np.arange(8)[:, None] == 3, [0, np.nan], 1)),
      ValueError, r"term t2 is not finite at node 3, x = "),
 ], ids=["dual_negative_weight", "dual_length", "dual_components", "dual_basis_degree",
-        "dual_too_few_nodes", "lawson_tol", "lawson_max_iters", "lawson_basis_degree",
+        "dual_too_few_nodes", "lawson_max_iters", "lawson_basis_degree",
         "negative_numerator_degree", "negative_denominator_degree", "sample_rows",
         "sample_not_finite"])
 def test_bad_arguments_are_rejected(call, error, message):
