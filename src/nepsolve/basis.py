@@ -31,55 +31,35 @@ class BreakdownError(Exception):
 
 @dataclass(frozen=True)
 class VABasis:
-    """Basis data: nodes, recurrence matrix, node evaluations, leading coeffs.
+    """Basis data: the nodes, the recurrence matrix and the node evaluations.
 
     ``Q`` has shape (m, degree+1) with column j holding ``theta_j`` at the
-    nodes, each of unit norm in the discrete inner product with ``weights``;
-    ``H`` has shape (degree+1, degree); ``k`` holds the leading coefficients.
+    nodes, each of unit norm in the discrete inner product the basis was
+    built under; ``H`` has shape (degree+1, degree). The degree and the
+    leading coefficients ``k`` follow from ``H``.
     """
 
     nodes: np.ndarray
-    degree: int
     H: np.ndarray
     Q: np.ndarray
-    k: np.ndarray
-    weights: np.ndarray
 
-    def extend(self, degree):
-        """This basis continued to ``degree`` by the Arnoldi process; a new basis.
+    @property
+    def degree(self):
+        return self.H.shape[1]
+
+    @property
+    def k(self):
+        return leading_coeffs(self.H)
+
+    def prefix(self, degree):
+        """The basis of the first ``degree + 1`` columns, copied.
 
         Column ``j+1`` depends only on columns ``0..j``, the nodes and the
-        weights, so the result is ``build_basis`` at ``degree``, bit for bit.
+        weights, so the result is ``build_basis`` at ``degree`` under the
+        same weights, bit for bit.
         """
-        d0, m = self.degree, self.nodes.size
-        if degree < d0:
-            raise ValueError(f"degree {degree} is below the basis degree {d0}")
-        if degree + 1 > m:
-            raise ValueError(f"degree {degree} needs at least {degree + 1} nodes, got {m}")
-        nodes, w = self.nodes, self.weights
-        Q = np.empty((m, degree + 1), dtype=complex)
-        H = np.zeros((degree + 1, degree), dtype=complex)
-        Q[:, : d0 + 1] = self.Q
-        H[: d0 + 1, : d0] = self.H
-        for j in range(d0, degree):
-            v = nodes * Q[:, j]
-            Qj = Q[:, : j + 1]
-            h = np.zeros(j + 1, dtype=complex)
-            for _ in range(2):  # CGS + one reorthogonalization pass
-                c = Qj.conj().T @ (w * v)
-                h += c
-                v -= Qj @ c
-            nrm = np.sqrt(np.vdot(v, w * v).real)
-            if nrm < 1e-14 * np.sqrt(m):
-                raise BreakdownError(
-                    f"basis breakdown at degree {j + 1}: candidate column norm "
-                    f"{nrm:.3e} below tolerance; nodes cannot support the degree",
-                    self.extend(j))  # the columns before the collapse, as built
-            H[: j + 1, j] = h
-            H[j + 1, j] = nrm
-            Q[:, j + 1] = v / H[j + 1, j]
-        return VABasis(nodes=nodes, degree=degree, H=H, Q=Q, k=leading_coeffs(H),
-                       weights=w)
+        return VABasis(nodes=self.nodes, H=self.H[: degree + 1, : degree].copy(),
+                       Q=self.Q[:, : degree + 1].copy())
 
 
 def build_basis(nodes, degree, weights=None):
@@ -87,7 +67,6 @@ def build_basis(nodes, degree, weights=None):
 
     Block classical Gram-Schmidt with one reorthogonalization pass (CGS2);
     raises ``BreakdownError`` if an orthogonalized candidate column collapses.
-    The degree-0 basis is made here and :meth:`VABasis.extend` adds the rest.
 
     ``weights`` switches the inner product to ``sum_l w_l conj(f_l) g_l``
     (default: uniform ``1/m``); positive weights are required. A weighted
@@ -106,9 +85,31 @@ def build_basis(nodes, degree, weights=None):
         w = np.asarray(weights, dtype=float).ravel()
         if w.size != m or np.any(w <= 0):
             raise ValueError("weights must be positive, one per node")
-    Q = np.full((m, 1), 1.0 / np.sqrt(w.sum()), dtype=complex)
-    return VABasis(nodes=nodes, degree=0, H=np.zeros((1, 0), dtype=complex), Q=Q,
-                   k=np.ones(1, dtype=complex), weights=w).extend(degree)
+    if degree < 0:
+        raise ValueError(f"degree {degree} is below the basis degree 0")
+    if degree + 1 > m:
+        raise ValueError(f"degree {degree} needs at least {degree + 1} nodes, got {m}")
+    Q = np.empty((m, degree + 1), dtype=complex)
+    H = np.zeros((degree + 1, degree), dtype=complex)
+    Q[:, 0] = 1.0 / np.sqrt(w.sum())
+    for j in range(degree):
+        v = nodes * Q[:, j]
+        Qj = Q[:, : j + 1]
+        h = np.zeros(j + 1, dtype=complex)
+        for _ in range(2):  # CGS + one reorthogonalization pass
+            c = Qj.conj().T @ (w * v)
+            h += c
+            v -= Qj @ c
+        nrm = np.sqrt(np.vdot(v, w * v).real)
+        if nrm < 1e-14 * np.sqrt(m):
+            raise BreakdownError(
+                f"basis breakdown at degree {j + 1}: candidate column norm "
+                f"{nrm:.3e} below tolerance; nodes cannot support the degree",
+                VABasis(nodes=nodes, H=H, Q=Q).prefix(j))
+        H[: j + 1, j] = h
+        H[j + 1, j] = nrm
+        Q[:, j + 1] = v / H[j + 1, j]
+    return VABasis(nodes=nodes, H=H, Q=Q)
 
 
 def leading_coeffs(H):

@@ -173,18 +173,16 @@ def _escalate(samples, s, tol, max_degree):
     highest ruled out."""
     escalation = []
     try:  # one Arnoldi pass; each fit's basis is its prefix, bit for bit
-        with np.errstate(over="ignore"):
-            shared = build_basis(samples.nodes, min(max_degree, (samples.m - 2) // 2))
+        shared = build_basis(samples.nodes, min(max_degree, (samples.m - 2) // 2))
     except BreakdownError as exc:
         shared = exc.basis
-    last = int(np.cumprod(np.isfinite(shared.k)).sum()) - 1
+    with np.errstate(over="ignore"):
+        last = int(np.cumprod(np.isfinite(shared.k)).sum()) - 1
     if last < 1:
         raise ValueError(f"the {samples.m} boundary nodes cannot carry a fit of degree 1")
 
     def fit(k, **kwargs):
-        basis = replace(shared, degree=k, H=shared.H[: k + 1, : k].copy(),
-                        Q=shared.Q[:, : k + 1].copy(), k=shared.k[: k + 1].copy())
-        xi = lawson(samples, DegreeSpec((k,) * s, k), basis=basis, **kwargs)
+        xi = lawson(samples, DegreeSpec((k,) * s, k), basis=shared.prefix(k), **kwargs)
         # each step carries its proof: best error and largest dual bound
         escalation.append({"degree": k, "sweeps": xi.iterations,
                            "stop_reason": xi.stop_reason, "sqrt_e": float(np.sqrt(xi.e_max)),

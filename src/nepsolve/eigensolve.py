@@ -212,12 +212,12 @@ def extract_nep_eigenpairs(pairs, basis, nep, region):
 
     nu = np.linalg.norm(U, axis=0)
     r = np.linalg.norm(nep.apply(lam, U), axis=0)
-    scale = np.abs(nep.t_values(lam)) @ nep.norm1_terms()
-    if np.any(scale == 0):
-        raise ZeroDivisionError("all scalar terms vanish at this point")
+    scale = np.abs(nep.t_values(lam)) @ nep.norm1_terms() * nu
+    # a zero scale means every t_i(lam) E_i is 0, and so are T(lam) and the residual
+    normalized = np.divide(r, scale, out=np.zeros_like(r), where=scale != 0)
     in_region = region.contains(lam)
     return [Eigenpair(lam=complex(lam[k]), u=U[:, k], residual=float(r[k] / nu[k]),
-                      normalized_residual=float(r[k] / (scale[k] * nu[k])),
+                      normalized_residual=float(normalized[k]),
                       in_region=bool(in_region[k]), consistency=float(consistency[k]))
             for k in np.lexsort((lam.imag, lam.real))]
 

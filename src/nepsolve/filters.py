@@ -223,15 +223,22 @@ class SIFResult:
     eigenpairs: list
     trace: tuple
     stop_reason: str
-    iterations: int
     subspace: int
     quad_order: int
     factorizations: int
-    block_solves: int
 
     @property
     def converged(self):
         return self.stop_reason == "converged"
+
+    @property
+    def iterations(self):
+        return len(self.trace)
+
+    @property
+    def block_solves(self):
+        # each sweep applies the filter once: one block solve per factored pole
+        return len(self.trace) * self.factorizations
 
 
 def _orth(U):
@@ -320,11 +327,8 @@ def sif(pencil, nep, region, config):
 
     eigenpairs = extract_nep_eigenpairs((lam[keep], Ritz[:, keep]),
                                         pencil.poly.basis, nep, region)
-    # each sweep applies the filter once: one block solve per factored pole
-    return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace),
-                     stop_reason=stop_reason, iterations=len(trace), subspace=width,
-                     quad_order=k, factorizations=factorizations,
-                     block_solves=len(trace) * factorizations)
+    return SIFResult(eigenpairs=eigenpairs, trace=tuple(trace), stop_reason=stop_reason,
+                     subspace=width, quad_order=k, factorizations=factorizations)
 
 
 def _random_block(rng, rows, cols, real):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import build_basis, eval_basis, leading_coeffs
+from .basis import build_basis, eval_basis
 
 __all__ = ["DegreeSpec", "SampleSet", "DualResult", "RationalApproximant",
            "LawsonStep", "RankDeficiencyError", "PoleEvaluationError",
@@ -296,7 +296,7 @@ def lawson(samples, spec, max_iters=500, target=None, basis=None):
     every ``REBASIS_EVERY`` sweeps and on every node drop, so the weighted QR
     factors stay well conditioned as the weights concentrate. The first sweep
     runs in ``basis`` if given, else ``build_basis(samples.nodes, spec.max_degree)``;
-    the degree escalation passes prefixes of one basis it only extends. At most
+    the degree escalation passes prefixes of one basis it builds once. At most
     ``max_iters`` sweeps run, one ``dual_value`` call each; running out is
     reported as ``stop_reason="budget"`` on the result, not as an error.
 
@@ -403,8 +403,7 @@ def _real_fit(xi, samples, d_w):
     b = xi.denom_coeffs
     phase = b[np.argmax(np.abs(b))]
     phase /= abs(phase)
-    H = xi.basis.H.real
-    basis = replace(xi.basis, H=H, k=leading_coeffs(H))
+    basis = replace(xi.basis, H=xi.basis.H.real)
     basis = replace(basis, Q=eval_basis(basis, basis.nodes))
     xi = replace(xi, numer_coeffs=tuple((a / phase).real for a in xi.numer_coeffs),
                  denom_coeffs=(b / phase).real, basis=basis)

@@ -1,8 +1,10 @@
 """Basis construction, recurrence, evaluation, and leading-coefficient tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nepsolve import BreakdownError, build_basis, eval_basis, leading_coeffs
 from util import eval_monomial, monomial_coeffs, random_nodes
@@ -126,8 +128,9 @@ def test_recurrence_residual_random_instances():
 def test_discrete_orthogonality():
     rng = np.random.default_rng(6)
     nodes = random_nodes(rng, 30, radius=2.0)
-    b = build_basis(nodes, 8)
-    G = b.Q.conj().T @ (b.weights[:, None] * b.Q)
+    w = np.full(30, 1 / 30)
+    b = build_basis(nodes, 8, weights=w)
+    G = b.Q.conj().T @ (w[:, None] * b.Q)
     off = G - np.diag(np.diag(G))
     assert np.abs(off).max() <= 1e-10 * np.abs(np.diag(G)).max()
     assert np.allclose(np.diag(G).real, 1.0, atol=1e-10)
@@ -203,39 +206,59 @@ def _extension_case(draw):
     return nodes, weights, d1, d2
 
 
-def _outcome(make):
-    # a tight cluster can overflow k below the breakdown degree; the
-    # overflow is compared with the rest, not raised on the way to d2
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return make()
-        except BreakdownError as exc:
-            return str(exc)
-
-
 @settings(max_examples=150, deadline=None)
 @given(_extension_case())
-def test_extended_basis_equals_the_basis_built_at_once(case):
-    # column j+1 depends only on columns 0..j, the nodes and the weights, so a
-    # basis extended from d1 to d2 is the one built at d2, bit for bit, and a
-    # breakdown comes at the same degree either way
+def test_a_prefix_is_the_basis_built_at_its_degree(case):
+    # column j+1 depends only on columns 0..j, the nodes and the weights, so
+    # the basis built at d2 cut to d1 is the one built at d1, bit for bit, and
+    # a breakdown comes at the same degree either way
     nodes, weights, d1, d2 = case
-    direct = _outcome(lambda: build_basis(nodes, d2, weights))
-    extended = _outcome(lambda: build_basis(nodes, d1, weights).extend(d2))
-    if isinstance(direct, str):
-        assert extended == direct
-        return
-    assert extended.degree == direct.degree == d2
-    for name in ("Q", "H", "k", "weights", "nodes"):
-        assert np.array_equal(getattr(extended, name), getattr(direct, name),
-                              equal_nan=True), name
+    try:
+        built = build_basis(nodes, d2, weights)
+    except BreakdownError as exc:
+        built = exc.basis  # the basis to the degree before the collapse
+        if d1 > built.degree:
+            with pytest.raises(BreakdownError) as direct:
+                build_basis(nodes, d1, weights)
+            assert str(direct.value) == str(exc)
+            return
+    cut, direct = built.prefix(d1), build_basis(nodes, d1, weights)
+    assert cut.degree == direct.degree == d1
+    # a tight cluster can overflow k below the breakdown degree
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ("Q", "H", "k", "nodes"):
+            assert np.array_equal(getattr(cut, name), getattr(direct, name),
+                                  equal_nan=True), name
 
 
-def test_extend_rejects_a_lower_or_unsupported_degree():
-    b = build_basis(np.arange(4.0), 2)
-    with pytest.raises(ValueError, match="below the basis degree 2"):
-        b.extend(1)
+@settings(max_examples=50, deadline=None)
+@given(_extension_case())
+@example((0.5 + 0.25j + 1e-14 * np.random.default_rng(0).permutation(40), None, 0, 39))
+def test_a_breakdown_carries_the_basis_built_before_it(case):
+    # building reads no leading coefficient, so k_j that overflow below the
+    # breakdown degree (as they do on the one tight cluster of the example)
+    # do not stop it; the basis the breakdown carries is the one built at the
+    # degree before the collapse, bit for bit
+    nodes, weights, _, degree = case
+    try:
+        build_basis(nodes, degree, weights)
+    except BreakdownError as exc:
+        ref = build_basis(nodes, exc.basis.degree, weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("nodes", "H", "Q", "k"):
+                assert np.array_equal(getattr(exc.basis, name), getattr(ref, name),
+                                      equal_nan=True), name
+
+
+def test_k_follows_a_replaced_H():
+    b = build_basis(random_nodes(np.random.default_rng(9), 12), 4)
+    H2 = b.H.copy()
+    H2[3, 2] *= 3
+    assert np.array_equal(dataclasses.replace(b, H=H2).k, leading_coeffs(H2))
+
+
+def test_build_basis_rejects_a_negative_or_unsupported_degree():
     with pytest.raises(ValueError, match="below the basis degree 0"):
         build_basis(np.arange(4.0), -1)
     with pytest.raises(ValueError, match="nodes"):
-        b.extend(4)
+        build_basis(np.arange(4.0), 4)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import nepsolve
 from nepsolve import (DegreeSpec, RunConfig, SampleSet, emit, hadeler, lawson,
                       run, sample_boundary, save_manifest)
-from nepsolve import VABasis, build_basis, cli
+from nepsolve import build_basis, cli
 from nepsolve.cli import (EXIT_FIT_MISS, EXIT_OK, EXIT_POLES, EXIT_SOLVE_FAILED,
                           EXIT_SOLVER_MISS, build_parser, main)
 from nepsolve.eigensolve import STANDARD_FORM_RCOND, EigensolverError
@@ -268,29 +268,23 @@ def test_escalation_matches_full_fits_on_benchmark_configs(
 ])
 def test_escalation_extends_one_shared_basis_one_degree_at_a_time(monkeypatch,
                                                                   overrides):
-    # every column of every basis is made by VABasis.extend; those made for
-    # a Lawson rebuild under its weights are told apart by the wrapper
-    calls, fit_bases, rebuilding = [], [], []
-    extend = VABasis.extend
+    # every basis is made by build_basis: the shared one by cli's call, a
+    # Lawson rebuild under its weights by lawson's
+    calls, fit_bases = [], []
 
-    def counted_extend(basis, degree):
-        calls.append((basis.degree, degree, bool(rebuilding)))
-        return extend(basis, degree)
-
-    def rebuild(*args, **kwargs):
-        rebuilding.append(True)
-        try:
-            return build_basis(*args, **kwargs)
-        finally:
-            rebuilding.pop()
+    def counted(rebuilt):
+        def wrapper(nodes, degree, weights=None):
+            calls.append((degree, rebuilt))
+            return build_basis(nodes, degree, weights=weights)
+        return wrapper
 
     def fit(samples, spec, **kwargs):
         fit_bases.append(kwargs["basis"])
         return lawson(samples, spec, **kwargs)
 
-    monkeypatch.setattr(VABasis, "extend", counted_extend)
+    monkeypatch.setattr(cli, "build_basis", counted(False))
     monkeypatch.setattr(importlib.import_module("nepsolve.lawson"), "build_basis",
-                        rebuild)
+                        counted(True))
     monkeypatch.setattr(cli, "lawson", fit)
     config = RunConfig(**{"problem": "example1", "nodes": 100, "tol": 1e-10,
                           "max_degree": 30, **overrides})
@@ -299,18 +293,16 @@ def test_escalation_extends_one_shared_basis_one_degree_at_a_time(monkeypatch,
                                       report.fit.degrees.denominator, config.tol)
     assert [step["degree"] for step in report.escalation] == \
         [b.degree for b in fit_bases]
-    # the shared basis grows only forward from degree 0, so each of its
-    # columns is built once
-    grown = [(d0, d) for d0, d, rebuilt in calls if not rebuilt and d > d0]
-    assert [d0 for d0, _ in grown] == [0] + [d for _, d in grown[:-1]]
+    # the shared basis is built once, so each of its columns is built once
+    assert [rebuilt for _, rebuilt in calls].count(False) == 1
     # no basis in the run, rebuilt or shared, went past the escalation's cap
-    assert max(d for _, d, _ in calls) <= min(config.max_degree, (config.nodes - 2) // 2)
+    assert max(d for d, _ in calls) <= min(config.max_degree, (config.nodes - 2) // 2)
     # each fit's first sweep ran in the shared basis's prefix at its degree,
     # which is the basis built at that degree at once, bit for bit
     for basis in fit_bases:
         ref = build_basis(basis.nodes, basis.degree)
         assert all(np.array_equal(getattr(basis, name), getattr(ref, name))
-                   for name in ("nodes", "H", "Q", "k", "weights"))
+                   for name in ("nodes", "H", "Q", "k"))
 
 
 def test_escalation_ends_before_the_leading_coefficients_overflow(monkeypatch):
@@ -331,20 +323,18 @@ def test_escalation_ends_before_the_leading_coefficients_overflow(monkeypatch):
     _check_skipped_degrees_are_proven(report.escalation, last, 1e-17)
     assert fit_bases[-1].degree == last and np.isfinite(fit_bases[-1].k).all()
     with np.errstate(over="ignore"):
-        assert not np.isfinite(fit_bases[-1].extend(last + 1).k[-1])
+        assert not np.isfinite(build_basis(fit_bases[-1].nodes, last + 1).k[-1])
 
 
 def _plant_a_breakdown_past_ten(monkeypatch):
-    # the basis breaks down past degree 10, carrying the columns built before
-    extend = VABasis.extend
-
-    def breaks_past_ten(basis, degree):
+    # the shared basis breaks down past degree 10, carrying the columns built before
+    def breaks_past_ten(nodes, degree, weights=None):
         if degree > 10:
             raise nepsolve.BreakdownError(f"planted breakdown at degree {degree}",
-                                          extend(basis, 10))
-        return extend(basis, degree)
+                                          build_basis(nodes, 10, weights))
+        return build_basis(nodes, degree, weights)
 
-    monkeypatch.setattr(VABasis, "extend", breaks_past_ten)
+    monkeypatch.setattr(cli, "build_basis", breaks_past_ten)
 
 
 def test_a_probe_without_a_proof_never_fails_a_run(monkeypatch):
@@ -384,16 +374,14 @@ def test_a_walk_that_meets_a_breakdown_reports_the_last_fitted_degree(monkeypatc
 
 
 def _linear_walk(samples, s, tol, last):
-    # the escalation before the probes: k = 1, 2, ... in one shared basis
-    # grown a column at a time, until a degree meets tol; the last degree
-    # with finite leading coefficients never gives up
+    # the escalation before the probes: k = 1, 2, ... each in the basis
+    # built at k, until a degree meets tol; the last degree with finite
+    # leading coefficients never gives up
     with np.errstate(over="ignore"):
         last = int(np.cumprod(np.isfinite(build_basis(samples.nodes, last).k)).sum()) - 1
-    basis = build_basis(samples.nodes, 0)
     for k in range(1, last + 1):
-        basis = basis.extend(k)
         xi = lawson(samples, DegreeSpec((k,) * s, k),
-                    target=None if k == last else tol, basis=basis)
+                    target=None if k == last else tol, basis=build_basis(samples.nodes, k))
         if np.sqrt(xi.e_max) < tol:
             return xi, True
     return xi, False
@@ -560,6 +548,23 @@ def test_degree_one_fit_with_a_negligible_leading_coefficient_is_a_fit_miss(
     assert doc["approx"]["sqrt_e"] > 1e-2
     assert doc["solver"]["kind"] == solver and doc["solver"]["converged"]
     assert doc["eigen"] == []
+
+
+@pytest.mark.parametrize("solver", ["dense", "filter"])
+def test_an_eigenvalue_where_every_term_vanishes_has_residual_zero(solver, capsys,
+                                                                    tmp_path):
+    # T(x) = x: at the eigenvalue 0 the normalized residual's scale
+    # sum |t_i(0)| ||E_i||_1 is 0, and T(0) is the zero matrix
+    manifest = tmp_path / "x.json"
+    manifest.write_text(json.dumps({
+        "name": "x", "terms": [{"kind": "monomial", "params": {"power": 1}}],
+        "matrices": [{"inline": [[1]]}], "region": {"center": [0.5, 0], "radius": 3}}))
+    status = main(["--manifest", str(manifest), "--nodes", "57", "--max-degree", "1",
+                   "--solver", solver])
+    assert status == EXIT_OK
+    [pair] = json.loads(capsys.readouterr().out)["eigen"]
+    assert (pair["re"], pair["im"], pair["residual"], pair["normalized_residual"]) == \
+        (0.0, 0.0, 0.0, 0.0)
 
 
 def _load_tracer(monkeypatch):

@@ -206,7 +206,7 @@ def _real_filter_case(draw):
     gamma = draw(st.integers(1, 6))
     n = draw(st.integers(1, 8))
     basis = build_basis(rng.uniform(-1, 1, max(3 * gamma + 4, 8)), gamma)
-    basis = dataclasses.replace(basis, H=basis.H.real, k=basis.k.real)
+    basis = dataclasses.replace(basis, H=basis.H.real)
     P = coeff_poly([rng.standard_normal((n, n)) for _ in range(gamma + 1)],
                    basis)
     rule = quadrature(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 2.0)),

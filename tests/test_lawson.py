@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nepsolve import (DegreeSpec, PoleEvaluationError, RankDeficiencyError,
-                      RationalApproximant, SampleSet, build_basis, dual_value,
-                      eval_basis, evaluate_approximant, example1, hadeler,
-                      lawson, max_error, sample_boundary, time_delay2)
+                      RationalApproximant, SampleSet, VABasis, build_basis,
+                      dual_value, eval_basis, evaluate_approximant, example1,
+                      hadeler, lawson, max_error, sample_boundary, time_delay2)
 from nepsolve.lawson import WEIGHT_TOL
 from nepsolve.problems import Region
 from util import dual_oracle, eval_monomial, monomial_coeffs, random_nodes
@@ -445,7 +445,7 @@ SPEC = DegreeSpec((2, 2), 2)
 
 def _short_basis():
     # a degree-2 basis whose Q has the 2 rows of 2 nodes: 3 coefficients on 2 nodes
-    return dataclasses.replace(build_basis(NODES[:2], 1), degree=2)
+    return VABasis(NODES[:2], np.zeros((3, 2), dtype=complex), np.ones((2, 3), dtype=complex))
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -167,7 +167,7 @@ def _poly_and_probe(draw):
     if draw(st.booleans()):
         # real nodes give a real recurrence, and real coefficients a real pencil
         basis = build_basis(rng.uniform(-1, 1, m), gamma)
-        basis = dataclasses.replace(basis, H=basis.H.real, k=basis.k.real)
+        basis = dataclasses.replace(basis, H=basis.H.real)
         coeffs = [rng.standard_normal((n, n)) for _ in range(gamma + 1)]
     else:
         basis = build_basis(random_nodes(rng, m), gamma)
@@ -268,7 +268,7 @@ def _split_form_case(draw):
     m = max(3 * gamma + 4, 8)
     if real:
         basis = build_basis(rng.uniform(-1, 1, m), gamma)
-        basis = dataclasses.replace(basis, H=basis.H.real, k=basis.k.real)
+        basis = dataclasses.replace(basis, H=basis.H.real)
     else:
         basis = build_basis(random_nodes(rng, m), gamma)
 
